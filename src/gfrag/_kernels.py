@@ -1,175 +1,92 @@
-"""Hot numerical kernels with numba acceleration and a pure-numpy fallback.
+"""Transport scans of the resolvent and the upwind time-step loop.
 
-The package runs its inner loops through the functions exported here:
-sequential prefix/suffix scans used by the transport resolvent (forward
-application, exact algebraic inverse, adjoint) and the fused explicit
-upwind time-step loop of the PDE solver.
-
-Each kernel has two interchangeable implementations.  When numba is
-importable and the environment variable ``GFRAG_NO_NUMBA`` is unset (or
-not ``"1"``), the ``@njit``-compiled variants are bound to the public
-names; otherwise the plain numpy/Python variants are used.  Results agree
-to floating-point roundoff; ``benchmarks/bench_kernels.py`` measures the
-speed difference.
+A scan accumulates T[0] = s*f[0], T[i] = d[i]*T[i-1] + w[i]*(A[i]*f[i-1] + B[i]*f[i])
+over panels of width w[i] and exponent drop -log d[i] >= 0, so it cannot overflow.
+That is L T = C f: L unit lower bidiagonal (subdiagonal -d[1:]), C lower bidiagonal
+(diagonal s, w*B; subdiagonal w*A) with the weights of :func:`panel_weights` and
+:func:`seed_weight`.  A resolvent context builds both once (:func:`transport_bands`);
+a scan is one LAPACK banded triangular solve (``?tbtrs``) and a bidiagonal product.
 """
 
-from __future__ import annotations
-
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+from scipy.linalg.lapack import dtbtrs
 
 
-USE_NUMBA = HAS_NUMBA and os.environ.get("GFRAG_NO_NUMBA", "0") != "1"
+def _theta(decay):
+    """Decay clamped at 1e-300, theta = -log(d), Taylor mask, safe divisor."""
+    d = np.maximum(np.asarray(decay, dtype=float), 1e-300)
+    theta, small = -np.log(d), d > 0.951229424500714  # theta < 0.05: Taylor branches
+    return d, theta, small, np.where(small, 1.0, theta)
 
 
-def _panel_ab_py(d):
-    """Endpoint weights of the exponentially fitted panel rule.
+def panel_weights(decay):
+    """Endpoint weights (A, B) of the exponentially fitted panel rule.
 
-    A panel [x0, x1] contributes int exp(-theta*(x1-s)/w) f(s) ds with
-    theta = -log(d) the accumulated exponent drop across the panel.  With
-    f interpolated affinely the integral is w*(A*f(x0) + B*f(x1)) where
-        A = (1 - (1+theta) d) / theta^2
-        B = (1 - d)/theta - A.
-    Fitting the exponential exactly removes the (exponent slope)^2 term
-    a plain trapezoid rule would carry, which dominates when the shift
-    or the loss rate is large.  Both weights tend to 1/2 as theta -> 0;
-    the Taylor branch avoids the 0/0 cancellation there.
+    Panel [x0, x1] contributes int exp(-theta*(x1-s)/w) f(s) ds, theta =
+    -log(d); for affine f that is w*(A*f(x0) + B*f(x1)) with A = (1 -
+    (1+theta)*d)/theta^2 and B = (1 - d)/theta - A, free of a trapezoid
+    rule's (exponent slope)^2 error.  Taylor branches avoid 0/0 at theta -> 0.
     """
-    if d > 0.951229424500714:  # theta < 0.05
-        theta = -np.log(d)
-        a = 0.5 - theta * (1.0 / 3.0 - theta * (0.125 - theta * (1.0 / 30.0 - theta / 144.0)))
-        b = 0.5 - theta * (1.0 / 6.0 - theta * (1.0 / 24.0 - theta * (1.0 / 120.0 - theta / 720.0)))
-        return a, b
-    if d < 1e-300:
-        theta = 690.7755278982137
-        return 1.0 / theta**2, 1.0 / theta - 1.0 / theta**2
-    theta = -np.log(d)
-    a = (1.0 - (1.0 + theta) * d) / theta**2
-    return a, (1.0 - d) / theta - a
+    d, th, small, t = _theta(decay)
+    a = (1.0 - (1.0 + t) * d) / t**2
+    b = (1.0 - d) / t - a
+    a_small = 0.5 - th * (1.0 / 3.0 - th * (0.125 - th * (1.0 / 30.0 - th / 144.0)))
+    b_small = 0.5 - th * (1.0 / 6.0 - th * (1.0 / 24.0 - th * (1.0 / 120.0 - th / 720.0)))
+    return np.where(small, a_small, a), np.where(small, b_small, b)
 
 
-def _seed_weight_py(d, first_width):
-    """Exact exponential weight of the leading panel [0, x0].
-
-    The integrand is frozen at its value on the first node, so the panel
-    contributes first_width * f[0] * (1-d)/theta with d the decay across
-    [0, x0]; the factor tends to 1 as theta -> 0.
-    """
-    if d > 0.951229424500714:
-        theta = -np.log(d)
-        return first_width * (
-            1.0 - theta * (0.5 - theta * (1.0 / 6.0 - theta * (1.0 / 24.0 - theta / 120.0)))
-        )
-    if d < 1e-300:
-        return first_width / 690.7755278982137
-    return first_width * (1.0 - d) / (-np.log(d))
+def seed_weight(decay, first_width):
+    """Weight first_width*(1-d)/theta of [0, x0], integrand frozen at x0."""
+    d, th, small, t = _theta(decay)
+    taylor = 1.0 - th * (0.5 - th * (1.0 / 6.0 - th * (1.0 / 24.0 - th / 120.0)))
+    return np.where(small, first_width * taylor, first_width * (1.0 - d) / t)
 
 
-def _prefix_transport_scan_py(widths, decay, f, first_width):
-    """Scaled cumulative integral driving the transport resolvent.
-
-    Computes T with
-        T[0] = seed(decay[0]) * f[0]
-        T[i] = decay[i]*T[i-1] + widths[i]*(A_i*f[i-1] + B_i*f[i])
-    using the exponentially fitted weights of :func:`_panel_ab_py`, where
-    decay[i] = exp(A[i-1]-A[i]) <= 1 keeps every factor bounded, so the
-    recurrence never overflows even when exp(A) itself would.
-    """
-    n = f.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    acc = _seed_weight(decay[0], first_width) * f[0]
-    out[0] = acc
-    for i in range(1, n):
-        d = decay[i]
-        a, b = _panel_ab(d)
-        acc = d * acc + widths[i] * (a * f[i - 1] + b * f[i])
-        out[i] = acc
-    return out
+def transport_bands(nodes, decay):
+    """L and C in lower band storage; decay[0] is the decay factor across [0, x0]."""
+    widths = np.diff(nodes)
+    a, b = panel_weights(decay[1:])
+    L = np.zeros((2, nodes.size), order="F")
+    C = np.zeros((2, nodes.size), order="F")
+    L[0], L[1, :-1] = 1.0, -decay[1:]
+    C[0, 0], C[0, 1:], C[1, :-1] = seed_weight(decay[0], nodes[0]), widths * b, widths * a
+    return L, C
 
 
-def _inverse_transport_scan_py(widths, decay, t, first_width):
-    """Exact algebraic inverse of :func:`prefix_transport_scan`.
-
-    Recovers f from T so that a resolvent application followed by this
-    scan reproduces the input to roundoff; used for defect checks and
-    direct applications of the shifted generator.
-    """
-    n = t.shape[0]
-    f = np.empty(n, dtype=np.float64)
-    f[0] = t[0] / _seed_weight(decay[0], first_width)
-    for i in range(1, n):
-        d = decay[i]
-        a, b = _panel_ab(d)
-        f[i] = ((t[i] - d * t[i - 1]) / widths[i] - a * f[i - 1]) / b
-    return f
-
-
-def _adjoint_transport_scan_py(widths, decay, g, first_width):
-    """Transpose of the linear map f -> T of the prefix scan.
-
-    Reverse-mode sweep of the forward recurrence: bar[i] accumulates the
-    sensitivity of sum_j g[j]*T[j] to T[i], then each f[i] collects its
-    direct contributions from panels i and i+1.
-    """
-    n = g.shape[0]
-    bar = np.empty(n, dtype=np.float64)
-    bar[n - 1] = g[n - 1]
-    for i in range(n - 2, -1, -1):
-        bar[i] = g[i] + decay[i + 1] * bar[i + 1]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(1, n - 1):
-        a_i, b_i = _panel_ab(decay[i])
-        a_next, _b_next = _panel_ab(decay[i + 1])
-        out[i] = widths[i] * b_i * bar[i] + widths[i + 1] * a_next * bar[i + 1]
-    _a_last, b_last = _panel_ab(decay[n - 1])
-    out[n - 1] = widths[n - 1] * b_last * bar[n - 1]
-    if n > 1:
-        a_1, _b_1 = _panel_ab(decay[1])
-        out[0] = _seed_weight(decay[0], first_width) * bar[0] + widths[1] * a_1 * bar[1]
+def _times(band, x, trans=False):
+    """Lower bidiagonal band matrix (or its transpose) times x."""
+    y = band[0] * x
+    if trans:
+        y[:-1] += band[1, :-1] * x[1:]
     else:
-        out[0] = _seed_weight(decay[0], first_width) * bar[0]
-    return out
+        y[1:] += band[1, :-1] * x[:-1]
+    return y
 
 
-def _advance_upwind_nb_impl(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
-    """Fused explicit-Euler upwind loop (numba body with explicit loops)."""
-    n = u.shape[0]
-    cur = u.copy()
-    for _ in range(n_steps):
-        influx = 0.0
-        for j in range(n):
-            influx += beta_w[j] * cur[j]
-        gain_term = np.dot(gain, cur)
-        nxt = np.empty(n, dtype=np.float64)
-        flux_left = influx
-        for i in range(n):
-            flux_right = r_faces[i + 1] * cur[i]
-            nxt[i] = cur[i] - (dt / dx) * (flux_right - flux_left) + dt * (
-                gain_term[i] - a_mid[i] * cur[i]
-            )
-            flux_left = flux_right
-        cur = nxt
-    return cur
+def _solve(band, rhs, trans="N", diag="U"):
+    x, info = dtbtrs(band, rhs, uplo="L", trans=trans, diag=diag)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"banded triangular solve failed, info={info}")
+    return x
 
 
-def _advance_upwind_np(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
-    """Vectorized per-step upwind loop (numpy fallback)."""
+def prefix_transport_scan(L, C, f):
+    """Scaled cumulative integral T of the transport resolvent: L T = C f."""
+    return _solve(L, _times(C, f))
+
+
+def adjoint_transport_scan(L, C, g):
+    """Transpose of the prefix scan, C^T L^-T g."""
+    return _times(C, _solve(L, g, trans="T"), trans=True)
+
+
+def inverse_transport_scan(L, C, t):
+    """Exact algebraic inverse of the prefix scan, C^-1 L t."""
+    return _solve(C, _times(L, t), diag="N")
+
+
+def advance_upwind(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
+    """Explicit-Euler upwind loop: n_steps steps from u, which is not mutated."""
     cur = u.copy()
     flux = np.empty(u.shape[0] + 1, dtype=np.float64)
     for _ in range(n_steps):
@@ -177,19 +94,3 @@ def _advance_upwind_np(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
         flux[1:] = r_faces[1:] * cur
         cur = cur - (dt / dx) * np.diff(flux) + dt * (gain @ cur - a_mid * cur)
     return cur
-
-
-if USE_NUMBA:
-    _panel_ab = njit(cache=True, inline="always")(_panel_ab_py)
-    _seed_weight = njit(cache=True, inline="always")(_seed_weight_py)
-    prefix_transport_scan = njit(cache=True)(_prefix_transport_scan_py)
-    inverse_transport_scan = njit(cache=True)(_inverse_transport_scan_py)
-    adjoint_transport_scan = njit(cache=True)(_adjoint_transport_scan_py)
-    advance_upwind = njit(cache=True)(_advance_upwind_nb_impl)
-else:
-    _panel_ab = _panel_ab_py
-    _seed_weight = _seed_weight_py
-    prefix_transport_scan = _prefix_transport_scan_py
-    inverse_transport_scan = _inverse_transport_scan_py
-    adjoint_transport_scan = _adjoint_transport_scan_py
-    advance_upwind = _advance_upwind_np

@@ -264,10 +264,9 @@ def run(cfg: RunConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
         doc, model = _load(cfg)
         return _DISPATCH[cfg.command](cfg, doc, model, out)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidInputError, InvalidModelError, MissingTailError, DegenerateModelError) as exc:
+    except (
+        OSError, InvalidInputError, InvalidModelError, MissingTailError, DegenerateModelError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GfragError as exc:

@@ -70,7 +70,6 @@ __all__ = [
     "pairing",
     "grid_eval",
     "midpoint_grid",
-    "grid_from_callable",
     "model_from_config",
     "load_model",
     "coefficient_from_config",
@@ -497,10 +496,6 @@ def midpoint_grid(x_max: float, n_cells: int) -> np.ndarray:
         raise InvalidInputError("need x_max > 0 and at least two cells")
     dx = x_max / n_cells
     return dx * (np.arange(n_cells) + 0.5)
-
-
-def grid_from_callable(fn: Callable, nodes: np.ndarray, m: float = 2.0) -> GridFunction:
-    return GridFunction(np.asarray(nodes, dtype=float), grid_eval(fn, nodes), m)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ gain.  All three resolvents are available in closed or series form:
   boundary correction spanned by the homogeneous mode e_lam,
 * ``(lam - K)^{-1}`` is the Neumann series sum_n R_beta (B R_beta)^n.
 
-Discretely, the prefix integral is accumulated with one scaled trapezoid
-scan whose recurrence is *exactly invertible*; the shifted generators
-applied by :func:`apply_shifted_generator_Zbeta` and
+Discretely, the prefix integral is accumulated with one exponentially
+fitted scan whose recurrence is *exactly invertible*; the shifted
+generators applied by :func:`apply_shifted_generator_Zbeta` and
 :func:`apply_shifted_generator_K` are those exact algebraic inverses, so
 resolvent defects measure only series truncation, not quadrature error.
-The scans run through compiled kernels in :mod:`gfrag._kernels`.
+Each scan is a banded triangular solve (:mod:`gfrag._kernels`) with the
+bidiagonal matrices L and C that a :class:`ResolventContext` builds once
+from its panel weights.
 """
 
 from __future__ import annotations
@@ -135,15 +137,13 @@ class ResolventContext:
         # decay factor lies in (0, 1] and the scans cannot overflow
         self._r_vals = grid_eval(model.r, nodes)
         exponent = self.lam * np.asarray(self.rq.R(nodes)) + np.asarray(self.rq.Q(nodes))
-        self._decay = np.empty_like(nodes)
+        decay = np.empty_like(nodes)
         # leading entry carries the drop across [0, nodes[0]] (R and Q
         # vanish at zero); the scans use it to weight the seed panel
-        self._decay[0] = np.exp(-exponent[0])
-        self._decay[1:] = np.exp(exponent[:-1] - exponent[1:])
-        self._widths = np.empty_like(nodes)
-        self._widths[0] = nodes[0]
-        self._widths[1:] = np.diff(nodes)
-        self._first_width = float(nodes[0])
+        decay[0] = np.exp(-exponent[0])
+        decay[1:] = np.exp(exponent[:-1] - exponent[1:])
+        # banded scan matrices with the panel weights, fixed for the context
+        self._L, self._C = _kernels.transport_bands(nodes, decay)
         self._wq = quad_weights(nodes)
 
         e_vals = np.exp(-exponent) / self._r_vals
@@ -185,7 +185,7 @@ def apply_resolvent_Z0(ctx: ResolventContext, f: GridFunction) -> GridFunction:
     on the context grid with one stable prefix scan.
     """
     vals = _check_grid(ctx, f)
-    scan = _kernels.prefix_transport_scan(ctx._widths, ctx._decay, vals, ctx._first_width)
+    scan = _kernels.prefix_transport_scan(ctx._L, ctx._C, vals)
     return GridFunction(ctx.nodes, scan / ctx._r_vals, ctx.model.m)
 
 
@@ -211,9 +211,7 @@ def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: GridFunction) -> Gri
     """
     vals = _check_grid(ctx, u)
     g = vals - ctx.pair_beta(vals) * ctx.e_lambda.values
-    f = _kernels.inverse_transport_scan(
-        ctx._widths, ctx._decay, np.ascontiguousarray(g * ctx._r_vals), ctx._first_width
-    )
+    f = _kernels.inverse_transport_scan(ctx._L, ctx._C, g * ctx._r_vals)
     return GridFunction(ctx.nodes, f, ctx.model.m)
 
 
@@ -377,8 +375,8 @@ def apply_shifted_generator_K(ctx: ResolventContext, u: GridFunction) -> GridFun
 
 def _apply_resolvent_Z0_transpose(ctx: ResolventContext, g_vals: np.ndarray) -> np.ndarray:
     """Quadrature-weighted adjoint of apply_resolvent_Z0 on sample vectors."""
-    h = np.ascontiguousarray(ctx._wq * g_vals / ctx._r_vals)
-    out = _kernels.adjoint_transport_scan(ctx._widths, ctx._decay, h, ctx._first_width)
+    h = ctx._wq * g_vals / ctx._r_vals
+    out = _kernels.adjoint_transport_scan(ctx._L, ctx._C, h)
     return out / ctx._wq
 
 
@@ -396,19 +394,27 @@ def _apply_gain_transpose(ctx: ResolventContext, g_vals: np.ndarray) -> np.ndarr
 def _resolvent_K_transpose(
     ctx: ResolventContext, g_vals: np.ndarray, tol: float, max_terms: int = 200, burn_in: int = 5
 ) -> np.ndarray:
-    """Adjoint Neumann series sum_n R_beta* (B* R_beta*)^n g."""
+    """Adjoint Neumann series sum_n R_beta* (B* R_beta*)^n g.
+
+    Stops once the max-norm increment falls below tol relative to the sum.
+    The contraction guard measures increments in the dual norm of X_m,
+    max |z|/(1 + x^m), where the adjoint operators contract; the plain max
+    norm can grow for a few terms on a series that converges.
+    """
+    dual_weight = 1.0 + ctx.nodes**ctx.model.m
     z = _apply_resolvent_Zbeta_transpose(ctx, g_vals)
     total = z.copy()
-    prev_norm = float(np.max(np.abs(z)))
+    prev_dual = float(np.max(np.abs(z) / dual_weight))
     for n in range(1, max_terms + 1):
         z = _apply_resolvent_Zbeta_transpose(ctx, _apply_gain_transpose(ctx, z))
         total += z
-        norm = float(np.max(np.abs(z)))
-        if norm < tol * max(1.0, np.max(np.abs(total))):
+        if float(np.max(np.abs(z))) < tol * max(1.0, np.max(np.abs(total))):
             break
-        if n >= burn_in and norm >= prev_norm:
+        dual = float(np.max(np.abs(z) / dual_weight))
+        if n >= burn_in and dual >= prev_dual:
             raise SeriesDivergenceError(
-                f"adjoint resolvent series stopped contracting at term {n}; increase lambda"
+                f"adjoint resolvent series stopped contracting at term {n} "
+                f"(dual-norm increment {dual:.3e} >= {prev_dual:.3e}); increase lambda"
             )
-        prev_norm = norm
+        prev_dual = dual
     return total

@@ -214,6 +214,26 @@ class TestEigenCommand:
         b2 = (tmp_path / "r2" / "eigen.csv").read_bytes()
         assert b1 == b2
 
+    def test_power_law_adjoint_series_is_not_stopped_early(self, tmp_path, capsys):
+        # the max norm of the adjoint series increments grows over terms 2-5
+        # on this model before the series converges; the dual X_m norm that
+        # guards contraction falls from the first term
+        doc = {
+            "r": 0.8048558799287859,
+            "a": {"type": "linear", "c0": 0.0, "c1": 1.4655247473489097},
+            "kernel": {"type": "power_law", "nu": 1.8410379140205155},
+            "beta": {"type": "linear", "c0": 0.22472968865378679, "c1": 0.2777776532355057},
+            "m": 2.0,
+            "x_max": 30.0,
+        }
+        cfg = RunConfig("eigen", write_model(tmp_path, doc), output_dir=str(tmp_path), n_cells=200)
+        assert run(cfg) == 0
+        out = capsys.readouterr().out
+        assert math.isfinite(float(out.split("s0 = ")[1].split()[0]))
+        _, rows, _ = read_csv(tmp_path / "eigen.csv")
+        assert len(rows) == 200
+        assert all(r[1] > 0 and r[2] > 0 for r in rows)
+
 
 class TestIrreducibleCommand:
     def test_uniform_binary_support_decision(self, tmp_path, capsys):
@@ -271,6 +291,13 @@ class TestErrorPaths:
         cfg = RunConfig("validate", str(tmp_path / "ghost.json"), output_dir=str(tmp_path))
         assert run(cfg) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_model_path_is_a_directory(self, tmp_path, capsys):
+        cfg = RunConfig("validate", str(tmp_path), output_dir=str(tmp_path / "out"))
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
     def test_missing_model_key_reports_key(self, tmp_path, capsys):
         path = write_model(tmp_path, {"r": 1.0, "a": 1.0})

@@ -1,13 +1,12 @@
-"""Twin-implementation tests for the scan and stepping kernels.
+"""Tests for the transport scans and the upwind stepping kernel.
 
-The public kernel names bind to numba-compiled variants when numba is
-available; every test here checks them against the pure-Python reference
-bodies or an independent oracle, so the suite is meaningful under both
-bindings.
+Each scan is checked against a loop oracle of the recurrence it solves,
+written out below, and the adjoint scan against the transpose of the dense
+matrix of the prefix scan.  The panel weights are checked against
+quadrature, and the upwind kernel against an explicit per-cell loop.
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -16,14 +15,45 @@ import pytest
 from scipy.integrate import quad
 
 from gfrag import _kernels as K
+from gfrag import resolvent
+from gfrag.model import Constant, GridFunction, Linear, ModelDefinition, UniformBinary
+
+SEAM = 0.951229424500714  # exp(-0.05), where the weights switch branch
 
 
 def scan_inputs(n, rng, theta_max=3.0):
+    """Grid nodes, panel decays and a random vector of length n."""
     widths = rng.uniform(0.01, 0.2, size=n)
+    nodes = np.cumsum(widths)
     decay = np.exp(-rng.uniform(0.0, theta_max, size=n))
-    f = rng.normal(size=n)
-    first_width = float(rng.uniform(0.01, 0.2))
-    return widths, decay, f, first_width
+    return nodes, decay, rng.normal(size=n)
+
+
+def prefix_oracle(nodes, decay, f):
+    """T[0] = s f[0],  T[i] = d[i] T[i-1] + w[i] (A[i] f[i-1] + B[i] f[i])."""
+    a, b = K.panel_weights(decay)
+    t = np.empty(len(f))
+    t[0] = K.seed_weight(decay[0], nodes[0]) * f[0]
+    for i in range(1, len(f)):
+        w = nodes[i] - nodes[i - 1]
+        t[i] = decay[i] * t[i - 1] + w * (a[i] * f[i - 1] + b[i] * f[i])
+    return t
+
+
+def inverse_oracle(nodes, decay, t):
+    """The prefix recurrence solved for f, panel by panel."""
+    a, b = K.panel_weights(decay)
+    f = np.empty(len(t))
+    f[0] = t[0] / K.seed_weight(decay[0], nodes[0])
+    for i in range(1, len(t)):
+        w = nodes[i] - nodes[i - 1]
+        f[i] = ((t[i] - decay[i] * t[i - 1]) / w - a[i] * f[i - 1]) / b[i]
+    return f
+
+
+def dense(scan, n):
+    """Matrix of a linear map on R^n, one column per unit vector."""
+    return np.column_stack([scan(e) for e in np.eye(n)])
 
 
 class TestPanelWeights:
@@ -32,33 +62,31 @@ class TestPanelWeights:
     # limited only by roundoff
     @pytest.mark.parametrize("theta", [1e-8, 0.01, 0.04999, 0.05001, 0.5, 3.0, 40.0])
     def test_weights_match_quadrature(self, theta):
-        d = np.exp(-theta)
-        a, b = K._panel_ab_py(d)
+        a, b = K.panel_weights(np.exp(-theta))
         a_ref = quad(lambda s: np.exp(-theta * (1 - s)) * (1 - s), 0.0, 1.0)[0]
         b_ref = quad(lambda s: np.exp(-theta * (1 - s)) * s, 0.0, 1.0)[0]
         rel = 2e-9 if theta < 0.05 else 1e-10
-        assert a == pytest.approx(a_ref, rel=rel, abs=1e-14)
-        assert b == pytest.approx(b_ref, rel=rel, abs=1e-14)
+        assert float(a) == pytest.approx(a_ref, rel=rel, abs=1e-14)
+        assert float(b) == pytest.approx(b_ref, rel=rel, abs=1e-14)
 
     def test_weights_sum_integrates_constants(self):
         # expm1 keeps the reference free of the 1-exp(-theta) cancellation
-        for theta in [1e-6, 0.02, 0.3, 5.0, 80.0]:
-            a, b = K._panel_ab_py(np.exp(-theta))
-            ref = -np.expm1(-theta) / theta
+        thetas = np.array([1e-6, 0.02, 0.3, 5.0, 80.0])
+        a, b = K.panel_weights(np.exp(-thetas))
+        ref = -np.expm1(-thetas) / thetas
+        for theta, got, want in zip(thetas, a + b, ref):
             rel = 2e-9 if theta < 0.05 else 1e-12
-            assert a + b == pytest.approx(ref, rel=rel)
+            assert got == pytest.approx(want, rel=rel)
 
     def test_branch_seam_is_continuous(self):
-        seam = 0.951229424500714
-        lo = K._panel_ab_py(seam * (1 - 1e-13))
-        hi = K._panel_ab_py(seam * (1 + 1e-13))
-        assert lo[0] == pytest.approx(hi[0], rel=5e-9)
-        assert lo[1] == pytest.approx(hi[1], rel=5e-9)
+        a, b = K.panel_weights(SEAM * np.array([1 - 1e-13, 1 + 1e-13]))
+        assert a[0] == pytest.approx(a[1], rel=5e-9)
+        assert b[0] == pytest.approx(b[1], rel=5e-9)
 
     def test_degenerate_decay_limits(self):
-        a1, b1 = K._panel_ab_py(1.0)
-        assert (a1, b1) == (0.5, 0.5)
-        a0, b0 = K._panel_ab_py(0.0)
+        a1, b1 = K.panel_weights(1.0)
+        assert (float(a1), float(b1)) == (0.5, 0.5)
+        a0, b0 = K.panel_weights(0.0)
         assert 0.0 < a0 < b0 < 1e-2
         assert np.isfinite(a0) and np.isfinite(b0)
 
@@ -67,73 +95,80 @@ class TestPanelWeights:
             d = np.exp(-theta)
             ref = quad(lambda s: np.exp(-theta * (1 - s)), 0.0, 1.0)[0]
             rel = 2e-9 if theta < 0.05 else 1e-10
-            assert K._seed_weight_py(d, 0.7) == pytest.approx(0.7 * ref, rel=rel)
-        assert K._seed_weight_py(1.0, 0.7) == pytest.approx(0.7)
-        assert 0.0 < K._seed_weight_py(0.0, 0.7) < 0.7
+            assert float(K.seed_weight(d, 0.7)) == pytest.approx(0.7 * ref, rel=rel)
+        assert float(K.seed_weight(1.0, 0.7)) == pytest.approx(0.7)
+        assert 0.0 < K.seed_weight(0.0, 0.7) < 0.7
 
-    def test_compiled_weights_match_reference(self):
-        for d in [1.0, 0.99, 0.951229424500714, 0.7, 1e-3, 1e-200, 0.0]:
-            assert K._panel_ab(d) == pytest.approx(K._panel_ab_py(d), rel=1e-14)
-            assert K._seed_weight(d, 0.3) == pytest.approx(
-                K._seed_weight_py(d, 0.3), rel=1e-14
-            )
+    @pytest.mark.filterwarnings("error")  # no 0/0 on the branch not taken
+    def test_array_across_the_seam_matches_elementwise(self):
+        # one array holding both branches and the clamp picks, per entry,
+        # what a single-entry call does, and stays on the quadrature values
+        seam = [SEAM * (1 + 1e-13), SEAM, SEAM * (1 - 1e-13)]
+        decay = np.array([1.0, 0.99, *seam, 0.7, 1e-3, 1e-200, 1e-301, 0.0])
+        a, b = K.panel_weights(decay)
+        seed = K.seed_weight(decay, 0.3)
+        for i, d in enumerate(decay):
+            assert (a[i], b[i]) == tuple(float(v) for v in K.panel_weights(d))
+            assert seed[i] == K.seed_weight(d, 0.3)
+        assert np.all((a > 0) & (b > 0) & (seed > 0))
+        for i in range(7):
+            theta = -np.log(decay[i])
+            a_ref = quad(lambda s: np.exp(-theta * (1 - s)) * (1 - s), 0.0, 1.0)[0]
+            b_ref = quad(lambda s: np.exp(-theta * (1 - s)) * s, 0.0, 1.0)[0]
+            assert a[i] == pytest.approx(a_ref, rel=2e-9)
+            assert b[i] == pytest.approx(b_ref, rel=2e-9)
 
 
 class TestScanTwins:
+    """Each banded scan against its loop oracle or dense transpose."""
+
     def test_prefix_scan_matches_reference(self):
         rng = np.random.default_rng(5)
         for n in [1, 2, 7, 300]:
-            widths, decay, f, fw = scan_inputs(n, rng)
-            got = K.prefix_transport_scan(widths, decay, f, fw)
-            ref = K._prefix_transport_scan_py(widths, decay, f, fw)
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+            nodes, decay, f = scan_inputs(n, rng)
+            got = K.prefix_transport_scan(*K.transport_bands(nodes, decay), f)
+            np.testing.assert_allclose(got, prefix_oracle(nodes, decay, f), rtol=1e-12, atol=1e-15)
 
     def test_adjoint_scan_matches_reference(self):
         rng = np.random.default_rng(6)
         for n in [1, 2, 7, 300]:
-            widths, decay, g, fw = scan_inputs(n, rng)
-            got = K.adjoint_transport_scan(widths, decay, g, fw)
-            ref = K._adjoint_transport_scan_py(widths, decay, g, fw)
+            nodes, decay, g = scan_inputs(n, rng)
+            got = K.adjoint_transport_scan(*K.transport_bands(nodes, decay), g)
+            ref = dense(lambda e: prefix_oracle(nodes, decay, e), n).T @ g
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
 
     def test_inverse_scan_matches_reference(self):
         rng = np.random.default_rng(7)
         for n in [1, 2, 7, 300]:
-            widths, decay, t, fw = scan_inputs(n, rng)
-            got = K.inverse_transport_scan(widths, decay, t, fw)
-            ref = K._inverse_transport_scan_py(widths, decay, t, fw)
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+            nodes, decay, t = scan_inputs(n, rng)
+            got = K.inverse_transport_scan(*K.transport_bands(nodes, decay), t)
+            np.testing.assert_allclose(got, inverse_oracle(nodes, decay, t), rtol=1e-12, atol=1e-12)
 
     def test_inverse_undoes_prefix(self):
         rng = np.random.default_rng(8)
         for n in [1, 3, 50, 400]:
-            widths, decay, f, fw = scan_inputs(n, rng)
-            t = K.prefix_transport_scan(widths, decay, f, fw)
-            back = K.inverse_transport_scan(widths, decay, t, fw)
+            nodes, decay, f = scan_inputs(n, rng)
+            L, C = K.transport_bands(nodes, decay)
+            back = K.inverse_transport_scan(L, C, K.prefix_transport_scan(L, C, f))
             np.testing.assert_allclose(back, f, rtol=1e-10, atol=1e-12)
 
     def test_prefix_is_linear(self):
         rng = np.random.default_rng(9)
-        widths, decay, f, fw = scan_inputs(64, rng)
+        nodes, decay, f = scan_inputs(64, rng)
+        L, C = K.transport_bands(nodes, decay)
         g = rng.normal(size=64)
-        lhs = K.prefix_transport_scan(widths, decay, 2.0 * f - 3.0 * g, fw)
-        rhs = 2.0 * K.prefix_transport_scan(widths, decay, f, fw) - 3.0 * K.prefix_transport_scan(
-            widths, decay, g, fw
-        )
+        lhs = K.prefix_transport_scan(L, C, 2.0 * f - 3.0 * g)
+        rhs = 2.0 * K.prefix_transport_scan(L, C, f) - 3.0 * K.prefix_transport_scan(L, C, g)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
     def test_adjoint_is_true_transpose(self):
         rng = np.random.default_rng(10)
         n = 40
-        widths, decay, _, fw = scan_inputs(n, rng)
-        dense = np.empty((n, n))
-        eye = np.eye(n)
-        for j in range(n):
-            dense[:, j] = K.prefix_transport_scan(widths, decay, eye[j], fw)
-        g = rng.normal(size=n)
+        nodes, decay, g = scan_inputs(n, rng)
+        L, C = K.transport_bands(nodes, decay)
         np.testing.assert_allclose(
-            K.adjoint_transport_scan(widths, decay, g, fw),
-            dense.T @ g,
+            K.adjoint_transport_scan(L, C, g),
+            dense(lambda e: K.prefix_transport_scan(L, C, e), n).T @ g,
             rtol=1e-11,
             atol=1e-13,
         )
@@ -142,22 +177,39 @@ class TestScanTwins:
         # <g, S f> = <S^T g, f> for random vectors
         rng = np.random.default_rng(11)
         for n in [2, 17, 128]:
-            widths, decay, f, fw = scan_inputs(n, rng)
+            nodes, decay, f = scan_inputs(n, rng)
+            L, C = K.transport_bands(nodes, decay)
             g = rng.normal(size=n)
-            lhs = float(g @ K.prefix_transport_scan(widths, decay, f, fw))
-            rhs = float(K.adjoint_transport_scan(widths, decay, g, fw) @ f)
+            lhs = float(g @ K.prefix_transport_scan(L, C, f))
+            rhs = float(K.adjoint_transport_scan(L, C, g) @ f)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-12)
 
     def test_extreme_decay_stays_finite(self):
         # decay factors <= 1 keep the recurrence bounded even when the
         # accumulated exponent would overflow exp()
         n = 200
-        widths = np.full(n, 0.1)
+        nodes = 0.1 * np.arange(1, n + 1)
         decay = np.full(n, 1e-250)
-        f = np.ones(n)
-        t = K.prefix_transport_scan(widths, decay, f, 0.1)
+        t = K.prefix_transport_scan(*K.transport_bands(nodes, decay), np.ones(n))
         assert np.all(np.isfinite(t))
         assert np.all(t >= 0.0)
+
+
+def upwind_oracle(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
+    """Explicit-Euler upwind update written cell by cell."""
+    cur = u.copy()
+    for _ in range(n_steps):
+        gain_term = gain @ cur
+        nxt = np.empty_like(cur)
+        flux_left = float(beta_w @ cur)
+        for i in range(len(cur)):
+            flux_right = r_faces[i + 1] * cur[i]
+            nxt[i] = cur[i] - (dt / dx) * (flux_right - flux_left) + dt * (
+                gain_term[i] - a_mid[i] * cur[i]
+            )
+            flux_left = flux_right
+        cur = nxt
+    return cur
 
 
 class TestAdvanceTwins:
@@ -174,11 +226,9 @@ class TestAdvanceTwins:
 
     def test_twin_loops_agree(self):
         args = (self.u0, 40, self.dt, self.dx, self.r_faces, self.a_mid, self.gain, self.beta_w)
-        nb_body = K._advance_upwind_nb_impl(*args)
-        np_body = K._advance_upwind_np(*args)
-        public = K.advance_upwind(*args)
-        np.testing.assert_allclose(nb_body, np_body, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(public, np_body, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            K.advance_upwind(*args), upwind_oracle(*args), rtol=1e-10, atol=1e-12
+        )
 
     def test_input_not_mutated(self):
         before = self.u0.copy()
@@ -196,58 +246,55 @@ class TestAdvanceTwins:
 
 
 CHILD_SCRIPT = """
-import json, sys
+import json
 import numpy as np
 from gfrag import _kernels as K
 
 rng = np.random.default_rng(2024)
-n = 96
-widths = rng.uniform(0.01, 0.2, size=n)
-decay = np.exp(-rng.uniform(0.0, 3.0, size=n))
-f = rng.normal(size=n)
-t = K.prefix_transport_scan(widths, decay, f, 0.05)
-adj = K.adjoint_transport_scan(widths, decay, f, 0.05)
+nodes = np.cumsum(rng.uniform(0.01, 0.2, size=96))
+decay = np.exp(-rng.uniform(0.0, 3.0, size=96))
+f = rng.normal(size=96)
+L, C = K.transport_bands(nodes, decay)
 print(json.dumps({
-    "use_numba": K.USE_NUMBA,
-    "prefix": list(t),
-    "adjoint": list(adj),
+    "prefix": K.prefix_transport_scan(L, C, f).tobytes().hex(),
+    "adjoint": K.adjoint_transport_scan(L, C, f).tobytes().hex(),
 }))
 """
 
 
-class TestFallbackBinding:
-    def test_no_numba_env_flag_selects_python_bodies(self):
-        env = dict(os.environ, GFRAG_NO_NUMBA="1")
+class TestModuleBinding:
+    def test_scans_repeat_bitwise_in_a_fresh_process(self):
+        # reruns write byte-identical CSVs only if the scans are deterministic
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD_SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
+            [sys.executable, "-c", CHILD_SCRIPT], capture_output=True, text=True, check=True
         )
         payload = json.loads(proc.stdout)
-        assert payload["use_numba"] is False
-
         rng = np.random.default_rng(2024)
-        n = 96
-        widths = rng.uniform(0.01, 0.2, size=n)
-        decay = np.exp(-rng.uniform(0.0, 3.0, size=n))
-        f = rng.normal(size=n)
-        np.testing.assert_allclose(
-            np.array(payload["prefix"]),
-            K.prefix_transport_scan(widths, decay, f, 0.05),
-            rtol=1e-12,
-            atol=1e-15,
-        )
-        np.testing.assert_allclose(
-            np.array(payload["adjoint"]),
-            K.adjoint_transport_scan(widths, decay, f, 0.05),
-            rtol=1e-12,
-            atol=1e-15,
-        )
+        nodes = np.cumsum(rng.uniform(0.01, 0.2, size=96))
+        decay = np.exp(-rng.uniform(0.0, 3.0, size=96))
+        f = rng.normal(size=96)
+        L, C = K.transport_bands(nodes, decay)
+        assert payload["prefix"] == K.prefix_transport_scan(L, C, f).tobytes().hex()
+        assert payload["adjoint"] == K.adjoint_transport_scan(L, C, f).tobytes().hex()
 
-    def test_current_binding_is_consistent(self):
-        if K.USE_NUMBA:
-            assert K.prefix_transport_scan is not K._prefix_transport_scan_py
-        else:
-            assert K.prefix_transport_scan is K._prefix_transport_scan_py
+    def test_resolvent_looks_scans_up_on_the_module(self, monkeypatch):
+        # callers find the scans as module attributes, the grid vector third,
+        # so a wrapper installed on the module sees every call
+        calls = []
+        for name in ("prefix_transport_scan", "adjoint_transport_scan"):
+            scan = getattr(K, name)
+
+            def recorded(L, C, v, _scan=scan, _name=name):
+                calls.append((_name, L, C, len(v)))
+                return _scan(L, C, v)
+
+            monkeypatch.setattr(K, name, recorded)
+        model = ModelDefinition(
+            r=Constant(1.0), a=Linear(0.0, 1.0), kernel=UniformBinary(),
+            beta=Linear(0.5, 0.5), m=2.0, bc_convention="value", x_max=30.0,
+        )
+        ctx = resolvent.ResolventContext(model, 6.0, n_cells=50)
+        resolvent.apply_resolvent_Z0(ctx, GridFunction(ctx.nodes, np.ones(50), 2.0))
+        resolvent._apply_resolvent_Z0_transpose(ctx, np.ones(50))
+        assert [c[0] for c in calls] == ["prefix_transport_scan", "adjoint_transport_scan"]
+        assert all(c[1] is ctx._L and c[2] is ctx._C and c[3] == 50 for c in calls)
