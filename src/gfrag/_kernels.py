@@ -86,11 +86,14 @@ def inverse_transport_scan(L, C, t):
 
 
 def advance_upwind(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
-    """Explicit-Euler upwind loop: n_steps steps from u, which is not mutated."""
+    """Explicit-Euler upwind loop: n_steps steps from u, which is not mutated.
+
+    ``gain`` is any operator with a ``matvec`` method.
+    """
     cur = u.copy()
     flux = np.empty(u.shape[0] + 1, dtype=np.float64)
     for _ in range(n_steps):
         flux[0] = beta_w @ cur
         flux[1:] = r_faces[1:] * cur
-        cur = cur - (dt / dx) * np.diff(flux) + dt * (gain @ cur - a_mid * cur)
+        cur = cur - (dt / dx) * np.diff(flux) + dt * (gain.matvec(cur) - a_mid * cur)
     return cur

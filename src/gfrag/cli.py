@@ -54,10 +54,12 @@ from .closed_form import (
 )
 from .errors import (
     DegenerateModelError,
+    DivergentNormError,
     GfragError,
     InvalidInputError,
     InvalidModelError,
     MissingTailError,
+    NonFiniteOutputError,
 )
 from .irreducibility import compute_c_bar, decide_irreducibility
 from .model import (
@@ -107,12 +109,23 @@ def _fmt(value) -> str:
 
 
 def emit_csv(path, header, rows) -> None:
-    """Write rows as RFC 4180 CSV with a header and 17-digit floats."""
+    """Write rows as RFC 4180 CSV with a header and 17-digit floats.
+
+    All rows are formatted before the file is opened, so a NaN or an
+    infinity raises NonFiniteOutputError and leaves no file behind.
+    Formatted numbers never need quoting, so rows are joined directly.
+    """
+    lines = []
+    for row in rows:
+        values = tuple(row)
+        line = ",".join(["%.17g"] * len(values)) % values
+        # a finite float formats without the letter n; nan and inf have it
+        if "n" in line:
+            raise NonFiniteOutputError(f"non-finite value in row {len(lines) + 1} of {path}")
+        lines.append(line + "\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\r\n").writerow(header)
+        fh.writelines(lines)
 
 
 def _load(cfg: RunConfig) -> tuple[dict, ModelDefinition]:
@@ -265,7 +278,12 @@ def run(cfg: RunConfig) -> int:
         doc, model = _load(cfg)
         return _DISPATCH[cfg.command](cfg, doc, model, out)
     except (
-        OSError, InvalidInputError, InvalidModelError, MissingTailError, DegenerateModelError
+        OSError,
+        InvalidInputError,
+        InvalidModelError,
+        MissingTailError,
+        DegenerateModelError,
+        DivergentNormError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

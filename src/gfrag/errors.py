@@ -45,6 +45,10 @@ class StepSizeError(GfragError, ValueError):
     """Requested time stepping violates the stability constraint."""
 
 
+class NonFiniteOutputError(GfragError, RuntimeError):
+    """A computed output holds NaN or an infinity."""
+
+
 class DiscretizationWarning(UserWarning):
     """A computed quantity shows grid artifacts (for example, small
     negative components of a function known to be nonnegative)."""

@@ -373,34 +373,51 @@ def kernel_defect(kernel: KernelSpec, m: float, y):
     return _match(y, np.power(y_arr, m) - np.asarray(kernel_moment(kernel, m, y_arr)))
 
 
-def kernel_density(kernel: KernelSpec, x, y):
-    """Pointwise daughter density b(x, y); zero for x >= y.
+def separable_density_factors(kernel: Union[UniformBinary, PowerLaw], x):
+    """Factors (p(x), q(x)) of a separable density, b(x, y) = p(x) q(y) on x <= y.
 
-    Atomic kernels have no density; use :func:`kernel_atoms` for those.
+    The power law has p = (nu+2) x^nu and q = y^-(nu+1); uniform binary is
+    the case nu = 0.  x^nu is taken at max(x, 1e-300), so p stays finite at
+    x = 0 for nu < 0, and q vanishes at size zero: a parent of size zero
+    has no daughters.
+    """
+    nu = kernel.nu if isinstance(kernel, PowerLaw) else 0.0
+    x_arr = np.asarray(x, dtype=float)
+    p = (nu + 2.0) * np.power(np.maximum(x_arr, 1e-300), nu)
+    q = np.where(x_arr > 0, 1.0 / np.power(np.where(x_arr > 0, x_arr, 1.0), nu + 1.0), 0.0)
+    return p, q
+
+
+def kernel_density(kernel: KernelSpec, x, y):
+    """Pointwise daughter density b(x, y); zero for x > y.
+
+    At x = y it takes the one-sided limit b(y-, y), the value the gain
+    quadrature needs on its diagonal.  Atomic kernels have no density; use
+    :func:`kernel_atoms` for those.
     """
     if is_atomic_kernel(kernel):
         raise InvalidInputError("atomic kernel has no pointwise density")
     x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    inside = (x_arr < y_arr) & (y_arr > 0) & (x_arr >= 0)
-    safe_y = np.where(y_arr > 0, y_arr, 1.0)
-    if isinstance(kernel, UniformBinary):
-        out = np.where(inside, 2.0 / safe_y, 0.0)
-    elif isinstance(kernel, PowerLaw):
-        nu = kernel.nu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (nu + 2.0) * np.power(x_arr, nu) / np.power(safe_y, nu + 1.0)
-        out = np.where(inside, vals, 0.0)
+    inside = (x_arr <= y_arr) & (y_arr > 0) & (x_arr >= 0)
+    if isinstance(kernel, (UniformBinary, PowerLaw)):
+        p, _ = separable_density_factors(kernel, x_arr)
+        _, q = separable_density_factors(kernel, y_arr)
+        out = np.where(inside, p * q, 0.0)
     else:
+        safe_y = np.where(y_arr > 0, y_arr, 1.0)
         rho = np.where(inside, x_arr / safe_y, 0.0)
         out = np.where(inside, np.asarray(kernel.shape_fn(rho)) / safe_y, 0.0)
     return _match(x if np.ndim(x) >= np.ndim(y) else y, out)
 
 
-def kernel_atoms(kernel: KernelSpec, y: float) -> list[tuple[float, float]]:
-    """Daughter point masses [(location, count-weight), ...] of an atomic kernel."""
+def kernel_atoms(kernel: KernelSpec, y) -> list[tuple]:
+    """Daughter point masses [(location, count-weight), ...] of an atomic kernel.
+
+    Elementwise for an array of parent sizes ``y``.
+    """
     if not is_atomic_kernel(kernel):
         raise InvalidInputError("kernel is not atomic")
-    eps = float(kernel.eps_at(float(y)))
+    eps = kernel.eps_at(y)
     return [(eps * y, 1.0), ((1.0 - eps) * y, 1.0)]
 
 

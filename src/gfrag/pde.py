@@ -4,9 +4,10 @@ First-order conservative upwind transport plus explicit Euler for the
 splitting terms.  Growth is strictly positive, so x = 0 is an inflow
 boundary; the inflow flux is the renewal pairing r(0) u(0,t) = <beta, u>
 in the flux convention, lagged one step to keep the update linear and
-explicit.  The fragmentation gain reuses the shared quadrature matrix of
-:func:`gfrag.resolvent.fragmentation_gain_matrix`, and the outflow face at
-x_max extrapolates with zero gradient.  The scheme is monotone under the
+explicit.  The fragmentation gain is the shared quadrature operator of
+:func:`gfrag.resolvent.fragmentation_gain_matrix`, applied once per step
+at O(n) cost unless the kernel is tabulated, and the outflow face at x_max
+extrapolates with zero gradient.  The scheme is monotone under the
 time-step bound dt * (max r / dx + max a) <= 1, which preserves
 nonnegativity of the iterates.
 """

@@ -17,12 +17,15 @@ generators applied by :func:`apply_shifted_generator_Zbeta` and
 resolvent defects measure only series truncation, not quadrature error.
 Each scan is a banded triangular solve (:mod:`gfrag._kernels`) with the
 bidiagonal matrices L and C that a :class:`ResolventContext` builds once
-from its panel weights.
+from its panel weights.  B is a :class:`GainOperator` built once per
+context: O(n) cumulative sums for separable densities, a sparse deposition
+matrix for atomic kernels, and a dense matrix only for tabulated kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from . import _kernels
 from .errors import (
@@ -33,7 +36,9 @@ from .errors import (
 from .model import (
     GridFunction,
     ModelDefinition,
+    PowerLaw,
     RQFunctions,
+    UniformBinary,
     boundary_weight_flux,
     compute_RQ,
     daughter_count_bound,
@@ -41,11 +46,12 @@ from .model import (
     grid_eval,
     is_atomic_kernel,
     kernel_atoms,
+    kernel_density,
     linear_growth_bound,
     midpoint_grid,
     polynomial_growth_pair,
     quad_weights,
-    xm_norm,
+    separable_density_factors,
 )
 
 __all__ = [
@@ -59,6 +65,7 @@ __all__ = [
     "apply_shifted_generator_Zbeta",
     "apply_shifted_generator_K",
     "fragmentation_gain_matrix",
+    "GainOperator",
 ]
 
 
@@ -80,6 +87,9 @@ class ResolventContext:
         Growth bound 2*m*r0 of the zero-flux transport semigroup.
     omega_beta : float
         Growth bound beta_m + omega_r + 4*a0*b0 of the renewal semigroup.
+    gain : GainOperator
+        Fragmentation gain B on the context grid, built once and shared by
+        every term of the forward and adjoint series.
 
     The default ``strict=True`` admits only lam above omega_r + beta_m,
     where the closed resolvent formulas are guaranteed.  ``strict=False``
@@ -145,6 +155,9 @@ class ResolventContext:
         # banded scan matrices with the panel weights, fixed for the context
         self._L, self._C = _kernels.transport_bands(nodes, decay)
         self._wq = quad_weights(nodes)
+        # X_m norm weight and the dual weight of the adjoint series
+        self._dual_w = 1.0 + nodes**m
+        self._norm_w = self._wq * self._dual_w
 
         e_vals = np.exp(-exponent) / self._r_vals
         self.e_lambda = GridFunction(nodes, e_vals, m)
@@ -154,6 +167,7 @@ class ResolventContext:
             raise LambdaOutOfRangeError(
                 f"<beta, e_lambda> = {self.beta_pairing} outside [0, 1); increase lambda"
             )
+        self.gain = fragmentation_gain_matrix(model, nodes)
 
     def pair_beta(self, values: np.ndarray) -> float:
         """Renewal functional <beta, u> of grid samples."""
@@ -161,7 +175,7 @@ class ResolventContext:
 
     def norm_m(self, values: np.ndarray) -> float:
         """X_m norm of grid samples."""
-        return float(np.sum(self._wq * (1.0 + self.nodes**self.model.m) * np.abs(values)))
+        return float(np.sum(self._norm_w * np.abs(values)))
 
 
 def _check_grid(ctx: ResolventContext, f: GridFunction) -> np.ndarray:
@@ -219,87 +233,126 @@ def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: GridFunction) -> Gri
 # fragmentation gain
 
 
-_GAIN_CACHE: dict = {}
+class GainOperator:
+    """Quadrature of the fragmentation gain, (G u)(x_i) ~ int_{x_i}^inf a(y) b(x_i, y) u(y) dy.
 
-
-def _density_with_diagonal(kernel, X, Y):
-    """Daughter density on x <= y, carrying the one-sided limit at x = y."""
-    from .model import PowerLaw, TabulatedKernel, UniformBinary
-
-    inside = (X <= Y) & (Y > 0)
-    safe_y = np.where(Y > 0, Y, 1.0)
-    if isinstance(kernel, UniformBinary):
-        return np.where(inside, 2.0 / safe_y, 0.0)
-    if isinstance(kernel, PowerLaw):
-        nu = kernel.nu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (nu + 2.0) * np.power(np.maximum(X, 1e-300), nu) / np.power(safe_y, nu + 1.0)
-        return np.where(inside, vals, 0.0)
-    if isinstance(kernel, TabulatedKernel):
-        rho = np.where(inside, X / safe_y, 0.0)
-        return np.where(inside, np.asarray(kernel.shape_fn(rho)) / safe_y, 0.0)
-    raise InvalidInputError(f"no pointwise density for kernel {kernel!r}")
-
-
-def fragmentation_gain_matrix(model: ModelDefinition, nodes: np.ndarray) -> np.ndarray:
-    """Dense matrix G with (G u)(x_i) ~ int_{x_i}^inf a(y) b(x_i, y) u(y) dy.
-
-    Continuous kernels: per-row trapezoid over the truncated range with the
-    diagonal limit value included, so the jump of the integrand at y = x
-    costs no accuracy.  Atomic kernels: each source node deposits its two
+    Continuous kernels: per-row trapezoid over the truncated range, with a
+    half panel on the diagonal carrying the one-sided density limit (so the
+    jump of the integrand at y = x costs no accuracy) and a zero last
+    diagonal entry.  Atomic kernels: each source node deposits its two
     daughter point masses onto the neighboring grid nodes by linear
     interpolation, which conserves daughter count and size exactly, except
     that daughters falling below the first node are clamped onto it (keeping
-    the matrix nonnegative at the price of a grid-sized moment error there).
-    Matrices are cached per (model, grid).
+    G nonnegative at the price of a grid-sized moment error there).
+
+    G is stored in the cheapest form its kernel allows:
+
+    * separable densities b = p(x) q(y) (uniform binary, power law):
+      ``G u = p * S(c * u) + d * u`` with S the reverse cumulative sum,
+      c = q * (trapezoid weight) * a and d a diagonal correction; O(n) time
+      and storage, and ``G^T z = c * cumsum(p * z) + d * z``;
+    * atomic kernels: CSR with at most four entries per column;
+    * tabulated kernels: a dense n x n array.
+
+    ``nbytes`` is the storage held.
+    """
+
+    def __init__(self, model: ModelDefinition, nodes: np.ndarray):
+        nodes = np.asarray(nodes, dtype=float)
+        n = nodes.size
+        kernel = model.kernel
+        a_vals = grid_eval(model.a, nodes)
+        self._matrix = None
+        if is_atomic_kernel(kernel):
+            self._matrix = _atomic_deposition(kernel, nodes, a_vals)
+            held = (self._matrix.data, self._matrix.indices, self._matrix.indptr)
+        else:
+            d = np.diff(nodes)
+            w_t = np.zeros(n)
+            w_t[:-1] += 0.5 * d
+            w_t[1:] += 0.5 * d
+            half = np.concatenate((0.5 * d, [0.0]))
+            if isinstance(kernel, (UniformBinary, PowerLaw)):
+                p, q = separable_density_factors(kernel, nodes)
+                c = q * w_t * a_vals
+                # inclusive cumulative sums count p_i c_i once on the diagonal;
+                # d swaps that for the half-panel diagonal entry
+                self._p, self._c, self._d = p, c, p * q * half * a_vals - p * c
+                held = (self._p, self._c, self._d)
+            else:
+                pattern = np.triu(np.broadcast_to(w_t, (n, n)), k=1)
+                np.fill_diagonal(pattern, half)
+                dens = kernel_density(kernel, nodes[:, None], nodes[None, :])
+                self._matrix = dens * pattern * a_vals[None, :]
+                held = (self._matrix,)
+        self.nbytes = sum(arr.nbytes for arr in held)
+        if self._matrix is not None:
+            self._transpose = self._matrix.T
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """G u."""
+        if self._matrix is not None:
+            return self._matrix @ u
+        return self._p * np.cumsum((self._c * u)[::-1])[::-1] + self._d * u
+
+    def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        """G^T z."""
+        if self._matrix is not None:
+            return self._transpose @ z
+        return self._c * np.cumsum(self._p * z) + self._d * z
+
+
+def _atomic_deposition(kernel, nodes: np.ndarray, a_vals: np.ndarray):
+    """CSR gain of an atomic kernel: linear-interpolation deposition, clamped at the ends."""
+    n = nodes.size
+    wq = quad_weights(nodes)
+    source = a_vals * wq
+    cols = np.flatnonzero(source)
+    rows, data = [], []
+    for z, count in kernel_atoms(kernel, nodes[cols]):
+        mass = source[cols] * count
+        k = np.searchsorted(nodes, z)
+        inner = (k > 0) & (k < n)
+        hi = np.minimum(k, n - 1)
+        lo = np.where(inner, k - 1, hi)
+        span = np.where(inner, nodes[hi] - nodes[lo], 1.0)
+        frac = np.where(inner, (z - nodes[lo]) / span, 0.0)
+        rows += [lo, hi]
+        data += [mass * (1.0 - frac) / wq[lo], mass * frac / wq[hi]]
+    # duplicate (row, column) pairs are summed, at most two of them nonzero;
+    # 32-bit indices keep the index arrays at half the size of the values
+    row_idx = np.concatenate(rows).astype(np.int32)
+    col_idx = np.tile(cols, len(rows)).astype(np.int32)
+    gain = sparse.csr_array((np.concatenate(data), (row_idx, col_idx)), shape=(n, n))
+    gain.eliminate_zeros()
+    return gain
+
+
+_GAIN_CACHE: dict = {}
+
+
+def fragmentation_gain_matrix(model: ModelDefinition, nodes: np.ndarray) -> GainOperator:
+    """The :class:`GainOperator` of ``model`` on ``nodes``.
+
+    The last eight operators built are kept per (model, grid), so repeated
+    calls on one grid return the same object.
     """
     nodes = np.asarray(nodes, dtype=float)
     key = (id(model), nodes.tobytes())
     hit = _GAIN_CACHE.get(key)
     if hit is not None and hit[0] is model:
         return hit[1]
-
-    n = nodes.size
-    a_vals = grid_eval(model.a, nodes)
-    if is_atomic_kernel(model.kernel):
-        wq = quad_weights(nodes)
-        g = np.zeros((n, n))
-        for j in range(n):
-            source = a_vals[j] * wq[j]
-            if source == 0.0:
-                continue
-            for z, count in kernel_atoms(model.kernel, float(nodes[j])):
-                mass = source * count
-                k = int(np.searchsorted(nodes, z))
-                if k == 0:
-                    g[0, j] += mass / wq[0]
-                elif k >= n:
-                    g[n - 1, j] += mass / wq[n - 1]
-                else:
-                    frac = (z - nodes[k - 1]) / (nodes[k] - nodes[k - 1])
-                    g[k - 1, j] += mass * (1.0 - frac) / wq[k - 1]
-                    g[k, j] += mass * frac / wq[k]
-    else:
-        dens = _density_with_diagonal(model.kernel, nodes[:, None], nodes[None, :])
-        w_t = np.zeros(n)
-        d = np.diff(nodes)
-        w_t[:-1] += 0.5 * d
-        w_t[1:] += 0.5 * d
-        pattern = np.triu(np.broadcast_to(w_t, (n, n)), k=1).copy()
-        diag = np.concatenate((0.5 * d, [0.0]))
-        np.fill_diagonal(pattern, diag)
-        g = dens * pattern * a_vals[None, :]
-
+    gain = GainOperator(model, nodes)
     if len(_GAIN_CACHE) >= 8:
         _GAIN_CACHE.pop(next(iter(_GAIN_CACHE)))
-    _GAIN_CACHE[key] = (model, g)
-    return g
+    _GAIN_CACHE[key] = (model, gain)
+    return gain
 
 
 def apply_fragmentation_gain(model: ModelDefinition, u: GridFunction) -> GridFunction:
     """Fragmentation gain (B u)(x) = int_x^inf a(y) b(x, y) u(y) dy."""
-    g = fragmentation_gain_matrix(model, u.nodes)
-    return GridFunction(u.nodes, g @ u.values, u.m)
+    gain = fragmentation_gain_matrix(model, u.nodes)
+    return GridFunction(u.nodes, gain.matvec(u.values), u.m)
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +373,14 @@ def _resolvent_K_details(
     """
     if tol <= 0:
         raise InvalidInputError("series tolerance must be positive")
-    gain = fragmentation_gain_matrix(ctx.model, ctx.nodes)
+    gain = ctx.gain
     w = apply_resolvent_Zbeta(ctx, f).values
     total = w.copy()
     prev_norm = ctx.norm_m(w)
     n_terms = 1
     defect = np.inf
     for n in range(1, max_terms + 1):
-        g = gain @ w
+        g = gain.matvec(w)
         gain_norm = ctx.norm_m(g)
         if prev_norm < tol and gain_norm < tol:
             defect = gain_norm
@@ -343,7 +396,7 @@ def _resolvent_K_details(
         prev_norm = norm
         n_terms = n + 1
     else:
-        defect = ctx.norm_m(gain @ w)
+        defect = ctx.norm_m(gain.matvec(w))
     return total, n_terms, defect
 
 
@@ -365,8 +418,7 @@ def apply_resolvent_K(ctx: ResolventContext, f: GridFunction, tol: float = 1e-10
 def apply_shifted_generator_K(ctx: ResolventContext, u: GridFunction) -> GridFunction:
     """Apply (lam - K) discretely: (lam - Zbeta) u - B u."""
     transport = apply_shifted_generator_Zbeta(ctx, u)
-    gain = fragmentation_gain_matrix(ctx.model, ctx.nodes)
-    return GridFunction(ctx.nodes, transport.values - gain @ u.values, ctx.model.m)
+    return GridFunction(ctx.nodes, transport.values - ctx.gain.matvec(u.values), ctx.model.m)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +439,7 @@ def _apply_resolvent_Zbeta_transpose(ctx: ResolventContext, g_vals: np.ndarray) 
 
 
 def _apply_gain_transpose(ctx: ResolventContext, g_vals: np.ndarray) -> np.ndarray:
-    gain = fragmentation_gain_matrix(ctx.model, ctx.nodes)
-    return (gain.T @ (ctx._wq * g_vals)) / ctx._wq
+    return ctx.gain.rmatvec(ctx._wq * g_vals) / ctx._wq
 
 
 def _resolvent_K_transpose(
@@ -401,7 +452,7 @@ def _resolvent_K_transpose(
     max |z|/(1 + x^m), where the adjoint operators contract; the plain max
     norm can grow for a few terms on a series that converges.
     """
-    dual_weight = 1.0 + ctx.nodes**ctx.model.m
+    dual_weight = ctx._dual_w
     z = _apply_resolvent_Zbeta_transpose(ctx, g_vals)
     total = z.copy()
     prev_dual = float(np.max(np.abs(z) / dual_weight))

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from gfrag import cli
 from gfrag.cli import RunConfig, emit_csv, main, run
-from gfrag.errors import InvalidInputError
+from gfrag.errors import InvalidInputError, NonFiniteOutputError
 
 BINARY_DOC = {
     "r": 1.0,
@@ -87,6 +88,13 @@ class TestEmitCsv:
         emit_csv(path, ("a", "b"), [(1.0, 2.0)])
         assert path.read_bytes().count(b"\r\n") == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_writes_no_file(self, tmp_path, bad):
+        path = tmp_path / "x.csv"
+        with pytest.raises(NonFiniteOutputError):
+            emit_csv(path, ("a", "b"), [(1.0, 2.0), (3.0, bad)])
+        assert not path.exists()
+
 
 class TestValidateCommand:
     def test_reference_model_passes(self, tmp_path, capsys):
@@ -143,6 +151,18 @@ class TestSolveClosedCommand:
         start = rows[0][1] + rows[0][2]
         rate = math.log(total / start) / 2.0
         assert rate == pytest.approx(1.5, abs=0.1)
+
+    def test_nan_solution_exits_2_without_snapshot(self, tmp_path, capsys, monkeypatch):
+        def nan_solution(params, u0, nodes, t):
+            return np.full(np.shape(nodes), np.nan)
+
+        monkeypatch.setattr(cli, "evaluate_solution", nan_solution)
+        cfg = RunConfig("solve-closed", binary_model_file(tmp_path), output_dir=str(tmp_path))
+        assert run(cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "snapshot.csv").exists()
 
     def test_non_binary_model_rejected(self, tmp_path, capsys):
         path = binary_model_file(tmp_path, a={"type": "constant", "c": 1.0})
@@ -278,6 +298,14 @@ class TestAegCommand:
         devs = [r[1] for r in rows]
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
+    def test_fine_uniform_grid_is_accepted(self, tmp_path, capsys):
+        # midpoint-grid roundoff at 10000 cells exceeds 1e-12 of the spacing
+        cfg = RunConfig(
+            "aeg", binary_model_file(tmp_path), output_dir=str(tmp_path), n_cells=10000
+        )
+        assert run(cfg) == 0
+        assert "deviations decreasing" in capsys.readouterr().out
+
 
 class TestErrorPaths:
     def test_parse_error_reports_line(self, tmp_path, capsys):
@@ -294,6 +322,15 @@ class TestErrorPaths:
 
     def test_model_path_is_a_directory(self, tmp_path, capsys):
         cfg = RunConfig("validate", str(tmp_path), output_dir=str(tmp_path / "out"))
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_divergent_norm_is_bad_input(self, tmp_path, capsys):
+        # quadratic growth has no linear bound, so no resolvent shift exists
+        path = binary_model_file(tmp_path, r={"type": "power", "c0": 1.0, "p": 2.0})
+        cfg = RunConfig("eigen", path, output_dir=str(tmp_path), n_cells=100)
         assert run(cfg) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse.linalg import aslinearoperator
 
 from gfrag import _kernels as K
 from gfrag import resolvent
@@ -221,7 +222,7 @@ class TestAdvanceTwins:
         self.u0 = rng.uniform(0.0, 1.0, size=self.n)
         self.r_faces = rng.uniform(0.5, 1.5, size=self.n + 1)
         self.a_mid = rng.uniform(0.0, 2.0, size=self.n)
-        self.gain = rng.uniform(0.0, 0.05, size=(self.n, self.n))
+        self.gain = aslinearoperator(rng.uniform(0.0, 0.05, size=(self.n, self.n)))
         self.beta_w = rng.uniform(0.0, 0.1, size=self.n)
 
     def test_twin_loops_agree(self):

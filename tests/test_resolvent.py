@@ -6,9 +6,12 @@ from gfrag.errors import InvalidInputError, LambdaOutOfRangeError, SeriesDiverge
 from gfrag.model import (
     Constant,
     GridFunction,
+    InverseEpsilon,
     Linear,
     ModelDefinition,
+    PowerLaw,
     ShrinkingBinary,
+    TabulatedKernel,
     UniformBinary,
     compute_RQ,
     midpoint_grid,
@@ -16,6 +19,7 @@ from gfrag.model import (
     xm_norm,
 )
 from gfrag.resolvent import (
+    GainOperator,
     ResolventContext,
     apply_E_lambda,
     apply_fragmentation_gain,
@@ -278,6 +282,112 @@ class TestFragmentationGain:
         nodes = midpoint_grid(50.0, 500)
         out = apply_fragmentation_gain(md, GridFunction(nodes, np.exp(-nodes), 2.0))
         assert np.all(out.values >= 0.0)
+
+
+def dense_gain_oracle(model, nodes):
+    """The gain quadrature as a dense n x n matrix, built entry by entry.
+
+    Continuous kernels: trapezoid weights on x < y, a half panel on the
+    diagonal carrying the one-sided density limit, zero last diagonal entry.
+    Atomic kernels: linear-interpolation deposition of each daughter atom,
+    clamped onto the first and last nodes.
+    """
+    n = nodes.size
+    a_vals = np.asarray(model.a(nodes), dtype=float)
+    kernel = model.kernel
+    g = np.zeros((n, n))
+    if isinstance(kernel, ShrinkingBinary):
+        wq = quad_weights(nodes)
+        for j in range(n):
+            source = a_vals[j] * wq[j]
+            if source == 0.0:
+                continue
+            y = float(nodes[j])
+            eps = float(kernel.eps_at(y))
+            for z in (eps * y, (1.0 - eps) * y):
+                k = int(np.searchsorted(nodes, z))
+                if k == 0:
+                    g[0, j] += source / wq[0]
+                elif k >= n:
+                    g[n - 1, j] += source / wq[n - 1]
+                else:
+                    frac = (z - nodes[k - 1]) / (nodes[k] - nodes[k - 1])
+                    g[k - 1, j] += source * (1.0 - frac) / wq[k - 1]
+                    g[k, j] += source * frac / wq[k]
+        return g
+
+    X, Y = nodes[:, None], nodes[None, :]
+    inside = (X <= Y) & (Y > 0)
+    safe_y = np.where(Y > 0, Y, 1.0)
+    if isinstance(kernel, UniformBinary):
+        dens = np.where(inside, 2.0 / safe_y, 0.0)
+    elif isinstance(kernel, PowerLaw):
+        nu = kernel.nu
+        vals = (nu + 2.0) * np.power(np.maximum(X, 1e-300), nu) / np.power(safe_y, nu + 1.0)
+        dens = np.where(inside, vals, 0.0)
+    else:
+        rho = np.where(inside, X / safe_y, 0.0)
+        dens = np.where(inside, np.asarray(kernel.shape_fn(rho)) / safe_y, 0.0)
+    d = np.diff(nodes)
+    w_t = np.zeros(n)
+    w_t[:-1] += 0.5 * d
+    w_t[1:] += 0.5 * d
+    pattern = np.triu(np.broadcast_to(w_t, (n, n)), k=1)
+    np.fill_diagonal(pattern, np.concatenate((0.5 * d, [0.0])))
+    return dens * pattern * a_vals[None, :]
+
+
+GAIN_KERNELS = [
+    UniformBinary(),
+    PowerLaw(0.3),
+    PowerLaw(1.9),
+    ShrinkingBinary(0.25),
+    ShrinkingBinary(0.5),
+    ShrinkingBinary(InverseEpsilon(2.0)),
+    TabulatedKernel(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0, 1.0])),
+]
+
+
+class TestGainOperator:
+    @pytest.mark.parametrize("kernel", GAIN_KERNELS, ids=repr)
+    @pytest.mark.parametrize("start", ["midpoint", "zero"])
+    def test_matches_dense_oracle(self, kernel, start):
+        md = binary_model(a=Linear(0.5, 1.0), kernel=kernel, x_max=20.0)
+        n = 400
+        nodes = midpoint_grid(20.0, n) if start == "midpoint" else np.linspace(0.0, 20.0, n)
+        dense = dense_gain_oracle(md, nodes)
+        gain = GainOperator(md, nodes)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            u = rng.standard_normal(n)
+            expect = dense @ u
+            np.testing.assert_allclose(
+                gain.matvec(u), expect, rtol=0, atol=1e-13 * np.max(np.abs(expect))
+            )
+            expect_t = dense.T @ u
+            np.testing.assert_allclose(
+                gain.rmatvec(u), expect_t, rtol=0, atol=1e-13 * np.max(np.abs(expect_t))
+            )
+
+    def test_column_at_size_zero_is_zero(self):
+        md = binary_model(kernel=PowerLaw(0.3))
+        nodes = np.linspace(0.0, 10.0, 50)
+        e0 = np.zeros(50)
+        e0[0] = 1.0
+        assert np.all(GainOperator(md, nodes).matvec(e0) == 0.0)
+
+    @pytest.mark.parametrize(
+        "kernel", [UniformBinary(), PowerLaw(0.3), ShrinkingBinary(0.25)], ids=repr
+    )
+    def test_storage_is_linear_in_the_grid(self, kernel):
+        n = 20000
+        gain = GainOperator(binary_model(kernel=kernel), midpoint_grid(50.0, n))
+        assert gain.nbytes <= 8 * 8 * n
+
+    def test_context_holds_the_memoised_operator(self):
+        md = binary_model()
+        ctx = ResolventContext(md, lam=7.0, n_cells=300)
+        assert fragmentation_gain_matrix(md, ctx.nodes) is ctx.gain
 
 
 class TestResolventK:

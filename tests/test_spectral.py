@@ -160,6 +160,18 @@ class TestDirectGenerator:
         with pytest.raises(InvalidInputError):
             apply_generator_direct(model, u)
 
+    def test_one_displaced_node_rejected(self):
+        nodes = midpoint_grid(30.0, 200)
+        nodes[100] += 1e-6 * (nodes[1] - nodes[0])
+        with pytest.raises(InvalidInputError):
+            apply_generator_direct(reference_model(), GridFunction(nodes, np.exp(-nodes), 2.0))
+
+    def test_fine_midpoint_grid_accepted(self):
+        # midpoint-grid roundoff at 20000 cells is several 1e-12 of the spacing
+        nodes = midpoint_grid(30.0, 20000)
+        out = apply_generator_direct(reference_model(), GridFunction(nodes, np.exp(-nodes), 2.0))
+        assert np.all(np.isfinite(out.values))
+
 
 class TestSpectralProjection:
     def test_profile_coefficient_analytic(self):
