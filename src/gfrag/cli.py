@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -100,8 +101,13 @@ class RunConfig:
             raise InvalidInputError(f"unknown command {self.command!r}")
         if self.n_cells < 16:
             raise InvalidInputError("need at least 16 cells")
-        if self.t_end <= 0.0:
-            raise InvalidInputError("time horizon must be positive")
+        for name, value in (
+            ("time horizon", self.t_end),
+            ("x_max", self.x_max),
+            ("tolerance", self.tolerances.get("tol")),
+        ):
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
 
 
 def _fmt(value) -> str:

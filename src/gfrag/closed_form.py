@@ -50,7 +50,6 @@ __all__ = [
     "moment_propagator",
     "propagate_moments",
     "moments_from_grid",
-    "forcing_F",
     "boundary_extension_psi",
     "ClosedFormSolution",
     "evaluate_solution",
@@ -211,19 +210,6 @@ class ForcingF:
             - 2 * p.a**2 * m.M1
         )
         return out if out.ndim else float(out)
-
-
-def forcing_F(f: ForcingF, t: float, order: int = 0) -> float:
-    """F, F' or F'' at time t >= 0."""
-    if t < 0:
-        raise InvalidInputError("time must be nonnegative")
-    if order == 0:
-        return float(f.value(t))
-    if order == 1:
-        return float(f.d1(t))
-    if order == 2:
-        return float(f.d2(t))
-    raise InvalidInputError("order must be 0, 1 or 2")
 
 
 def boundary_extension_psi(f: ForcingF, xi: float) -> float:

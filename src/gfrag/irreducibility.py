@@ -135,7 +135,7 @@ class SupportModel:
     def __post_init__(self):
         segments = tuple(self.envelope)
         object.__setattr__(self, "envelope", segments)
-        if self.beta_sup < 0.0:
+        if not self.beta_sup >= 0.0:
             raise InvalidModelError("beta_sup must be nonnegative (inf allowed)")
         if not segments:
             raise InvalidModelError("envelope must describe at least one segment")

@@ -109,8 +109,8 @@ class Linear:
     c1: float
 
     def __post_init__(self):
-        if self.c0 < 0 or self.c1 < 0:
-            raise InvalidModelError("linear coefficient needs c0, c1 >= 0")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.c0, self.c1)):
+            raise InvalidModelError("linear coefficient needs finite c0, c1 >= 0")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -125,8 +125,8 @@ class Power:
     p: float
 
     def __post_init__(self):
-        if self.c0 < 0 or self.p < 0:
-            raise InvalidModelError("power coefficient needs c0 >= 0 and p >= 0")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.c0, self.p)):
+            raise InvalidModelError("power coefficient needs finite c0 >= 0 and p >= 0")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -149,10 +149,10 @@ class Tabulated:
         values = np.asarray(self.values, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2 or nodes.shape != values.shape:
             raise InvalidModelError("tabulated coefficient needs matching 1-D nodes/values, >= 2 points")
-        if np.any(np.diff(nodes) <= 0) or nodes[0] < 0:
-            raise InvalidModelError("tabulated nodes must be strictly increasing and nonnegative")
-        if np.any(values < 0):
-            raise InvalidModelError("tabulated values must be nonnegative")
+        if not (np.all(np.diff(nodes) > 0) and 0 <= nodes[0] and math.isfinite(nodes[-1])):
+            raise InvalidModelError("tabulated nodes must be finite, strictly increasing and nonnegative")
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise InvalidModelError("tabulated values must be finite and nonnegative")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -260,8 +260,8 @@ class PowerLaw:
     nu: float
 
     def __post_init__(self):
-        if self.nu <= -1:
-            raise InvalidModelError("power-law kernel requires nu > -1")
+        if not (math.isfinite(self.nu) and self.nu > -1):
+            raise InvalidModelError("power-law kernel requires a finite nu > -1")
 
 
 @dataclass(frozen=True)
@@ -271,8 +271,8 @@ class InverseEpsilon:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise InvalidModelError("inverse epsilon needs scale > 0")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise InvalidModelError("inverse epsilon needs a finite scale > 0")
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
@@ -315,10 +315,10 @@ class TabulatedKernel:
         dens = np.asarray(self.densities, dtype=float)
         if ratios.ndim != 1 or ratios.size < 2 or ratios.shape != dens.shape:
             raise InvalidModelError("tabulated kernel needs matching 1-D ratios/densities, >= 2 points")
-        if np.any(np.diff(ratios) <= 0) or ratios[0] < 0 or ratios[-1] > 1:
+        if not (np.all(np.diff(ratios) > 0) and 0 <= ratios[0] and ratios[-1] <= 1):
             raise InvalidModelError("kernel ratios must be strictly increasing within [0,1]")
-        if np.any(dens < 0):
-            raise InvalidModelError("kernel densities must be nonnegative")
+        if not np.all(np.isfinite(dens) & (dens >= 0)):
+            raise InvalidModelError("kernel densities must be finite and nonnegative")
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "densities", dens)
 
@@ -536,12 +536,12 @@ class ModelDefinition:
     support: object = None
 
     def __post_init__(self):
-        if not self.m > 1.0:
-            raise InvalidModelError(f"weight exponent must exceed 1, got {self.m}")
+        if not (math.isfinite(self.m) and self.m > 1.0):
+            raise InvalidModelError(f"weight exponent must be finite and exceed 1, got {self.m}")
         if self.bc_convention not in _BC_CONVENTIONS:
             raise InvalidModelError(f"bc_convention must be one of {_BC_CONVENTIONS}")
-        if self.x_max <= 0:
-            raise InvalidModelError("x_max must be positive")
+        if not (math.isfinite(self.x_max) and self.x_max > 0):
+            raise InvalidModelError(f"x_max must be finite and positive, got {self.x_max}")
         probe = np.concatenate(([0.0, self.x_max * 1e-9], np.linspace(1e-6, self.x_max, 257)))
         r_vals = np.asarray(self.r(probe))
         if np.any(r_vals <= 0):

@@ -20,6 +20,11 @@ bidiagonal matrices L and C that a :class:`ResolventContext` builds once
 from its panel weights.  B is a :class:`GainOperator` built once per
 context: O(n) cumulative sums for separable densities, a sparse deposition
 matrix for atomic kernels, and a dense matrix only for tabulated kernels.
+
+One Neumann-series routine serves both directions: the forward series in
+the X_m norm, and the adjoint series sum_n R_beta* (B* R_beta*)^n, which
+the left eigenfunction needs, in the dual X_m norm max |z|/(1 + x^m).
+Both stop on the same rule and report the same truncation defect.
 """
 
 from __future__ import annotations
@@ -176,6 +181,10 @@ class ResolventContext:
     def norm_m(self, values: np.ndarray) -> float:
         """X_m norm of grid samples."""
         return float(np.sum(self._norm_w * np.abs(values)))
+
+    def dual_norm(self, values: np.ndarray) -> float:
+        """Dual X_m norm max |z|/(1 + x^m) of grid samples; the adjoint series contracts in it."""
+        return float(np.max(np.abs(values) / self._dual_w))
 
 
 def _check_grid(ctx: ResolventContext, f: GridFunction) -> np.ndarray:
@@ -359,45 +368,54 @@ def apply_fragmentation_gain(model: ModelDefinition, u: GridFunction) -> GridFun
 # full-generator resolvent by Neumann series
 
 
-def _resolvent_K_details(
-    ctx: ResolventContext,
-    f: GridFunction,
-    tol: float,
-    max_terms: int = 200,
-    burn_in: int = 5,
-):
+def _neumann_series(first, apply_R, apply_B, norm, tol, max_terms=200, burn_in=5):
+    """Sum R (B R)^n applied to ``first`` over n >= 0, for the given R, B and norm.
+
+    Stops once the last term and its gain image both have norm below tol;
+    the norm of that gain image is the exact discrete defect at truncation.
+    Returns (values, n_terms, defect).  Raises SeriesDivergenceError when a
+    term after the burn-in is no smaller than the one before it and >= tol.
+    """
+    if not tol > 0:
+        raise InvalidInputError("series tolerance must be positive")
+    term = apply_R(first)
+    total = term.copy()
+    prev_norm = norm(term)
+    n_terms = 1
+    for n in range(1, max_terms + 1):
+        image = apply_B(term)
+        defect = norm(image)
+        if prev_norm < tol and defect < tol:
+            return total, n_terms, defect
+        term = apply_R(image)
+        total += term
+        term_norm = norm(term)
+        if n >= burn_in and term_norm >= prev_norm and term_norm >= tol:
+            raise SeriesDivergenceError(
+                f"resolvent series stopped contracting at term {n} "
+                f"(increment {term_norm:.3e} >= {prev_norm:.3e}); increase lambda"
+            )
+        prev_norm = term_norm
+        n_terms = n + 1
+    return total, n_terms, norm(apply_B(term))
+
+
+def _resolvent_K_details(ctx: ResolventContext, f: GridFunction, tol: float):
     """Neumann series for (lam - K)^{-1} f.
 
     Returns (values, n_terms, defect_norm) where defect_norm is the X_m norm
     of the exact discrete defect (lam - K) u - f = -B w_last at truncation.
     """
-    if tol <= 0:
-        raise InvalidInputError("series tolerance must be positive")
-    gain = ctx.gain
-    w = apply_resolvent_Zbeta(ctx, f).values
-    total = w.copy()
-    prev_norm = ctx.norm_m(w)
-    n_terms = 1
-    defect = np.inf
-    for n in range(1, max_terms + 1):
-        g = gain.matvec(w)
-        gain_norm = ctx.norm_m(g)
-        if prev_norm < tol and gain_norm < tol:
-            defect = gain_norm
-            break
-        w = apply_resolvent_Zbeta(ctx, GridFunction(ctx.nodes, g, ctx.model.m)).values
-        total += w
-        norm = ctx.norm_m(w)
-        if n >= burn_in and norm >= prev_norm and norm >= tol:
-            raise SeriesDivergenceError(
-                f"resolvent series stopped contracting at term {n} "
-                f"(increment {norm:.3e} >= {prev_norm:.3e}); increase lambda"
-            )
-        prev_norm = norm
-        n_terms = n + 1
-    else:
-        defect = ctx.norm_m(gain.matvec(w))
-    return total, n_terms, defect
+    vals = _check_grid(ctx, f)
+    # the resolvents are looked up at call time, here and in the adjoint
+    # series, so a wrapper installed on this module sees every term
+    return _neumann_series(
+        vals,
+        lambda g: apply_resolvent_Zbeta(ctx, GridFunction(ctx.nodes, g, ctx.model.m)).values,
+        ctx.gain.matvec,
+        ctx.norm_m,
+        tol,
+    )
 
 
 def apply_resolvent_K(ctx: ResolventContext, f: GridFunction, tol: float = 1e-10) -> GridFunction:
@@ -438,34 +456,17 @@ def _apply_resolvent_Zbeta_transpose(ctx: ResolventContext, g_vals: np.ndarray) 
     return _apply_resolvent_Z0_transpose(ctx, g_vals + c * ctx._beta_vals)
 
 
-def _apply_gain_transpose(ctx: ResolventContext, g_vals: np.ndarray) -> np.ndarray:
-    return ctx.gain.rmatvec(ctx._wq * g_vals) / ctx._wq
-
-
-def _resolvent_K_transpose(
-    ctx: ResolventContext, g_vals: np.ndarray, tol: float, max_terms: int = 200, burn_in: int = 5
-) -> np.ndarray:
+def _resolvent_K_transpose(ctx: ResolventContext, g_vals: np.ndarray, tol: float) -> np.ndarray:
     """Adjoint Neumann series sum_n R_beta* (B* R_beta*)^n g.
 
-    Stops once the max-norm increment falls below tol relative to the sum.
-    The contraction guard measures increments in the dual norm of X_m,
-    max |z|/(1 + x^m), where the adjoint operators contract; the plain max
-    norm can grow for a few terms on a series that converges.
+    Runs the forward series routine with the adjoint operators, measured in
+    the dual norm of X_m, max |z|/(1 + x^m), where they contract; the plain
+    max norm can grow for a few terms on a series that converges.
     """
-    dual_weight = ctx._dual_w
-    z = _apply_resolvent_Zbeta_transpose(ctx, g_vals)
-    total = z.copy()
-    prev_dual = float(np.max(np.abs(z) / dual_weight))
-    for n in range(1, max_terms + 1):
-        z = _apply_resolvent_Zbeta_transpose(ctx, _apply_gain_transpose(ctx, z))
-        total += z
-        if float(np.max(np.abs(z))) < tol * max(1.0, np.max(np.abs(total))):
-            break
-        dual = float(np.max(np.abs(z) / dual_weight))
-        if n >= burn_in and dual >= prev_dual:
-            raise SeriesDivergenceError(
-                f"adjoint resolvent series stopped contracting at term {n} "
-                f"(dual-norm increment {dual:.3e} >= {prev_dual:.3e}); increase lambda"
-            )
-        prev_dual = dual
-    return total
+    return _neumann_series(
+        g_vals,
+        lambda z: _apply_resolvent_Zbeta_transpose(ctx, z),
+        lambda z: ctx.gain.rmatvec(ctx._wq * z) / ctx._wq,
+        ctx.dual_norm,
+        tol,
+    )[0]

@@ -5,7 +5,9 @@ the full generator: each sweep applies the resolvent at a user-chosen shift
 and renormalizes, so the iteration converges to the eigenfunction whose
 eigenvalue lies closest to the shift, which for shifts above the spectral
 bound is the Perron root.  The left eigenfunction runs the same iteration
-on the transposed discretized operator.  Residuals are measured against an
+loop on the transposed discretized operator, normalized against the right
+eigenfunction and measured in the dual X_m norm max |z|/(1 + x^m), where
+the adjoint resolvent contracts.  Residuals are measured against an
 independent direct discretization of the generator (central differences
 plus the shared gain quadrature), not against the resolvent machinery that
 produced the eigenfunction.
@@ -39,6 +41,7 @@ from .model import (
     coefficient_is_zero,
     grid_eval,
     quad_weights,
+    xm_norm,
 )
 from .pde import SolverConfig, solve
 from .resolvent import (
@@ -120,11 +123,7 @@ def apply_generator_direct(model: ModelDefinition, u: GridFunction) -> GridFunct
 
 def _generator_residual(model: ModelDefinition, s0: float, v: GridFunction) -> float:
     applied = apply_generator_direct(model, v)
-    w = quad_weights(v.nodes)
-    weight = 1.0 + v.nodes**v.m
-    num = float(np.sum(w * weight * np.abs(applied.values - s0 * v.values)))
-    den = float(np.sum(w * weight * np.abs(v.values)))
-    return num / den
+    return xm_norm(v.with_values(applied.values - s0 * v.values)) / xm_norm(v)
 
 
 def _warn_if_negative(name: str, values: np.ndarray, tol: float) -> None:
@@ -136,6 +135,24 @@ def _warn_if_negative(name: str, values: np.ndarray, tol: float) -> None:
             DiscretizationWarning,
             stacklevel=3,
         )
+
+
+def _inverse_iteration(apply, start, weight, norm, tol, max_iters):
+    """Power iteration x <- apply(x) / <weight, apply(x)> from ``start``.
+
+    Stops once ``norm`` of the change between sweeps falls below tol and
+    returns (x, mu), mu being the last normalizing pairing <weight, apply(x)>.
+    """
+    x = start / float(np.sum(weight * start))
+    for _ in range(max_iters):
+        image = apply(x)
+        mu = float(np.sum(weight * image))
+        x_next = image / mu
+        delta = norm(x_next - x)
+        x = x_next
+        if delta < tol:
+            return x, mu
+    raise ConvergenceError(f"inverse iteration did not reach {tol} in {max_iters} sweeps")
 
 
 def perron_eigenpair(
@@ -159,40 +176,24 @@ def perron_eigenpair(
             "pure transport without renewal or splitting has no dominant "
             "eigenvalue mechanism on a truncated domain"
         )
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
     ctx = ResolventContext(model, lambda_shift, nodes=nodes, n_cells=n_cells, strict=strict)
     grid = ctx.nodes
     wq = quad_weights(grid)
+    series_tol = min(tol, 1e-10)
 
-    v = np.exp(-grid)
-    v /= float(np.sum(wq * v))
-    mu = math.nan
-    for _ in range(max_iters):
-        image = apply_resolvent_K(ctx, GridFunction(grid, v, model.m), tol=min(tol, 1e-10))
-        mu = float(np.sum(wq * image.values))
-        v_next = image.values / mu
-        delta = ctx.norm_m(v_next - v)
-        v = v_next
-        if delta < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"inverse iteration did not reach {tol} in {max_iters} sweeps"
-        )
+    # the resolvents are looked up at call time, so wrappers installed on
+    # this module see every sweep
+    v, mu = _inverse_iteration(
+        lambda x: apply_resolvent_K(ctx, GridFunction(grid, x, model.m), tol=series_tol).values,
+        np.exp(-grid), wq, ctx.norm_m, tol, max_iters,
+    )
     s0 = lambda_shift - 1.0 / mu
-
-    w = np.ones_like(grid)
-    w /= float(np.sum(wq * w * v))
-    for _ in range(max_iters):
-        image = _resolvent_K_transpose(ctx, w, min(tol, 1e-10))
-        w_next = image / float(np.sum(wq * image * v))
-        delta = float(np.max(np.abs(w_next - w))) / max(1.0, float(np.max(np.abs(w))))
-        w = w_next
-        if delta < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"adjoint inverse iteration did not reach {tol} in {max_iters} sweeps"
-        )
+    w, _mu = _inverse_iteration(
+        lambda x: _resolvent_K_transpose(ctx, x, series_tol),
+        np.ones_like(grid), wq * v, ctx.dual_norm, tol, max_iters,
+    )
 
     _warn_if_negative("right eigenfunction", v, tol)
     _warn_if_negative("left eigenfunction", w, tol)
@@ -258,13 +259,11 @@ def aeg_diagnostics(
     if not times or times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise InvalidInputError("times must be positive and strictly increasing")
     projected = spectral_projection(pair, u0).values
-    wq = quad_weights(u0.nodes)
-    weight = 1.0 + u0.nodes**model.m
 
     deviations = []
     for t, vals in zip(times, _trajectory_values(model, u0, times)):
         diff = math.exp(-pair.s0 * t) * vals - projected
-        deviations.append(float(np.sum(wq * weight * np.abs(diff))))
+        deviations.append(xm_norm(u0.with_values(diff), model.m))
 
     logs = np.log(np.maximum(deviations, 1e-300))
     slope, intercept = np.polyfit(times, logs, 1)

@@ -357,6 +357,46 @@ class TestErrorPaths:
         assert rows[0][2] > 100.0
 
 
+NAN = float("nan")
+
+# non-finite numbers are bad input: rejected before any solver runs
+NON_FINITE_INPUTS = {
+    "solve-closed-t-end-inf": (["solve-closed", "--t-end", "inf"], {}),
+    "solve-pde-t-end-nan": (["solve-pde", "--t-end", "nan"], {}),
+    "eigen-tol-inf": (["eigen", "--tol", "inf"], {}),
+    "eigen-tol-nan": (["eigen", "--tol", "nan"], {}),
+    "eigen-x-max-nan": (["eigen", "--x-max", "nan"], {}),
+    "model-x-max-nan": (["eigen"], {"x_max": NAN}),
+    "model-linear-c1-nan": (["eigen"], {"a": {"type": "linear", "c0": 0.0, "c1": NAN}}),
+    "model-power-law-nu-nan": (["eigen"], {"kernel": {"type": "power_law", "nu": NAN}}),
+    "model-tabulated-value-nan": (
+        ["eigen"],
+        {"r": {"type": "tabulated", "nodes": [0.0, 30.0], "values": [1.0, NAN]}},
+    ),
+    "model-tabulated-density-nan": (
+        ["eigen"],
+        {"kernel": {"type": "tabulated", "ratios": [0.0, 1.0], "densities": [2.0, NAN]}},
+    ),
+    "model-m-inf": (["eigen"], {"m": float("inf")}),
+    "support-beta-sup-nan": (["irreducible"], {"support": {**GAP_SUPPORT, "beta_sup": NAN}}),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, overrides", list(NON_FINITE_INPUTS.values()), ids=list(NON_FINITE_INPUTS)
+    )
+    def test_exits_1_with_one_line(self, tmp_path, capsys, argv, overrides):
+        # json writes NaN for a float nan, and json.load reads it back
+        path = binary_model_file(tmp_path, **overrides)
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--model", path, "--out", str(tmp_path), "--cells", "200"])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+
 class TestMain:
     def test_main_exits_with_run_code(self, tmp_path, capsys):
         path = binary_model_file(tmp_path)

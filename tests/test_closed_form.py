@@ -13,7 +13,6 @@ from gfrag.closed_form import (
     binary_params_from_model,
     boundary_extension_psi,
     evaluate_solution,
-    forcing_F,
     is_binary_model,
     lambda_pm,
     left_eigenfunction_cf,
@@ -131,25 +130,18 @@ class TestMomentPropagator:
 class TestForcing:
     def test_reference_values_at_zero(self):
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
-        assert forcing_F(f, 0.0) == pytest.approx(1.0, abs=1e-14)
-        assert forcing_F(f, 0.0, order=1) == pytest.approx(-0.75, abs=1e-14)
-        assert forcing_F(f, 0.0, order=2) == pytest.approx(-0.5, abs=1e-14)
+        assert f.value(0.0) == pytest.approx(1.0, abs=1e-14)
+        assert f.d1(0.0) == pytest.approx(-0.75, abs=1e-14)
+        assert f.d2(0.0) == pytest.approx(-0.5, abs=1e-14)
 
     @pytest.mark.parametrize("t", [0.2, 0.8, 1.5])
     def test_derivatives_match_difference_quotients(self, t):
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
         h = 1e-5
-        fd1 = (forcing_F(f, t + h) - forcing_F(f, t - h)) / (2 * h)
-        fd2 = (forcing_F(f, t + h, 1) - forcing_F(f, t - h, 1)) / (2 * h)
-        assert forcing_F(f, t, order=1) == pytest.approx(fd1, abs=1e-8)
-        assert forcing_F(f, t, order=2) == pytest.approx(fd2, abs=1e-8)
-
-    def test_argument_validation(self):
-        f = ForcingF(reference_params(), REFERENCE_MOMENTS)
-        with pytest.raises(InvalidInputError):
-            forcing_F(f, -0.1)
-        with pytest.raises(InvalidInputError):
-            forcing_F(f, 0.5, order=3)
+        fd1 = (f.value(t + h) - f.value(t - h)) / (2 * h)
+        fd2 = (f.d1(t + h) - f.d1(t - h)) / (2 * h)
+        assert f.d1(t) == pytest.approx(fd1, abs=1e-8)
+        assert f.d2(t) == pytest.approx(fd2, abs=1e-8)
 
 
 def volterra_extension(f, xi_stop, h):
@@ -181,7 +173,7 @@ def volterra_extension(f, xi_stop, h):
 class TestBoundaryExtension:
     def test_matches_forcing_at_origin(self):
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
-        assert boundary_extension_psi(f, 0.0) == pytest.approx(forcing_F(f, 0.0), abs=1e-14)
+        assert boundary_extension_psi(f, 0.0) == pytest.approx(f.value(0.0), abs=1e-14)
 
     def test_positive_offset_rejected(self):
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)

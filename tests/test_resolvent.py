@@ -31,7 +31,9 @@ from gfrag.resolvent import (
     e_lambda_fn,
     fragmentation_gain_matrix,
     _resolvent_K_details,
+    _resolvent_K_transpose,
 )
+from gfrag import resolvent
 
 
 def transport_model(**kw):
@@ -443,6 +445,41 @@ class TestResolventK:
         f = GridFunction(ctx.nodes, np.exp(-ctx.nodes), 2.0)
         with pytest.raises(InvalidInputError):
             apply_resolvent_K(ctx, f, tol=0.0)
+
+
+class TestResolventKTranspose:
+    @pytest.mark.parametrize(
+        "kernel", [UniformBinary(), PowerLaw(1.9), ShrinkingBinary(0.25)], ids=repr
+    )
+    def test_matches_transpose_of_forward_matrix(self, kernel, monkeypatch):
+        # the adjoint in the quadrature inner product is W^-1 M^T W, with M
+        # the forward resolvent matrix and W = diag(quadrature weights)
+        ctx = ResolventContext(binary_model(kernel=kernel), lam=7.0, n_cells=80)
+        n = ctx.nodes.size
+        forward = np.empty((n, n))
+        for j in range(n):
+            e_j = np.zeros(n)
+            e_j[j] = 1.0
+            unit = GridFunction(ctx.nodes, e_j, 2.0)
+            forward[:, j] = apply_resolvent_K(ctx, unit, tol=1e-13).values
+        wq = quad_weights(ctx.nodes)
+        g = np.random.default_rng(11).standard_normal(n)
+        expect = forward.T @ (wq * g) / wq
+
+        defects = []
+        series = resolvent._neumann_series
+
+        def spy(*args, **kwargs):
+            out = series(*args, **kwargs)
+            defects.append(out[2])
+            return out
+
+        monkeypatch.setattr(resolvent, "_neumann_series", spy)
+        tol = 1e-12
+        got = _resolvent_K_transpose(ctx, g, tol)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9 * np.max(np.abs(expect)))
+        assert len(defects) == 1
+        assert defects[0] <= tol
 
 
 class TestContextValidation:

@@ -123,6 +123,12 @@ class TestPerronEigenpair:
         with pytest.raises(DegenerateModelError):
             perron_eigenpair(dead, 6.0, tol=1e-9, n_cells=200)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # an infinite tolerance would stop after one sweep, far from s0
+        with pytest.raises(InvalidInputError):
+            perron_eigenpair(reference_model(), 6.0, tol=tol, n_cells=200)
+
     def test_iteration_cap_raises(self):
         with pytest.raises(ConvergenceError):
             perron_eigenpair(reference_model(), 6.0, tol=1e-12, n_cells=200, max_iters=2)
