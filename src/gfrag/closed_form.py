@@ -167,14 +167,19 @@ class ForcingF:
         self.params = params
         self.initial = initial
 
-    def _weighted_moments(self, t):
+    def _weighted_moment(self, t):
+        """(G, M0, M1) at t, G = beta0 M0 + beta1 M1."""
         p = self.params
-        t = np.asarray(t, dtype=float)
         lp, lm, gap = p.lambda_plus, p.lambda_minus, p.lambda_plus - p.lambda_minus
         ep, em = np.exp(lp * t), np.exp(lm * t)
         m0 = ((lp * ep - lm * em) * self.initial.M0 - lp * lm * (ep - em) / p.r * self.initial.M1) / gap
         m1 = (p.r * (ep - em) * self.initial.M0 + (lp * em - lm * ep) * self.initial.M1) / gap
-        g0 = p.beta0 * m0 + p.beta1 * m1
+        return p.beta0 * m0 + p.beta1 * m1, m0, m1
+
+    def _weighted_moments(self, t):
+        """(G, G', G'') at t."""
+        p = self.params
+        g0, m0, m1 = self._weighted_moment(t)
         g1 = p.beta0 * (p.alpha0 * m0 + p.alpha1 * m1) + p.beta1 * p.r * m0
         g2 = p.beta0 * (p.alpha0 * (p.alpha0 * m0 + p.alpha1 * m1) + p.alpha1 * p.r * m0) + (
             p.beta1 * p.r * (p.alpha0 * m0 + p.alpha1 * m1)
@@ -184,7 +189,7 @@ class ForcingF:
     def value(self, t):
         p, m = self.params, self.initial
         t = np.asarray(t, dtype=float)
-        g0, _, _ = self._weighted_moments(t)
+        g0 = self._weighted_moment(t)[0]
         damp = np.exp(-0.5 * p.a * p.r * t**2)
         out = damp * g0 - (2 * p.a * t + p.r * p.a**2 * t**3) * m.M0 - p.a**2 * t**2 * m.M1
         return out if out.ndim else float(out)

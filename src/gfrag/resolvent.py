@@ -167,28 +167,40 @@ class ResolventContext:
         e_vals = np.exp(-exponent) / self._r_vals
         self.e_lambda = GridFunction(nodes, e_vals, m)
         self._beta_vals = grid_eval(beta_flux, nodes)
-        self.beta_pairing = float(np.sum(self._wq * self._beta_vals * e_vals))
+        # products every series term reuses, formed in the order the
+        # pairings multiply them so each pairing keeps its rounding
+        self._wq_beta = self._wq * self._beta_vals
+        self._wq_e = self._wq * e_vals
+        self.beta_pairing = float(np.sum(self._wq_beta * e_vals))
         if not 0.0 <= self.beta_pairing < 1.0:
             raise LambdaOutOfRangeError(
                 f"<beta, e_lambda> = {self.beta_pairing} outside [0, 1); increase lambda"
             )
+        self._renewal_gap = 1.0 - self.beta_pairing
         self.gain = fragmentation_gain_matrix(model, nodes)
+
+    # the pairings and norms run once or twice per series term, so they call
+    # the reductions behind np.sum and np.max directly (same pairwise order)
 
     def pair_beta(self, values: np.ndarray) -> float:
         """Renewal functional <beta, u> of grid samples."""
-        return float(np.sum(self._wq * self._beta_vals * values))
+        return float(np.add.reduce(self._wq_beta * values))
 
     def norm_m(self, values: np.ndarray) -> float:
         """X_m norm of grid samples."""
-        return float(np.sum(self._norm_w * np.abs(values)))
+        return float(np.add.reduce(self._norm_w * np.abs(values)))
 
     def dual_norm(self, values: np.ndarray) -> float:
         """Dual X_m norm max |z|/(1 + x^m) of grid samples; the adjoint series contracts in it."""
-        return float(np.max(np.abs(values) / self._dual_w))
+        return float(np.maximum.reduce(np.abs(values) / self._dual_w))
 
 
 def _check_grid(ctx: ResolventContext, f: GridFunction) -> np.ndarray:
-    if f.values.shape != ctx.nodes.shape or not np.array_equal(f.nodes, ctx.nodes):
+    # the context grid was validated when the context was built, so samples
+    # carrying that very array skip the element-wise comparison
+    if f.values.shape != ctx.nodes.shape or (
+        f.nodes is not ctx.nodes and not np.array_equal(f.nodes, ctx.nodes)
+    ):
         raise InvalidInputError("input grid does not match the context grid")
     return np.ascontiguousarray(f.values, dtype=float)
 
@@ -209,21 +221,23 @@ def apply_resolvent_Z0(ctx: ResolventContext, f: GridFunction) -> GridFunction:
     """
     vals = _check_grid(ctx, f)
     scan = _kernels.prefix_transport_scan(ctx._L, ctx._C, vals)
-    return GridFunction(ctx.nodes, scan / ctx._r_vals, ctx.model.m)
+    return GridFunction._on_grid(ctx.nodes, scan / ctx._r_vals, ctx.model.m)
 
 
 def apply_E_lambda(ctx: ResolventContext, f: GridFunction) -> GridFunction:
     """Rank-one boundary correction e_lam * <beta, f> / (1 - <beta, e_lam>)."""
     vals = _check_grid(ctx, f)
-    c = ctx.pair_beta(vals) / (1.0 - ctx.beta_pairing)
-    return GridFunction(ctx.nodes, c * ctx.e_lambda.values, ctx.model.m)
+    c = ctx.pair_beta(vals) / ctx._renewal_gap
+    return GridFunction._on_grid(ctx.nodes, c * ctx.e_lambda.values, ctx.model.m)
 
 
 def apply_resolvent_Zbeta(ctx: ResolventContext, f: GridFunction) -> GridFunction:
     """Resolvent of the renewal-boundary transport generator, (I+E) R(lam,Z0)."""
-    g = apply_resolvent_Z0(ctx, f)
-    c = ctx.pair_beta(g.values) / (1.0 - ctx.beta_pairing)
-    return GridFunction(ctx.nodes, g.values + c * ctx.e_lambda.values, ctx.model.m)
+    # the prefix scan of apply_resolvent_Z0, inline: this runs once per series term
+    vals = _check_grid(ctx, f)
+    g = _kernels.prefix_transport_scan(ctx._L, ctx._C, vals) / ctx._r_vals
+    c = ctx.pair_beta(g) / ctx._renewal_gap
+    return GridFunction._on_grid(ctx.nodes, g + c * ctx.e_lambda.values, ctx.model.m)
 
 
 def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: GridFunction) -> GridFunction:
@@ -235,7 +249,7 @@ def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: GridFunction) -> Gri
     vals = _check_grid(ctx, u)
     g = vals - ctx.pair_beta(vals) * ctx.e_lambda.values
     f = _kernels.inverse_transport_scan(ctx._L, ctx._C, g * ctx._r_vals)
-    return GridFunction(ctx.nodes, f, ctx.model.m)
+    return GridFunction._on_grid(ctx.nodes, f, ctx.model.m)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +312,20 @@ class GainOperator:
         if self._matrix is not None:
             self._transpose = self._matrix.T
 
+    # np.add.accumulate is the cumulative sum behind np.cumsum, minus its
+    # wrapper; the gain is applied once per series term and per PDE step
+
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """G u."""
         if self._matrix is not None:
             return self._matrix @ u
-        return self._p * np.cumsum((self._c * u)[::-1])[::-1] + self._d * u
+        return self._p * np.add.accumulate((self._c * u)[::-1])[::-1] + self._d * u
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         """G^T z."""
         if self._matrix is not None:
             return self._transpose @ z
-        return self._c * np.cumsum(self._p * z) + self._d * z
+        return self._c * np.add.accumulate(self._p * z) + self._d * z
 
 
 def _atomic_deposition(kernel, nodes: np.ndarray, a_vals: np.ndarray):
@@ -374,7 +391,8 @@ def _neumann_series(first, apply_R, apply_B, norm, tol, max_terms=200, burn_in=5
     Stops once the last term and its gain image both have norm below tol;
     the norm of that gain image is the exact discrete defect at truncation.
     Returns (values, n_terms, defect).  Raises SeriesDivergenceError when a
-    term after the burn-in is no smaller than the one before it and >= tol.
+    term after the burn-in is no smaller than the one before it and >= tol,
+    or when max_terms + 1 terms leave a defect >= tol.
     """
     if not tol > 0:
         raise InvalidInputError("series tolerance must be positive")
@@ -397,7 +415,13 @@ def _neumann_series(first, apply_R, apply_B, norm, tol, max_terms=200, burn_in=5
             )
         prev_norm = term_norm
         n_terms = n + 1
-    return total, n_terms, norm(apply_B(term))
+    defect = norm(apply_B(term))
+    if not defect < tol:
+        raise SeriesDivergenceError(
+            f"resolvent series did not reach tol {tol:.1e} in {max_terms} terms "
+            f"(defect {defect:.3e}); increase lambda"
+        )
+    return total, n_terms, defect
 
 
 def _resolvent_K_details(ctx: ResolventContext, f: GridFunction, tol: float):
@@ -407,11 +431,12 @@ def _resolvent_K_details(ctx: ResolventContext, f: GridFunction, tol: float):
     of the exact discrete defect (lam - K) u - f = -B w_last at truncation.
     """
     vals = _check_grid(ctx, f)
+    nodes, m = ctx.nodes, ctx.model.m
     # the resolvents are looked up at call time, here and in the adjoint
     # series, so a wrapper installed on this module sees every term
     return _neumann_series(
         vals,
-        lambda g: apply_resolvent_Zbeta(ctx, GridFunction(ctx.nodes, g, ctx.model.m)).values,
+        lambda g: apply_resolvent_Zbeta(ctx, GridFunction._on_grid(nodes, g, m)).values,
         ctx.gain.matvec,
         ctx.norm_m,
         tol,
@@ -421,22 +446,29 @@ def _resolvent_K_details(ctx: ResolventContext, f: GridFunction, tol: float):
 def apply_resolvent_K(ctx: ResolventContext, f: GridFunction, tol: float = 1e-10) -> GridFunction:
     """Resolvent of the full generator K = Zbeta + B.
 
-    Sums R_beta (B R_beta)^n f until the X_m norm of the increment falls
-    below tol (at most 200 terms).
+    Sums R_beta (B R_beta)^n f and stops after the first term whose X_m
+    norm and that of its gain image B R_beta (B R_beta)^n f are both below
+    tol; the gain image's norm is the exact discrete defect
+    ||(lam - K) u - f||_m of the truncated sum.
 
     Raises
     ------
     SeriesDivergenceError
-        When increments stop contracting; lam is too small for the series.
+        When a term after the fifth is no smaller than the one before it
+        and >= tol, or when 201 terms (the cap) leave a defect >= tol; lam
+        is too small for the series.
+    InvalidInputError
+        When tol is not positive or f is not on the context grid.
     """
     total, _n, _defect = _resolvent_K_details(ctx, f, tol)
-    return GridFunction(ctx.nodes, total, ctx.model.m)
+    return GridFunction._on_grid(ctx.nodes, total, ctx.model.m)
 
 
 def apply_shifted_generator_K(ctx: ResolventContext, u: GridFunction) -> GridFunction:
     """Apply (lam - K) discretely: (lam - Zbeta) u - B u."""
     transport = apply_shifted_generator_Zbeta(ctx, u)
-    return GridFunction(ctx.nodes, transport.values - ctx.gain.matvec(u.values), ctx.model.m)
+    out = transport.values - ctx.gain.matvec(u.values)
+    return GridFunction._on_grid(ctx.nodes, out, ctx.model.m)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +484,7 @@ def _apply_resolvent_Z0_transpose(ctx: ResolventContext, g_vals: np.ndarray) -> 
 
 def _apply_resolvent_Zbeta_transpose(ctx: ResolventContext, g_vals: np.ndarray) -> np.ndarray:
     # ((I+E) R0)* = R0* (I + E*) in the weighted inner product
-    c = float(np.sum(ctx._wq * ctx.e_lambda.values * g_vals)) / (1.0 - ctx.beta_pairing)
+    c = float(np.add.reduce(ctx._wq_e * g_vals)) / ctx._renewal_gap
     return _apply_resolvent_Z0_transpose(ctx, g_vals + c * ctx._beta_vals)
 
 

@@ -186,7 +186,9 @@ def perron_eigenpair(
     # the resolvents are looked up at call time, so wrappers installed on
     # this module see every sweep
     v, mu = _inverse_iteration(
-        lambda x: apply_resolvent_K(ctx, GridFunction(grid, x, model.m), tol=series_tol).values,
+        lambda x: apply_resolvent_K(
+            ctx, GridFunction._on_grid(grid, x, model.m), tol=series_tol
+        ).values,
         np.exp(-grid), wq, ctx.norm_m, tol, max_iters,
     )
     s0 = lambda_shift - 1.0 / mu

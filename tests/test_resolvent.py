@@ -13,6 +13,7 @@ from gfrag.model import (
     ShrinkingBinary,
     TabulatedKernel,
     UniformBinary,
+    boundary_weight_flux,
     compute_RQ,
     midpoint_grid,
     quad_weights,
@@ -148,6 +149,40 @@ class TestResolventZ0:
         other = midpoint_grid(40.0, 50)
         with pytest.raises(InvalidInputError):
             apply_resolvent_Z0(ctx, GridFunction(other, np.exp(-other), 2.0))
+
+
+class TestGridCheck:
+    # a context grid is validated once; samples on that very array skip the
+    # element-wise comparison, every other array still gets it in full
+
+    @pytest.mark.parametrize(
+        "apply", [apply_resolvent_Z0, apply_resolvent_Zbeta, apply_resolvent_K],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_same_shape_displaced_node_rejected(self, apply):
+        ctx = ResolventContext(binary_model(), lam=7.0, n_cells=100)
+        moved = ctx.nodes.copy()
+        moved[40] += 0.25 * (moved[41] - moved[40])
+        with pytest.raises(InvalidInputError):
+            apply(ctx, GridFunction(moved, np.exp(-moved), 2.0))
+
+    @pytest.mark.parametrize(
+        "apply", [apply_resolvent_Z0, apply_resolvent_Zbeta, apply_resolvent_K],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_equal_copy_of_the_grid_accepted(self, apply):
+        ctx = ResolventContext(binary_model(), lam=7.0, n_cells=100)
+        on_ctx = apply(ctx, GridFunction(ctx.nodes, np.exp(-ctx.nodes), 2.0))
+        on_copy = apply(ctx, GridFunction(ctx.nodes.copy(), np.exp(-ctx.nodes), 2.0))
+        np.testing.assert_array_equal(on_copy.values, on_ctx.values)
+        assert on_ctx.nodes is ctx.nodes
+
+    @pytest.mark.parametrize(
+        "nodes", [[0.5, 1.0, 0.75], [-0.5, 0.5, 1.0]], ids=["decreasing", "negative"]
+    )
+    def test_public_constructor_still_validates(self, nodes):
+        with pytest.raises(InvalidInputError):
+            GridFunction(np.array(nodes), np.ones(3), 2.0)
 
 
 class TestELambdaOperator:
@@ -446,6 +481,18 @@ class TestResolventK:
         with pytest.raises(InvalidInputError):
             apply_resolvent_K(ctx, f, tol=0.0)
 
+    @pytest.mark.parametrize("lam", [1.8, 1.9])
+    def test_term_cap_with_defect_above_tol_raises(self, lam):
+        # just above the balanced-growth rate 1.5 the terms shrink too slowly:
+        # after the 201-term cap the defect is 0.57 (lam 1.8) or 1.8e-5
+        # (lam 1.9), both above tol, in either direction
+        ctx = ResolventContext(binary_model(), lam=lam, n_cells=400, strict=False)
+        f = GridFunction(ctx.nodes, np.exp(-ctx.nodes), 2.0)
+        with pytest.raises(SeriesDivergenceError, match="in 200 terms"):
+            apply_resolvent_K(ctx, f, tol=1e-10)
+        with pytest.raises(SeriesDivergenceError, match="in 200 terms"):
+            _resolvent_K_transpose(ctx, np.ones_like(ctx.nodes), 1e-10)
+
 
 class TestResolventKTranspose:
     @pytest.mark.parametrize(
@@ -480,6 +527,83 @@ class TestResolventKTranspose:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9 * np.max(np.abs(expect)))
         assert len(defects) == 1
         assert defects[0] <= tol
+
+
+def _reference_series(first, apply_R, apply_B, norm, tol):
+    # the series stopping rule, written out: stop once a term and its gain
+    # image are both below tol
+    term = apply_R(first)
+    total = term.copy()
+    prev = norm(term)
+    for _ in range(200):
+        image = apply_B(term)
+        if prev < tol and norm(image) < tol:
+            return total
+        term = apply_R(image)
+        total += term
+        prev = norm(term)
+    raise AssertionError("reference series did not converge")
+
+
+LEAN_KERNELS = [UniformBinary(), PowerLaw(1.9), ShrinkingBinary(0.25)]
+
+
+class TestLeanSeriesBitwise:
+    # the series skips re-validating the context grid and reuses the
+    # context's products; its sums must equal, bit for bit, a loop built
+    # from validated public pieces
+
+    @pytest.mark.parametrize("kernel", LEAN_KERNELS, ids=repr)
+    def test_forward_matches_validated_loop(self, kernel):
+        ctx = ResolventContext(binary_model(kernel=kernel), lam=7.0, n_cells=300)
+        copy = ctx.nodes.copy()  # a distinct array, so every check runs in full
+        f_vals = (1.0 + ctx.nodes) * np.exp(-1.3 * ctx.nodes)
+        expect = _reference_series(
+            f_vals,
+            lambda g: apply_resolvent_Zbeta(ctx, GridFunction(copy, g, 2.0)).values,
+            ctx.gain.matvec,
+            ctx.norm_m,
+            1e-10,
+        )
+        got = apply_resolvent_K(ctx, GridFunction(copy, f_vals, 2.0), tol=1e-10)
+        assert np.array_equal(got.values, expect)
+
+    @pytest.mark.parametrize("kernel", LEAN_KERNELS, ids=repr)
+    def test_adjoint_matches_loop(self, kernel):
+        ctx = ResolventContext(binary_model(kernel=kernel), lam=7.0, n_cells=300)
+        wq = quad_weights(ctx.nodes)
+        g = np.random.default_rng(3).standard_normal(ctx.nodes.size)
+        expect = _reference_series(
+            g,
+            lambda z: resolvent._apply_resolvent_Zbeta_transpose(ctx, z),
+            lambda z: ctx.gain.rmatvec(wq * z) / wq,
+            ctx.dual_norm,
+            1e-10,
+        )
+        assert np.array_equal(_resolvent_K_transpose(ctx, g, 1e-10), expect)
+
+    @pytest.mark.parametrize("kernel", LEAN_KERNELS, ids=repr)
+    def test_renewal_resolvents_match_their_definitions(self, kernel):
+        # R_beta = (I + E) R_0 forward, R_0* (I + E*) backward, with the
+        # pairings written out against the unmemoised weights
+        md = binary_model(kernel=kernel)
+        ctx = ResolventContext(md, lam=7.0, n_cells=300)
+        wq = quad_weights(ctx.nodes)
+        beta = np.asarray(boundary_weight_flux(md)(ctx.nodes), dtype=float)
+        e = ctx.e_lambda.values
+        f = GridFunction(ctx.nodes, np.exp(-ctx.nodes), 2.0)
+        z0 = apply_resolvent_Z0(ctx, f)
+        np.testing.assert_array_equal(
+            apply_resolvent_Zbeta(ctx, f).values, z0.values + apply_E_lambda(ctx, z0).values
+        )
+        assert ctx.pair_beta(z0.values) == float(np.sum(wq * beta * z0.values))
+        gap = 1.0 - float(np.sum(wq * beta * e))
+        g = np.cos(ctx.nodes)
+        c = float(np.sum(wq * e * g)) / gap
+        np.testing.assert_array_equal(
+            resolvent._apply_resolvent_Zbeta_transpose(ctx, g),
+            resolvent._apply_resolvent_Z0_transpose(ctx, g + c * beta),
+        )
 
 
 class TestContextValidation:
