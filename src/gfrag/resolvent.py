@@ -25,15 +25,22 @@ One Neumann-series routine serves both directions: the forward series in
 the X_m norm, and the adjoint series sum_n R_beta* (B* R_beta*)^n, which
 the left eigenfunction needs, in the dual X_m norm max |z|/(1 + x^m).
 Both stop on the same rule and report the same truncation defect.
+
+The discrete operator the series converge to is known exactly, so
+:class:`DirectResolvent` also solves it directly, at any shift sigma, with
+one sparse LU factorisation of C (sigma - K) and a rank-one update for the
+renewal term; the series are its oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from . import _kernels
 from .errors import (
+    ConvergenceError,
     InvalidInputError,
     LambdaOutOfRangeError,
     SeriesDivergenceError,
@@ -71,6 +78,7 @@ __all__ = [
     "apply_shifted_generator_K",
     "fragmentation_gain_matrix",
     "GainOperator",
+    "DirectResolvent",
 ]
 
 
@@ -469,6 +477,105 @@ def apply_shifted_generator_K(ctx: ResolventContext, u: GridFunction) -> GridFun
     transport = apply_shifted_generator_Zbeta(ctx, u)
     out = transport.values - ctx.gain.matvec(u.values)
     return GridFunction._on_grid(ctx.nodes, out, ctx.model.m)
+
+
+# ---------------------------------------------------------------------------
+# full-generator resolvent by one sparse LU factorisation
+
+
+def _shifted_generator_system(ctx: ResolventContext, shift: float):
+    """CSC matrix of C (lam + shift - K) without its renewal term; see DirectResolvent."""
+    n, gain, C = ctx.nodes.size, ctx.gain, ctx._C
+    # the bands scaled column by column: L D_r + shift C
+    transport = ctx._L * ctx._r_vals + shift * C
+    i, j = np.arange(n), np.arange(n - 1)
+    if isinstance(gain._matrix, np.ndarray):
+        # tabulated kernels: -C G is dense, and so is the system
+        dense = -C[0, :, None] * gain._matrix
+        dense[1:] -= C[1, :-1, None] * gain._matrix[:-1]
+        dense[i, i] += transport[0]
+        dense[j + 1, j] += transport[1, :-1]
+        return sparse.csc_array(dense)
+    if gain._matrix is None:
+        # C diag(d) joins the bands; the second unknown is p * y, so the
+        # coupling blocks are -C and -diag(p c), not the steep p and c
+        transport = transport - C * gain._d
+        p, size = gain._p, 2 * n
+        coupling = (
+            (i, n + i, -C[0]), (j + 1, n + j, -C[1, :-1]), (n + i, i, -p * gain._c),
+            (n + i, n + i, np.ones(n)), (n + j, n + j + 1, -p[:-1] / p[1:]),
+        )
+    else:
+        # atomic kernels: each entry of G enters -C G in its row, times C's
+        # diagonal, and in the next row, times C's subdiagonal
+        g, size = gain._matrix.tocoo(), n
+        inner = g.row < n - 1
+        coupling = (
+            (g.row, g.col, -C[0, g.row] * g.data),
+            (g.row[inner] + 1, g.col[inner], -C[1, g.row[inner]] * g.data[inner]),
+        )
+    # (rows, columns, values) band by band; duplicate entries are summed
+    entries = ((i, i, transport[0]), (j + 1, j, transport[1, :-1])) + coupling
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sparse.csc_array((vals, (rows, cols)), shape=(size, size))
+
+
+class DirectResolvent:
+    """(sigma - K)^{-1} on a context grid, solved with one sparse LU factor.
+
+    ``C (sigma - K) = L D_r (I - e b^T) - C G + (sigma - lam) C`` is the
+    operator :func:`apply_shifted_generator_K` applies (at sigma = lam),
+    times the scan band C; e is the boundary mode and b the quadrature-
+    weighted renewal weight.  Without the rank-one renewal term it is
+    factored once by SuperLU, and that term is a Sherman-Morrison update.
+    A separable gain G = diag(d) + diag(p) U diag(c), U the inclusive
+    upper-triangular ones matrix, enters through a second unknown
+    p * U (c u), which solves a bidiagonal system because U = (I - J)^-1
+    for the superdiagonal shift J, so the factored system is sparse of size
+    2n; an atomic gain enters as the sparse product C G and a tabulated one
+    as a dense matrix.
+
+    ``solve`` is the discrete resolvent the Neumann series of
+    :func:`apply_resolvent_K` converges to; ``solve_transpose`` is its
+    adjoint in the quadrature inner product, W^-1 C^T A^-T W g, the limit of
+    the adjoint series.  ``sigma`` defaults to the context's lam.
+
+    Raises
+    ------
+    ConvergenceError
+        When the factor is singular (sigma is an eigenvalue of K).
+    """
+
+    def __init__(self, ctx: ResolventContext, sigma: float | None = None):
+        self.sigma = ctx.lam if sigma is None else float(sigma)
+        self._ctx = ctx
+        n = ctx.nodes.size
+        system = _shifted_generator_system(ctx, self.sigma - ctx.lam)
+        try:
+            self._lu = splu(system)
+        except RuntimeError as exc:
+            raise ConvergenceError(
+                f"shifted generator at sigma={self.sigma:.6g} has a singular LU factor ({exc})"
+            ) from None
+        self._pad = np.zeros(system.shape[0] - n)
+        # Sherman-Morrison pieces of the renewal term l b^T, l = L D_r e
+        self._l = _kernels._times(ctx._L, ctx._r_vals * ctx.e_lambda.values)
+        self._l_image = self._lu.solve(np.concatenate((self._l, self._pad)))[:n]
+        self._b_image = self._lu.solve(np.concatenate((ctx._wq_beta, self._pad)), trans="T")[:n]
+        self._gap = 1.0 - float(ctx._wq_beta @ self._l_image)
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """(sigma - K)^{-1} f on grid samples."""
+        ctx, n = self._ctx, self._l.size
+        x = self._lu.solve(np.concatenate((_kernels._times(ctx._C, f), self._pad)))[:n]
+        return x + self._l_image * (float(ctx._wq_beta @ x) / self._gap)
+
+    def solve_transpose(self, g: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`solve` in the quadrature inner product."""
+        ctx, n = self._ctx, self._l.size
+        z = self._lu.solve(np.concatenate((ctx._wq * g, self._pad)), trans="T")[:n]
+        z = z + self._b_image * (float(self._l @ z) / self._gap)
+        return _kernels._times(ctx._C, z, trans=True) / ctx._wq
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gfrag import cli
+from gfrag import cli, resolvent
 from gfrag.cli import RunConfig, emit_csv, main, run
 from gfrag.errors import InvalidInputError, NonFiniteOutputError
 
@@ -253,6 +253,23 @@ class TestEigenCommand:
         _, rows, _ = read_csv(tmp_path / "eigen.csv")
         assert len(rows) == 200
         assert all(r[1] > 0 and r[2] > 0 for r in rows)
+
+    def test_singular_factor_exits_2_without_csv(self, tmp_path, capsys, monkeypatch):
+        # SuperLU reports an exactly singular factor as a bare RuntimeError
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(resolvent, "splu", singular)
+        argv = ["eigen", "--model", binary_model_file(tmp_path), "--out", str(tmp_path),
+                "--cells", "200"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:")
+        assert "singular" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "eigen.csv").exists()
 
 
 class TestIrreducibleCommand:

@@ -20,6 +20,7 @@ from gfrag.model import (
     xm_norm,
 )
 from gfrag.resolvent import (
+    DirectResolvent,
     GainOperator,
     ResolventContext,
     apply_E_lambda,
@@ -604,6 +605,86 @@ class TestLeanSeriesBitwise:
             resolvent._apply_resolvent_Zbeta_transpose(ctx, g),
             resolvent._apply_resolvent_Z0_transpose(ctx, g + c * beta),
         )
+
+
+DIRECT_KERNELS = [
+    UniformBinary(),
+    PowerLaw(1.9),
+    ShrinkingBinary(0.25),
+    TabulatedKernel(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0, 1.0])),
+]
+
+
+def _rel_max(got, expect):
+    return float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+
+
+class TestDirectResolvent:
+    @pytest.mark.parametrize("n", [80, 400])
+    @pytest.mark.parametrize("kernel", DIRECT_KERNELS, ids=repr)
+    def test_matches_forward_series(self, kernel, n):
+        ctx = ResolventContext(binary_model(kernel=kernel), lam=7.0, n_cells=n)
+        direct = DirectResolvent(ctx)
+        for seed in range(3):
+            f = np.random.default_rng(seed).standard_normal(n)
+            expect = apply_resolvent_K(ctx, GridFunction(ctx.nodes, f, 2.0), tol=1e-13).values
+            assert _rel_max(direct.solve(f), expect) <= 1e-12
+
+    @pytest.mark.parametrize("n", [80, 400])
+    @pytest.mark.parametrize("kernel", DIRECT_KERNELS, ids=repr)
+    def test_matches_adjoint_series(self, kernel, n):
+        # the adjoint series' truncation error at tol 1e-13 reaches ~1e-12 of
+        # the max on random-sign inputs, so the oracle runs at 1e-14
+        ctx = ResolventContext(binary_model(kernel=kernel), lam=7.0, n_cells=n)
+        direct = DirectResolvent(ctx)
+        for seed in range(3):
+            g = np.random.default_rng(seed).standard_normal(n)
+            expect = _resolvent_K_transpose(ctx, g, 1e-14)
+            assert _rel_max(direct.solve_transpose(g), expect) <= 1e-12
+
+    @pytest.mark.parametrize("kernel", DIRECT_KERNELS, ids=repr)
+    @pytest.mark.parametrize("sigma", [None, 5.0, 9.0])
+    def test_inverts_the_shifted_generator(self, kernel, sigma):
+        ctx = ResolventContext(binary_model(kernel=kernel), lam=7.0, n_cells=400)
+        direct = DirectResolvent(ctx, sigma)
+        shift = 0.0 if sigma is None else sigma - ctx.lam
+        u = np.random.default_rng(3).standard_normal(ctx.nodes.size)
+        applied = apply_shifted_generator_K(ctx, GridFunction(ctx.nodes, u, 2.0)).values
+        assert _rel_max(direct.solve(applied + shift * u), u) <= 1e-12
+
+    def test_adjoint_is_the_weighted_transpose(self):
+        ctx = ResolventContext(binary_model(kernel=PowerLaw(1.9)), lam=7.0, n_cells=200)
+        direct = DirectResolvent(ctx, 3.0)
+        rng = np.random.default_rng(4)
+        f, g = rng.standard_normal((2, 200))
+        wq = quad_weights(ctx.nodes)
+        left = float(np.sum(wq * g * direct.solve(f)))
+        right = float(np.sum(wq * direct.solve_transpose(g) * f))
+        assert left == pytest.approx(right, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [5.0, 9.0])
+    def test_other_shift_matches_the_series_of_a_context_there(self, sigma):
+        # the context at sigma discretises the transport with other panel
+        # weights, so the two agree to the grid's second-order error
+        md = binary_model()
+        diffs = []
+        for n in (200, 800):
+            ctx = ResolventContext(md, lam=7.0, n_cells=n)
+            there = ResolventContext(md, lam=sigma, n_cells=n, strict=False)
+            f = np.exp(-ctx.nodes) * (1.0 + ctx.nodes)
+            expect = apply_resolvent_K(there, GridFunction(ctx.nodes, f, 2.0), tol=1e-13).values
+            got = DirectResolvent(ctx, sigma).solve(f)
+            diffs.append(ctx.norm_m(got - expect) / ctx.norm_m(expect))
+        assert diffs[1] <= 1e-3
+        assert diffs[1] <= diffs[0] / 8.0
+
+    def test_structured_kernels_store_no_square_array(self):
+        ctx = ResolventContext(binary_model(kernel=ShrinkingBinary(0.25)), lam=7.0, n_cells=2000)
+        direct = DirectResolvent(ctx)
+        for arr in vars(direct).values():
+            assert not (isinstance(arr, np.ndarray) and arr.ndim == 2)
+        ctx = ResolventContext(binary_model(), lam=7.0, n_cells=2000)
+        assert DirectResolvent(ctx)._lu.nnz <= 64 * 2000
 
 
 class TestContextValidation:

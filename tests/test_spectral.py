@@ -22,7 +22,10 @@ from gfrag.model import (
     midpoint_grid,
     quad_weights,
 )
+from gfrag import spectral
+from gfrag.resolvent import ResolventContext, apply_resolvent_K
 from gfrag.spectral import (
+    _inverse_iteration,
     _warn_if_negative,
     aeg_diagnostics,
     apply_generator_direct,
@@ -146,6 +149,49 @@ class TestPerronEigenpair:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DiscretizationWarning)
             _warn_if_negative("probe", np.array([1.0, -1e-9]), 1e-6)
+
+
+class TestFactoredWarmStart:
+    def test_s0_converges_at_second_order(self):
+        errors = [
+            abs(perron_eigenpair(reference_model(), 6.0, n_cells=n).s0 - 1.5)
+            for n in (200, 400, 800)
+        ]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    def test_series_finish_in_one_sweep_each_way(self, monkeypatch):
+        calls = {"forward": 0, "adjoint": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            spectral, "apply_resolvent_K", counted("forward", spectral.apply_resolvent_K)
+        )
+        monkeypatch.setattr(
+            spectral, "_resolvent_K_transpose",
+            counted("adjoint", spectral._resolvent_K_transpose),
+        )
+        perron_eigenpair(reference_model(), 6.6, n_cells=2000)
+        assert 1 <= calls["forward"] <= 2
+        assert 1 <= calls["adjoint"] <= 2
+
+    def test_matches_series_only_inverse_iteration(self):
+        model = reference_model()
+        lam, tol = 6.6, 1e-10
+        ctx = ResolventContext(model, lam, n_cells=200)
+        wq = quad_weights(ctx.nodes)
+        _v, mu = _inverse_iteration(
+            lambda x: apply_resolvent_K(ctx, GridFunction(ctx.nodes, x, 2.0), tol=tol).values,
+            np.exp(-ctx.nodes), wq, ctx.norm_m, tol, 500,
+        )
+        pair = perron_eigenpair(model, lam, tol=tol, n_cells=200)
+        assert abs(pair.s0 - (lam - 1.0 / mu)) <= 1e-9
 
 
 class TestDirectGenerator:
