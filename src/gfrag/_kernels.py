@@ -9,7 +9,6 @@ a scan is one LAPACK banded triangular solve (``?tbtrs``) and a bidiagonal produ
 """
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 
 def _theta(decay):
@@ -64,6 +63,8 @@ def _times(band, x, trans=False):
 
 
 def _solve(band, rhs, trans="N", diag="U"):
+    from scipy.linalg.lapack import dtbtrs
+
     x, info = dtbtrs(band, rhs, uplo="L", trans=trans, diag=diag)
     if info != 0:
         raise np.linalg.LinAlgError(f"banded triangular solve failed, info={info}")

@@ -177,7 +177,11 @@ def _cmd_validate(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) 
     for line in report.lines():
         print(line)
     print("assumptions " + ("pass" if report.all_pass else "fail"))
-    return 0 if report.all_pass else 1
+    if report.all_pass:
+        return 0
+    failed = [line.split("=")[0] for line in report.lines() if line.endswith("=fail")]
+    print(f"error: assumptions fail: {', '.join(failed)}", file=sys.stderr)
+    return 1
 
 
 def _cmd_solve_closed(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:

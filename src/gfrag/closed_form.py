@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ConvergenceError,
@@ -254,6 +252,8 @@ def boundary_extension_psi(f: ForcingF, xi: float) -> float:
             * ((a * s / r) ** 2 * f.value(tau) + (2 * a * s / r**2) * f.d1(tau) + f.d2(tau) / r**2)
         )
 
+    from scipy import integrate
+
     val, err = integrate.quad(integrand, xi, 0.0, epsabs=1e-12, epsrel=1e-10, limit=300)
     if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
         raise ConvergenceError(f"extension quadrature did not converge at xi={xi}")
@@ -309,6 +309,8 @@ class ClosedFormSolution:
         n_samples: int = 8000,
         table_points: int = 2048,
     ):
+        from scipy.interpolate import CubicSpline
+
         self.params = params
         self.t_max = float(t_max)
         if isinstance(u0, GridFunction):
@@ -422,6 +424,7 @@ def tail_bound_check(
     """
     if m <= 1:
         raise InvalidInputError("weight exponent must exceed 1")
+    from scipy import integrate
 
     sol = _prepared_solution(params, u0, max(t, t_ref))
 

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     InvalidInputError,
@@ -417,6 +415,9 @@ def reachability_oracle(s: SupportModel, n_bins: int) -> IrreducibilityDecision:
     renewing = np.flatnonzero(lowers < s.beta_sup)
     rows.extend(renewing)
     cols.extend([0] * len(renewing))
+
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
     graph = csr_matrix(
         (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n_bins, n_bins)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import (
     DivergentNormError,
@@ -203,6 +202,8 @@ def _as_affine(spec: CoefficientSpec):
 
 def _sup_ratio(fn: Callable, denom: Callable, x_hi: float = 1e6) -> float:
     """Supremum of fn(x)/denom(x) on [0, x_hi] by scan plus local refinement."""
+    from scipy import optimize
+
     grid = np.concatenate(([0.0], np.geomspace(1e-8, x_hi, 3000)))
     ratios = np.asarray(fn(grid)) / np.asarray(denom(grid))
     i = int(np.argmax(ratios))
@@ -550,6 +551,9 @@ class ModelDefinition:
         if not (math.isfinite(self.x_max) and self.x_max > 0):
             raise InvalidModelError(f"x_max must be finite and positive, got {self.x_max}")
         probe = np.concatenate(([0.0, self.x_max * 1e-9], np.linspace(1e-6, self.x_max, 257)))
+        if isinstance(self.r, Tabulated):
+            # piecewise linear: the minimum on [0, x_max] sits at a knot or an end
+            probe = np.concatenate((probe, self.r.nodes[self.r.nodes <= self.x_max]))
         r_vals = np.asarray(self.r(probe))
         if np.any(r_vals <= 0):
             # growth must not vanish anywhere, the origin included: the renewal
@@ -576,6 +580,21 @@ class RQFunctions:
     R: Callable
     Q: Callable
     M_Q: float
+
+
+class _LazyIntegrate:
+    """``scipy.integrate``, imported when an attribute is first read.
+
+    A module attribute, so ``integrate.quad`` can be wrapped in place.
+    """
+
+    def __getattr__(self, name):
+        from scipy import integrate
+
+        return getattr(integrate, name)
+
+
+integrate = _LazyIntegrate()
 
 
 class _CumulativeIntegral:
@@ -804,6 +823,20 @@ def validate_assumptions(
 # configuration loading
 
 
+def _as_float(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidModelError(f"expected a number, got {value!r}") from None
+
+
+def _as_floats(values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidModelError(f"expected a list of numbers, got {values!r}") from None
+
+
 def coefficient_from_config(obj) -> CoefficientSpec:
     """Build a coefficient from its JSON object form (or a bare number)."""
     if isinstance(obj, (int, float)):
@@ -813,13 +846,13 @@ def coefficient_from_config(obj) -> CoefficientSpec:
     kind = obj["type"]
     try:
         if kind == "constant":
-            return Constant(float(obj["c"]))
+            return Constant(_as_float(obj["c"]))
         if kind == "linear":
-            return Linear(float(obj.get("c0", 0.0)), float(obj.get("c1", 0.0)))
+            return Linear(_as_float(obj.get("c0", 0.0)), _as_float(obj.get("c1", 0.0)))
         if kind == "power":
-            return Power(float(obj["c0"]), float(obj["p"]))
+            return Power(_as_float(obj["c0"]), _as_float(obj["p"]))
         if kind == "tabulated":
-            return Tabulated(np.asarray(obj["nodes"], dtype=float), np.asarray(obj["values"], dtype=float))
+            return Tabulated(_as_floats(obj["nodes"]), _as_floats(obj["values"]))
     except KeyError as exc:
         raise InvalidModelError(f"coefficient config missing key {exc} in {obj!r}") from exc
     raise InvalidModelError(f"unknown coefficient type {kind!r}")
@@ -832,18 +865,18 @@ def kernel_from_config(obj) -> KernelSpec:
     if kind == "uniform_binary":
         return UniformBinary()
     if kind == "power_law":
-        return PowerLaw(float(obj["nu"]))
+        return PowerLaw(_as_float(obj["nu"]))
     if kind == "shrinking_binary":
         eps = obj.get("eps", 0.25)
         if isinstance(eps, dict):
             if eps.get("type") != "inverse":
                 raise InvalidModelError(f"unknown split-fraction form {eps!r}")
-            eps = InverseEpsilon(float(eps.get("scale", 1.0)))
+            eps = InverseEpsilon(_as_float(eps.get("scale", 1.0)))
         else:
-            eps = float(eps)
+            eps = _as_float(eps)
         return ShrinkingBinary(eps)
     if kind == "tabulated":
-        return TabulatedKernel(np.asarray(obj["ratios"], dtype=float), np.asarray(obj["densities"], dtype=float))
+        return TabulatedKernel(_as_floats(obj["ratios"]), _as_floats(obj["densities"]))
     raise InvalidModelError(f"unknown kernel type {kind!r}")
 
 
@@ -854,7 +887,7 @@ def model_from_config(cfg: dict) -> ModelDefinition:
         a = coefficient_from_config(cfg["a"])
         kernel = kernel_from_config(cfg["kernel"])
         beta = coefficient_from_config(cfg["beta"])
-        m = float(cfg["m"])
+        m = _as_float(cfg["m"])
     except KeyError as exc:
         raise InvalidModelError(f"model config missing key {exc}") from exc
     support = None
@@ -869,7 +902,7 @@ def model_from_config(cfg: dict) -> ModelDefinition:
         beta=beta,
         m=m,
         bc_convention=cfg.get("bc_convention", "flux"),
-        x_max=float(cfg.get("x_max", 50.0)),
+        x_max=_as_float(cfg.get("x_max", 50.0)),
         support=support,
     )
 

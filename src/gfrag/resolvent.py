@@ -35,8 +35,6 @@ renewal term; the series are its oracle.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from . import _kernels
 from .errors import (
@@ -357,6 +355,8 @@ def _atomic_deposition(kernel, nodes: np.ndarray, a_vals: np.ndarray):
     # 32-bit indices keep the index arrays at half the size of the values
     row_idx = np.concatenate(rows).astype(np.int32)
     col_idx = np.tile(cols, len(rows)).astype(np.int32)
+    from scipy import sparse
+
     gain = sparse.csr_array((np.concatenate(data), (row_idx, col_idx)), shape=(n, n))
     gain.eliminate_zeros()
     return gain
@@ -485,6 +485,8 @@ def apply_shifted_generator_K(ctx: ResolventContext, u: GridFunction) -> GridFun
 
 def _shifted_generator_system(ctx: ResolventContext, shift: float):
     """CSC matrix of C (lam + shift - K) without its renewal term; see DirectResolvent."""
+    from scipy import sparse
+
     n, gain, C = ctx.nodes.size, ctx.gain, ctx._C
     # the bands scaled column by column: L D_r + shift C
     transport = ctx._L * ctx._r_vals + shift * C
@@ -518,6 +520,13 @@ def _shifted_generator_system(ctx: ResolventContext, shift: float):
     entries = ((i, i, transport[0]), (j + 1, j, transport[1, :-1])) + coupling
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     return sparse.csc_array((vals, (rows, cols)), shape=(size, size))
+
+
+def splu(matrix):
+    """SuperLU factor of a sparse matrix; loads ``scipy.sparse.linalg`` on first use."""
+    from scipy.sparse import linalg
+
+    return linalg.splu(matrix)
 
 
 class DirectResolvent:

@@ -113,6 +113,15 @@ class TestValidateCommand:
         assert run(cfg) == 1
         assert "assumptions fail" in capsys.readouterr().out
 
+    def test_failure_names_the_failed_checks_on_one_stderr_line(self, tmp_path, capsys):
+        path = binary_model_file(
+            tmp_path,
+            kernel={"type": "shrinking_binary", "eps": {"type": "inverse", "scale": 1.0}},
+        )
+        assert run(RunConfig("validate", path, output_dir=str(tmp_path))) == 1
+        err = capsys.readouterr().err
+        assert err == "error: assumptions fail: moment_defect_liminf\n"
+
 
 class TestSolveClosedCommand:
     def test_writes_snapshot_and_moments(self, tmp_path):
@@ -412,6 +421,45 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+
+class TestWrongValueTypes:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"x_max": None},
+            {"m": "two"},
+            {"a": {"type": "linear", "c0": [0.0], "c1": 1.0}},
+            {"r": {"type": "tabulated", "nodes": [0.0, [1.0]], "values": [1.0, 1.0]}},
+            {"kernel": {"type": "power_law", "nu": "one"}},
+        ],
+    )
+    def test_exits_1_with_one_line(self, tmp_path, capsys, overrides):
+        path = binary_model_file(tmp_path, **overrides)
+        with pytest.raises(SystemExit) as info:
+            main(["eigen", "--model", path, "--out", str(tmp_path), "--cells", "200"])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected a")
+        assert err.count("\n") == 1
+
+
+class TestVanishingTabulatedGrowth:
+    # r passes through 0 at x = 15, between the points an even probe samples
+    R_DIPS_TO_ZERO = {"type": "tabulated", "nodes": [0, 7.5, 15, 30], "values": [1, 1, 0, 1]}
+
+    @pytest.mark.parametrize("command", ["validate", "solve-pde", "eigen", "aeg"])
+    def test_exits_1_with_one_line_and_no_csv(self, tmp_path, capsys, command):
+        path = binary_model_file(tmp_path, r=self.R_DIPS_TO_ZERO)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--model", path, "--out", str(out), "--cells", "200"])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "strictly positive" in err
+        assert err.count("\n") == 1
+        assert list(out.glob("*.csv")) == []
 
 
 class TestMain:

@@ -242,6 +242,15 @@ class TestModelDefinition:
         with pytest.raises(InvalidModelError):
             make_model(r=Tabulated([0.0, 1.0, 50.0], [0.0, 1.0, 1.0]))
 
+    def test_rejects_tabulated_growth_vanishing_between_probe_points(self):
+        # the zero at x = 15 lies between the points of an even probe of [0, 30]
+        with pytest.raises(InvalidModelError):
+            make_model(r=Tabulated([0.0, 7.5, 15.0, 30.0], [1.0, 1.0, 0.0, 1.0]), x_max=30.0)
+
+    def test_tabulated_growth_may_vanish_beyond_x_max(self):
+        md = make_model(r=Tabulated([0.0, 30.0, 60.0], [1.0, 1.0, 0.0]), x_max=30.0)
+        assert md.r(30.0) == 1.0
+
     def test_boundary_weight_conversion(self):
         md = make_model(r=Constant(2.0), beta=Linear(0.5, 0.5), bc_convention="value")
         conv = boundary_weight_flux(md)
