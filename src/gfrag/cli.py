@@ -41,7 +41,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,14 +66,12 @@ from .irreducibility import compute_c_bar, decide_irreducibility
 from .model import (
     GridFunction,
     ModelDefinition,
-    boundary_weight_flux,
     coefficient_from_config,
-    dual_norm_beta,
     grid_eval,
-    linear_growth_bound,
     midpoint_grid,
     model_from_config,
     quad_weights,
+    shift_floor,
     validate_assumptions,
 )
 from .pde import SolverConfig, solve
@@ -94,7 +92,7 @@ class RunConfig:
     x_max: float | None = None
     n_cells: int = 2000
     t_end: float = 2.0
-    tolerances: dict = field(default_factory=dict)
+    tol: float | None = None
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -104,7 +102,7 @@ class RunConfig:
         for name, value in (
             ("time horizon", self.t_end),
             ("x_max", self.x_max),
-            ("tolerance", self.tolerances.get("tol")),
+            ("tolerance", self.tol),
         ):
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise InvalidInputError(f"{name} must be finite and positive, got {value}")
@@ -167,9 +165,7 @@ def _snapshot_rows(nodes: np.ndarray, values: np.ndarray):
 
 
 def _default_shift(model: ModelDefinition) -> float:
-    omega_r = 2.0 * model.m * linear_growth_bound(model.r)
-    beta_m = dual_norm_beta(boundary_weight_flux(model), model.m)
-    return omega_r + beta_m + 2.0
+    return sum(shift_floor(model)) + 2.0
 
 
 def _cmd_validate(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
@@ -227,7 +223,7 @@ def _cmd_solve_pde(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path)
 
 def _cmd_eigen(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
     nodes = midpoint_grid(model.x_max, cfg.n_cells)
-    tol = float(cfg.tolerances.get("tol", 1e-10))
+    tol = 1e-10 if cfg.tol is None else cfg.tol
     pair = perron_eigenpair(model, _default_shift(model), tol=tol, nodes=nodes)
     emit_csv(
         out / "eigen.csv",
@@ -258,7 +254,7 @@ def _cmd_aeg(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> in
     if is_binary_model(model):
         pair = closed_form_eigenpair(model, nodes)
     else:
-        tol = float(cfg.tolerances.get("tol", 1e-10))
+        tol = 1e-10 if cfg.tol is None else cfg.tol
         pair = perron_eigenpair(model, _default_shift(model), tol=tol, nodes=nodes)
     times = tuple(float(t) for t in np.linspace(cfg.t_end / 4.0, cfg.t_end, 4))
     report = aeg_diagnostics(model, pair, u0, times)
@@ -328,7 +324,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> None:
     args = _parser().parse_args(argv)
-    tolerances = {} if args.tol is None else {"tol": float(args.tol)}
     try:
         cfg = RunConfig(
             command=args.command,
@@ -337,7 +332,7 @@ def main(argv=None) -> None:
             x_max=args.x_max,
             n_cells=args.cells,
             t_end=args.t_end,
-            tolerances=tolerances,
+            tol=args.tol,
         )
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

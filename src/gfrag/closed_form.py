@@ -389,28 +389,13 @@ class ClosedFormSolution:
         return self.params.beta0 * m.M0 + self.params.beta1 * m.M1
 
 
-_SOLUTION_CACHE: dict = {}
-
-
-def _prepared_solution(params: BinaryModelParams, u0, t_max: float) -> ClosedFormSolution:
-    key = (params, id(u0))
-    hit = _SOLUTION_CACHE.get(key)
-    if hit is not None and hit[0] is u0 and hit[1].t_max >= t_max:
-        return hit[1]
-    sol = ClosedFormSolution(params, u0, t_max=max(t_max, 4.0))
-    if len(_SOLUTION_CACHE) >= 8:
-        _SOLUTION_CACHE.pop(next(iter(_SOLUTION_CACHE)))
-    _SOLUTION_CACHE[key] = (u0, sol)
-    return sol
-
-
 def evaluate_solution(params: BinaryModelParams, u0, x, t: float):
     """Explicit solution value u(x, t) for the binary model.
 
-    x may be a scalar or an array; the prepared evaluator (datum suffix
-    integrals plus extension table) is cached per (params, datum).
+    x may be a scalar or an array; each call prepares its own evaluator
+    (datum suffix integrals plus extension table).
     """
-    return _prepared_solution(params, u0, float(t)).evaluate(x, t)
+    return ClosedFormSolution(params, u0, t_max=max(float(t), 4.0)).evaluate(x, t)
 
 
 def tail_bound_check(
@@ -426,7 +411,7 @@ def tail_bound_check(
         raise InvalidInputError("weight exponent must exceed 1")
     from scipy import integrate
 
-    sol = _prepared_solution(params, u0, max(t, t_ref))
+    sol = ClosedFormSolution(params, u0, t_max=max(t, t_ref, 4.0))
 
     def front_mass(tt: float) -> float:
         # substitute x = r tt + s: smooth integrand on the datum's support

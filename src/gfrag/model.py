@@ -63,7 +63,7 @@ __all__ = [
     "boundary_weight_flux",
     "scale_coefficient",
     "linear_growth_bound",
-    "polynomial_growth_pair",
+    "shift_floor",
     "coefficient_is_zero",
     "quad_weights",
     "pairing",
@@ -200,22 +200,55 @@ def _as_affine(spec: CoefficientSpec):
     return None
 
 
-def _sup_ratio(fn: Callable, denom: Callable, x_hi: float = 1e6) -> float:
-    """Supremum of fn(x)/denom(x) on [0, x_hi] by scan plus local refinement."""
-    from scipy import optimize
+def _peak(ratio: Callable, h: Callable, target: float, lo: float, hi: float = math.inf) -> float:
+    """Maximum on [lo, hi] of a ratio that rises while the increasing h is below target, then falls.
 
-    grid = np.concatenate(([0.0], np.geomspace(1e-8, x_hi, 3000)))
-    ratios = np.asarray(fn(grid)) / np.asarray(denom(grid))
-    i = int(np.argmax(ratios))
-    best = float(ratios[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    if hi > lo:
-        res = optimize.minimize_scalar(
-            lambda x: -float(fn(x) / denom(x)), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best = max(best, float(-res.fun))
+    The crossing is bisected to adjacent floats and the ratio taken at both.
+    """
+    if h(lo) >= target:
+        return ratio(lo)
+    if hi == math.inf:
+        hi = max(2.0 * lo, 1.0)
+        while h(hi) < target:
+            lo, hi = hi, 2.0 * hi
+    elif h(hi) <= target:
+        return ratio(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if h(mid) < target else (lo, mid)
+    return max(ratio(lo), ratio(hi))
+
+
+def _affine_sup(x0: float, v0: float, c1: float, m: float, hi: float = math.inf) -> float:
+    """Supremum on [x0, hi] of v(x)/(1 + x**m), v(x) = v0 + c1*(x - x0) >= 0 there; c1 > 0, m > 1.
+
+    The ratio's derivative has the sign of c1 - x**(m-1)*(m*v(x) - c1*x),
+    and the subtracted term increases wherever v >= 0.
+    """
+    v = lambda x: v0 + c1 * (x - x0)
+    h = lambda x: x ** (m - 1.0) * (m * v(x) - c1 * x)
+    return _peak(lambda x: v(x) / (1.0 + x**m), h, c1, x0, hi)
+
+
+def _power_sup(p: float, m: float) -> float:
+    """Supremum of (1 + x**p)/(1 + x**m) over x >= 0, for 0 <= p <= m.
+
+    The ratio's derivative has the sign of p - m*x**(m-p) - (m-p)*x**m.
+    """
+    h = lambda x: m * x ** (m - p) + (m - p) * x**m
+    return _peak(lambda x: (1.0 + x**p) / (1.0 + x**m), h, p, 0.0)
+
+
+def _tabulated_sup(spec: Tabulated, m: float) -> float:
+    """Supremum of spec(x)/(1 + x**m) over x >= 0: at x = 0, a node or a rising panel's peak.
+
+    The constant extensions fall from x = 0 and from the last node; for
+    m <= 1 the ratio is monotone on every panel.
+    """
+    x, v = spec.nodes, spec.values
+    best = max(float(v[0]), float(np.max(v / (1.0 + x**m))))
+    for i in np.flatnonzero(np.diff(v) > 0.0) if m > 1.0 else ():
+        slope = (v[i + 1] - v[i]) / (x[i + 1] - x[i])
+        best = max(best, _affine_sup(float(x[i]), float(v[i]), float(slope), m, float(x[i + 1])))
     return best
 
 
@@ -228,21 +261,8 @@ def linear_growth_bound(spec: CoefficientSpec) -> float:
     if isinstance(spec, Power):
         if spec.p > 1.0:
             raise DivergentNormError("coefficient grows faster than linearly; no linear bound")
-        return _sup_ratio(spec, lambda x: 1.0 + np.asarray(x, dtype=float))
-    return float(np.max(spec.values / (1.0 + spec.nodes)))
-
-
-def polynomial_growth_pair(spec: CoefficientSpec) -> tuple[float, float]:
-    """Smallest (a0, p) with value(x) <= a0*(1+x**p), p the natural exponent."""
-    if isinstance(spec, Constant):
-        return spec.c / 2.0, 0.0
-    if isinstance(spec, Linear):
-        if spec.c1 == 0.0:
-            return spec.c0 / 2.0, 0.0
-        return max(spec.c0, spec.c1), 1.0
-    if isinstance(spec, Power):
-        return spec.c0, spec.p
-    return float(np.max(spec.values)) / 2.0, 0.0
+        return spec.c0 * _power_sup(spec.p, 1.0)
+    return _tabulated_sup(spec, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -709,26 +729,29 @@ def dual_norm_beta(beta: CoefficientSpec, m: float) -> float:
         raise InvalidInputError("weight exponent must be positive")
     if coefficient_is_zero(beta):
         return 0.0
-    weight = lambda x: 1.0 + np.power(np.asarray(x, dtype=float), m)
     if isinstance(beta, Constant):
         return beta.c
     if isinstance(beta, Linear):
         if m < 1.0 and beta.c1 > 0:
             raise DivergentNormError("linear renewal weight diverges against sublinear weight")
-        if m == 1.0:
+        if m <= 1.0 or beta.c1 == 0.0:
             return max(beta.c0, beta.c1)
-        return _sup_ratio(beta, weight)
+        return _affine_sup(0.0, beta.c0, beta.c1, m)
     if isinstance(beta, Power):
         if beta.p > m:
             raise DivergentNormError("renewal weight grows faster than the space weight")
-        if beta.p == m:
-            return beta.c0
-        return _sup_ratio(beta, weight)
-    # tabulated: refine each panel; constant right-extension decays against x^m
-    nodes = beta.nodes
-    fine = np.unique(np.concatenate([np.linspace(nodes[i], nodes[i + 1], 33) for i in range(nodes.size - 1)]))
-    vals = np.asarray(beta(fine)) / np.asarray(weight(fine))
-    return float(np.max(vals))
+        return beta.c0 * _power_sup(beta.p, m)
+    return _tabulated_sup(beta, m)
+
+
+def shift_floor(model: ModelDefinition) -> tuple[float, float]:
+    """(omega_r, beta_m); the renewal resolvent holds for lambda > omega_r + beta_m.
+
+    omega_r = 2*m*r0 bounds the growth of the zero-flux transport semigroup,
+    beta_m is the dual X_m norm of the renewal weight in the flux convention.
+    """
+    omega_r = 2.0 * model.m * linear_growth_bound(model.r)
+    return omega_r, dual_norm_beta(boundary_weight_flux(model), model.m)
 
 
 # ---------------------------------------------------------------------------

@@ -51,17 +51,14 @@ from .model import (
     UniformBinary,
     boundary_weight_flux,
     compute_RQ,
-    daughter_count_bound,
-    dual_norm_beta,
     grid_eval,
     is_atomic_kernel,
     kernel_atoms,
     kernel_density,
-    linear_growth_bound,
     midpoint_grid,
-    polynomial_growth_pair,
     quad_weights,
     separable_density_factors,
+    shift_floor,
 )
 
 __all__ = [
@@ -96,8 +93,8 @@ class ResolventContext:
         <beta, e_lambda>, guaranteed inside [0, 1).
     omega_r : float
         Growth bound 2*m*r0 of the zero-flux transport semigroup.
-    omega_beta : float
-        Growth bound beta_m + omega_r + 4*a0*b0 of the renewal semigroup.
+    beta_m : float
+        Dual X_m norm of the renewal weight in the flux convention.
     gain : GainOperator
         Fragmentation gain B on the context grid, built once and shared by
         every term of the forward and adjoint series.
@@ -139,13 +136,7 @@ class ResolventContext:
         self.nodes = nodes
 
         m = model.m
-        r0 = linear_growth_bound(model.r)
-        self.omega_r = 2.0 * m * r0
-        beta_flux = boundary_weight_flux(model)
-        self.beta_m = dual_norm_beta(beta_flux, m)
-        a0, _p = polynomial_growth_pair(model.a)
-        b0, _l = daughter_count_bound(model.kernel)
-        self.omega_beta = self.beta_m + self.omega_r + 4.0 * a0 * b0
+        self.omega_r, self.beta_m = shift_floor(model)
         if strict and not self.lam > self.omega_r + self.beta_m:
             raise LambdaOutOfRangeError(
                 f"lambda={self.lam} must exceed omega_r + beta_m = "
@@ -172,7 +163,7 @@ class ResolventContext:
 
         e_vals = np.exp(-exponent) / self._r_vals
         self.e_lambda = GridFunction(nodes, e_vals, m)
-        self._beta_vals = grid_eval(beta_flux, nodes)
+        self._beta_vals = grid_eval(boundary_weight_flux(model), nodes)
         # products every series term reuses, formed in the order the
         # pairings multiply them so each pairing keeps its rounding
         self._wq_beta = self._wq * self._beta_vals

@@ -175,7 +175,6 @@ def perron_eigenpair(
     nodes: np.ndarray | None = None,
     n_cells: int = 2000,
     max_iters: int = 200,
-    strict: bool = True,
 ) -> Eigenpair:
     """Dominant eigentriple by inverse iteration on the resolvent.
 
@@ -197,7 +196,7 @@ def perron_eigenpair(
         )
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
-    ctx = ResolventContext(model, lambda_shift, nodes=nodes, n_cells=n_cells, strict=strict)
+    ctx = ResolventContext(model, lambda_shift, nodes=nodes, n_cells=n_cells)
     grid = ctx.nodes
     wq = quad_weights(grid)
     series_tol = min(tol, 1e-10)

@@ -92,3 +92,21 @@ def test_quad_is_looked_up_through_the_module_attribute(monkeypatch):
     rq = compute_RQ(md)
     assert rq.R(2.0) > 0.0
     assert len(calls) >= 1
+
+
+def test_eigen_loads_no_scipy_optimize(tmp_path):
+    # the shift floor takes its suprema exactly, with no numerical search
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(README_MODEL), encoding="utf-8")
+    probe = (
+        "import sys\n"
+        "from gfrag.cli import main\n"
+        "try:\n"
+        f"    main(['eigen', '--model', {str(path)!r}, '--out', {str(tmp_path)!r}])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    proc = _fresh_python("-c", probe, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfrag.errors import DivergentNormError, InvalidInputError, InvalidModelError
 from gfrag.model import (
@@ -24,11 +26,13 @@ from gfrag.model import (
     kernel_defect,
     kernel_density,
     kernel_moment,
+    linear_growth_bound,
     load_model,
     midpoint_grid,
     model_from_config,
     pairing,
     quad_weights,
+    shift_floor,
     validate_assumptions,
     xm_norm,
 )
@@ -231,6 +235,95 @@ class TestDualNorm:
         x = np.linspace(0.0, 2.0, 200001)
         ref = np.max(b(x) / (1.0 + x**2))
         assert got == pytest.approx(ref, rel=1e-3)
+
+
+class TestExactSuprema:
+    """dual_norm_beta and linear_growth_bound take the exact supremum, not a sampled one."""
+
+    def test_tabulated_growth_bound_sees_the_left_extension(self):
+        # r = 1 on [0, 1) by constant extension: the bound of Constant(1)
+        assert linear_growth_bound(Tabulated([1.0, 2.0], [1.0, 1.0])) == 1.0
+        assert linear_growth_bound(Constant(1.0)) == 1.0
+
+    def test_tabulated_dual_norm_sees_the_left_extension(self):
+        assert dual_norm_beta(Tabulated([1.0, 3.0], [2.0, 2.0]), 2.0) == 2.0
+
+    def test_tabulated_dual_norm_finds_the_peak_inside_a_panel(self):
+        # (0.1 + x)/(1 + x^2) peaks at x = sqrt(1.01) - 0.1, where it is
+        # (0.1 + sqrt(1.01))/2; 33 samples per panel gave 0.55218
+        got = dual_norm_beta(Tabulated([0.0, 10.0], [0.1, 10.1]), 2.0)
+        assert got == pytest.approx((0.1 + np.sqrt(1.01)) / 2.0, rel=1e-15)
+
+    def test_linear_weight_matches_the_closed_form(self):
+        # against 1 + x^2 the peak is (c0 + sqrt(c0^2 + c1^2))/2
+        for c0, c1 in ((0.5, 0.5), (0.0, 3.0), (2.0, 0.1), (1e-6, 7.0)):
+            expect = (c0 + np.hypot(c0, c1)) / 2.0
+            assert dual_norm_beta(Linear(c0, c1), 2.0) == pytest.approx(expect, rel=1e-15)
+
+    def test_power_growth_bound(self):
+        # (1 + sqrt(x))/(1 + x) peaks where sqrt(x) + x/2 = 1/2, at x = (sqrt(2) - 1)^2
+        got = linear_growth_bound(Power(2.0, 0.5))
+        assert got == pytest.approx(2.0 * (1.0 + np.sqrt(2.0)) / 2.0, rel=1e-15)
+
+    def test_shift_floor_of_a_tabulated_growth_rate(self):
+        beta = Constant(0.1)
+        tab = shift_floor(make_model(r=Tabulated([1.0, 2.0], [1.0, 1.0]), beta=beta))
+        const = shift_floor(make_model(r=Constant(1.0), beta=beta))
+        assert tab == const == (4.0, 0.1)
+
+
+def _scan_sup(spec, m):
+    """Largest sampled spec(x)/(1 + x^m) over x = 0, a dense scan of [0, 1e4] and any nodes.
+
+    The scan is sampled again, finely, between the neighbours of its best
+    point.  A linear coefficient against 1 + x approaches c1 only as x grows
+    without bound, so that limit joins the samples.
+    """
+    ratio = lambda x: np.asarray(spec(x)) / (1.0 + x**m)
+    x = np.concatenate(([0.0], np.geomspace(1e-9, 1e4, 200_001), np.linspace(0.0, 40.0, 200_001)))
+    if isinstance(spec, Tabulated):
+        x = np.concatenate((x, spec.nodes))
+    x = np.unique(x)
+    i = int(np.argmax(ratio(x)))
+    fine = np.linspace(x[max(i - 1, 0)], x[min(i + 1, x.size - 1)], 200_001)
+    limit = spec.c1 if isinstance(spec, Linear) and m == 1.0 else 0.0
+    return max(limit, float(ratio(x[i])), float(np.max(ratio(fine))))
+
+
+_level = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
+
+
+@st.composite
+def _coefficient(draw):
+    kind = draw(st.sampled_from(("constant", "linear", "power", "tabulated")))
+    if kind == "constant":
+        return Constant(draw(_level))
+    if kind == "linear":
+        return Linear(draw(_level), draw(_level))
+    if kind == "power":
+        return Power(draw(_level), draw(st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 4.0))))
+    n = draw(st.integers(2, 6))
+    nodes = np.cumsum([draw(st.floats(0.0, 5.0))] + [draw(st.floats(0.01, 20.0)) for _ in range(n - 1)])
+    return Tabulated(nodes, [draw(_level) for _ in range(n)])
+
+
+# m from 1.01: nearer 1 a linear weight peaks beyond the scanned range
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(spec=_coefficient(), m=st.floats(1.01, 4.0))
+def test_suprema_bracket_a_dense_scan(spec, m):
+    power = spec.p if isinstance(spec, Power) else 0.0
+    cases = (
+        (lambda s: dual_norm_beta(s, m), m, power > m and spec.c0 > 0.0),
+        (linear_growth_bound, 1.0, power > 1.0),
+    )
+    for bound, exponent, diverges in cases:
+        if diverges:
+            with pytest.raises(DivergentNormError):
+                bound(spec)
+            continue
+        got, scanned = bound(spec), _scan_sup(spec, exponent)
+        # the scan's own rounding may land an ulp above the exact value
+        assert scanned * (1.0 - 1e-15) <= got <= scanned * (1.0 + 1e-9)
 
 
 class TestModelDefinition:

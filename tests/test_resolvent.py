@@ -11,6 +11,7 @@ from gfrag.model import (
     ModelDefinition,
     PowerLaw,
     ShrinkingBinary,
+    Tabulated,
     TabulatedKernel,
     UniformBinary,
     boundary_weight_flux,
@@ -35,7 +36,7 @@ from gfrag.resolvent import (
     _resolvent_K_details,
     _resolvent_K_transpose,
 )
-from gfrag import resolvent
+from gfrag import cli, resolvent
 
 
 def transport_model(**kw):
@@ -691,6 +692,17 @@ class TestContextValidation:
     def test_strict_range_enforced(self):
         with pytest.raises(LambdaOutOfRangeError):
             ResolventContext(binary_model(), lam=4.0, n_cells=100)  # omega_r + beta_m > 4.6
+
+    def test_strict_floor_of_a_tabulated_growth_rate(self):
+        # r = 1 everywhere, tabulated from x = 1 on: the floor of Constant(1), 4.1
+        for r in (Constant(1.0), Tabulated([1.0, 2.0], [1.0, 1.0])):
+            with pytest.raises(LambdaOutOfRangeError):
+                ResolventContext(binary_model(r=r, beta=Constant(0.1)), lam=2.5, n_cells=100)
+
+    def test_cli_shift_sits_two_above_the_context_floor(self):
+        md = binary_model()
+        ctx = ResolventContext(md, lam=7.0, n_cells=100)
+        assert cli._default_shift(md) == ctx.omega_r + ctx.beta_m + 2.0
 
     def test_relaxed_range_allows_small_lambda(self):
         ctx = ResolventContext(binary_model(), lam=2.0, n_cells=100, strict=False)
