@@ -20,6 +20,7 @@ cross-check for general coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -260,34 +261,110 @@ def boundary_extension_psi(f: ForcingF, xi: float) -> float:
     return head - math.sqrt(r / a) * val
 
 
-def _psi_samples(f: ForcingF, xi: np.ndarray) -> np.ndarray:
-    """Vectorized extension values via the equivalent one-integral form.
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """8-point Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    nodes, weights = 0.5 * (gx + 1.0), 0.5 * gw
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _affine_scan(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Running solution of q_k = c_k q_{k-1} + p_k, q_{-1} = 0, along the
+    last axis, by recursive doubling: log2(n) vectorized passes, each
+    composing every map with the one 2^j places before it."""
+    c, q = c.copy(), p.copy()
+    step = 1
+    while step < q.shape[-1]:
+        q[..., step:] += c[..., step:] * q[..., :-step]
+        c[..., step:] = c[..., step:] * c[..., :-step]
+        step *= 2
+    return q
+
+
+def _psi_samples(f: ForcingF, xi) -> np.ndarray:
+    """Extension values at nonpositive offsets ``xi`` (any order, 0 allowed).
 
     Variation of constants gives, at xi = -r t,
 
         psi(-r t) = F(t) + int_0^t e^{a r (s^2 - t^2)/2}
-                    [ a^2 t^2 r^2 sinh(w (t-s))/w - 2 a t r cosh(w (t-s)) ]
-                    F(s) ds,          w = sqrt(ar),
+                    [ A sinh(w (t-s)) + B cosh(w (t-s)) ] F(s) ds,
+        A = a^2 t^2 r^2 / w,  B = -2 a t r,  w = sqrt(ar),
 
-    which needs no derivatives of F.  Agreement with
+    which needs no derivatives of F.  Equivalently psi(-r t) = Y''(t) for
+    the Y with Y(0) = Y'(0) = 0 and Y'' + 2 a r t Y' + (a r t)^2 Y = F.
+    F is the renewal part e^{-a r t^2/2} G(t), G = beta0 M0 + beta1 M1,
+    plus the cubic P(t) = -(2 a t + r a^2 t^3) M0(0) - a^2 t^2 M1(0), and the
+    response to P is exact: -M0(0) t/r - M1(0)/r^2 solves the equation with
+    P and has no second derivative, which leaves the homogeneous solution
+    e^{-a r t^2/2} Z with the opposite initial data,
+    Z = M1(0) cosh(w t)/r^2 + M0(0) sinh(w t)/(r w), so that
+
+        psi_P(-r t) = e^{-a r t^2/2} [ (a r t)^2 Z - 2 a r t Z' ].
+
+    Integrating P numerically instead would leave a value that decays
+    like e^{-a r t^2/2} as the difference of terms growing like t^4, and
+    lose every digit of psi at long horizons.
+
+    The renewal part goes through the integral.  Splitting sinh and cosh
+    into e^{+-w(t-s)}/2 leaves A (Qg - Qd)/2 + B (Qg + Qd)/2 with the
+    running integrals Q(t) = e^{-a r t^2/2} int_0^t e^{+-w (t-s)} G(s) ds.
+    Between consecutive sorted times each Q is multiplied by
+    e^{-a r (t_k^2 - t_{k-1}^2)/2 +- w h_k} and gains one 8-point
+    Gauss-Legendre panel integral, so a table costs O(n) work.  Every
+    carried factor is a value of e^{(t-s)(+-w - a r (t+s)/2)} <= e^{1/2},
+    so nothing overflows however long the horizon.  Agreement with
     :func:`boundary_extension_psi` is enforced by the test suite.
     """
-    p = f.params
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi > 0):
+        raise InvalidInputError("the extension lives on nonpositive offsets")
+    p, m = f.params, f.initial
     a, r = p.a, p.r
     t = -xi / r
     if a == 0.0:
         return np.asarray(f.value(t), dtype=float)
+    # sorted distinct times from 0; where[1:] maps each input to its node
+    nodes, where = np.unique(np.concatenate(([0.0], t.ravel())), return_inverse=True)
     w = math.sqrt(a * r)
-    # 64-point Gauss-Legendre on [0, t] for every sample at once
-    gx, gw = np.polynomial.legendre.leggauss(64)
-    s = 0.5 * t[:, None] * (gx[None, :] + 1.0)
-    half = 0.5 * t
-    tt = t[:, None]
-    kernel = np.exp(0.5 * a * r * (s**2 - tt**2)) * (
-        (a * tt) ** 2 * r**2 * np.sinh(w * (tt - s)) / w - 2 * a * tt * r * np.cosh(w * (tt - s))
-    )
-    vals = f.value(s)
-    return np.asarray(f.value(t), dtype=float) + half * np.sum(gw[None, :] * kernel * vals, axis=1)
+    # no panel wider than the integrand's shortest e-fold: sparse inputs
+    # get evenly spaced interior nodes, a 2048-point table none
+    rate = max(w, p.lambda_plus, -p.lambda_minus)
+    pieces = np.ceil(np.diff(nodes) * rate).astype(int)
+    if np.any(pieces > 1):
+        pieces = np.maximum(pieces, 1)
+        ends = np.cumsum(pieces)
+        step = np.repeat(np.diff(nodes) / pieces, pieces)
+        k = np.arange(ends[-1]) - np.repeat(ends - pieces, pieces)
+        nodes = np.append(np.repeat(nodes[:-1], pieces) + k * step, nodes[-1])
+        where = np.append(0, ends)[where]
+    art = a * r * nodes
+    gauss = np.exp(-0.5 * art * nodes)
+
+    gx, gw = _panel_rule()
+    t0, t1 = nodes[:-1, None], nodes[1:, None]
+    h = t1 - t0
+    s = t0 + h * gx
+    lag = np.exp(w * (t1 - s))
+    weighted = (h * gw) * f._weighted_moment(s)[0]
+    panels = gauss[1:] * np.stack((np.sum(lag * weighted, axis=1), np.sum(weighted / lag, axis=1)))
+    mean = 0.5 * a * r * (t0 + t1)[:, 0]
+    carry = np.exp(np.stack((h[:, 0] * (w - mean), -h[:, 0] * (w + mean))))
+    q_grow, q_decay = _affine_scan(carry, panels)
+
+    grow = np.exp(w * nodes - 0.5 * art * nodes)
+    decay = np.exp(-w * nodes - 0.5 * art * nodes)
+    z = 0.5 * (m.M1 / r**2 * (grow + decay) + m.M0 / (r * w) * (grow - decay))
+    dz = 0.5 * (m.M1 * w / r**2 * (grow - decay) + m.M0 / r * (grow + decay))
+    psi = gauss * f._weighted_moment(nodes)[0] + art * (art * z - 2.0 * dz)
+    art = art[1:]
+    psi[1:] += 0.5 * art**2 / w * (q_grow - q_decay) - art * (q_grow + q_decay)
+    return psi[where[1:]].reshape(xi.shape)
+
+
+# largest ratio of the summed term sizes to the solution that evaluate accepts
+MAX_CANCELLATION = 1e6
 
 
 class ClosedFormSolution:
@@ -296,8 +373,11 @@ class ClosedFormSolution:
     The datum may be a callable or a :class:`GridFunction`; it is resampled
     (with the value at zero prepended) and its suffix integrals are stored
     as cubic-spline antiderivatives.  The boundary extension is tabulated
-    once on a characteristic-offset grid together with its own running
-    integrals, so point evaluation costs O(1) quadrature-free work.
+    once on ``table_points`` characteristic offsets covering [0, t_max]
+    (one O(n) pass of :func:`_psi_samples`) and splined together with its
+    own running integrals, so point evaluation costs O(1) quadrature-free
+    work.  :meth:`evaluate` refuses times at which the formula's terms
+    cancel beyond MAX_CANCELLATION.
     """
 
     def __init__(
@@ -351,7 +431,15 @@ class ClosedFormSolution:
         return np.where(z > self.x_max, 0.0, out)
 
     def evaluate(self, x, t: float):
-        """Solution value u(x, t); vectorized over x."""
+        """Solution value u(x, t); vectorized over x.
+
+        Both branches multiply a bracket of several terms by
+        e^{a t (r t - 2 x)/2}; below the front the bracket must cancel to
+        about e^{-a r t^2/2}, so the terms can exceed the value by orders of
+        magnitude.  When the largest prefactor-scaled sum of absolute terms
+        exceeds the largest |u| by more than MAX_CANCELLATION, the digits
+        left are noise and a ConvergenceError is raised instead.
+        """
         if t < 0:
             raise InvalidInputError("time must be nonnegative")
         if t > self.t_max + 1e-12:
@@ -362,25 +450,37 @@ class ClosedFormSolution:
         xs = np.atleast_1d(x_arr)
         at = a * t
         xi0 = xs - r * t
-        pref = np.exp(0.5 * at * (r * t - 2.0 * xs))
 
         upper = xi0 >= 0.0
         zu = np.where(upper, xi0, 0.0)
-        bulk = self._datum(zu) + at * ((2.0 - at * zu) * self._suffix0(zu) + at * self._suffix1(zu))
+        head, tail0, tail1 = self._datum(zu), self._suffix0(zu), self._suffix1(zu)
+        bulk = head + at * ((2.0 - at * zu) * tail0 + at * tail1)
+        bulk_size = np.abs(head) + at * (np.abs((2.0 - at * zu) * tail0) + at * np.abs(tail1))
 
         zl = np.where(upper, 0.0, np.maximum(xi0, -r * t))
         m = self.initial
-        lower = (
-            at * (2.0 + a * r * t * t - at * xs) * m.M0
-            + at * at * m.M1
-            + self._psi(zl)
-            + at
-            * (
-                (2.0 - at * zl) * (self._psi_anti(0.0) - self._psi_anti(zl))
-                + at * (self._psi_x_anti(0.0) - self._psi_x_anti(zl))
-            )
+        mass = at * (2.0 + a * r * t * t - at * xs) * m.M0
+        ext = self._psi(zl)
+        ext0 = (2.0 - at * zl) * (self._psi_anti(0.0) - self._psi_anti(zl))
+        ext1 = at * (self._psi_x_anti(0.0) - self._psi_x_anti(zl))
+        lower = mass + at * at * m.M1 + ext + at * (ext0 + ext1)
+        lower_size = (
+            np.abs(mass) + at * at * m.M1 + np.abs(ext) + at * (np.abs(ext0) + np.abs(ext1))
         )
-        out = pref * np.where(upper, bulk, lower)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            pref = np.exp(0.5 * at * (r * t - 2.0 * xs))
+            out = pref * np.where(upper, bulk, lower)
+            worst = np.max(pref * np.where(upper, bulk_size, lower_size), initial=0.0)
+        if not np.isfinite(worst):
+            raise ConvergenceError(f"the closed form overflows at t = {t:g}; use a shorter horizon")
+        peak = np.max(np.abs(out), initial=0.0)
+        if worst > MAX_CANCELLATION * peak:
+            ratio = worst / peak if peak > 0 else math.inf
+            raise ConvergenceError(
+                f"the closed form at t = {t:g} cancels terms {ratio:.1e} times larger "
+                "than the solution; use a shorter horizon"
+            )
         return out if x_arr.ndim else float(out[0])
 
     def boundary_value(self, t: float) -> float:

@@ -179,6 +179,95 @@ class TestSolveClosedCommand:
         assert run(cfg) == 1
         assert "solve-closed needs" in capsys.readouterr().err
 
+    # r = 1.2, a = 1.5 x, beta = 0.5 + 0.5 x as a flux: at t = 6 the terms
+    # of the formula exceed the solution 1e12-fold, at t = 30 the
+    # prefactor e^{a r t^2/2} overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_end", ["6", "30"])
+    def test_cancelling_horizon_exits_2_without_csv(self, tmp_path, capsys, t_end):
+        doc = {k: v for k, v in BINARY_DOC.items() if k != "bc_convention"}
+        doc.update(r=1.2, a={"type": "linear", "c0": 0.0, "c1": 1.5})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["solve-closed", "--model", write_model(tmp_path, doc), "--out", str(out),
+                  "--t-end", t_end])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the closed form")
+        assert err.count("\n") == 1
+        assert list(out.glob("*.csv")) == []
+
+
+README_DOC = {**BINARY_DOC, "initial": {"type": "linear", "c0": 1.0, "c1": 2.5}}
+
+
+class TestReadmeModelFrozen:
+    """Outputs of the README model at the default 2000 cells and t_end = 2,
+    pinned to within 1e-11 of each column's max (moments.csv to the byte)."""
+
+    # (row, x, u, u_normalized) of snapshot.csv; row 15 holds the max of u
+    SNAPSHOT_ROWS = [
+        (0, 0.0074999999999999997, 243479.72969851876, 0.84401383359499826),
+        (15, 0.23249999999999998, 265103.96656146331, 0.91897348249825206),
+        (125, 1.8824999999999998, 19954.900556890479, 0.069172953900032863),
+        (250, 3.7574999999999998, 355.21497207875012, 0.0012313400820090942),
+        (375, 5.6324999999999994, 7.5376583223354174, 2.6129024805641807e-05),
+        (500, 7.5074999999999994, 0.15831100549309218, 5.4877947668148917e-07),
+        (750, 11.2575, 6.7307508561861729e-05, 2.333190873891901e-10),
+        (1000, 15.0075, 2.6855026433482779e-08, 9.3091995130289919e-14),
+        (1500, 22.5075, 3.0701013152078847e-15, 1.0642397146498134e-20),
+        (1999, 29.9925, 8.2320141888379861e-23, 2.8535984750486756e-28),
+    ]
+    SNAPSHOT_MAX = (29.9925, 265103.96656146331, 0.91897348249825206)
+    AEG_ROWS = [
+        (0.5, 52317.195350232258),
+        (1.0, 15119.531113697476),
+        (1.5, 4793.2587909770273),
+        (2.0, 1365.2675337924456),
+    ]
+    MOMENTS_CSV = (
+        b"t,M0,M1\r\n"
+        b"0,1154.4301406249999,22932.90708644531\r\n"
+        b"0.20000000000000001,8621.2437940807977,23893.260512933401\r\n"
+        b"0.40000000000000002,17420.09667332784,26469.893339463164\r\n"
+        b"0.60000000000000009,28249.091872503708,30996.197710685035\r\n"
+        b"0.80000000000000004,42008.50149923862,37964.274452019556\r\n"
+        b"1,59879.123010427895,48072.832973680299\r\n"
+        b"1.2000000000000002,83426.666892634006,62293.23168757149\r\n"
+        b"1.4000000000000001,114741.53355252428,81959.754985048014\r\n"
+        b"1.6000000000000001,156626.5657937096,108892.40100028113\r\n"
+        b"1.8,212849.72952367205,145563.38638167654\r\n"
+        b"2,288484.57591978967,195322.52533580383\r\n"
+    )
+
+    @staticmethod
+    def outputs(tmp_path, name):
+        path = write_model(tmp_path, README_DOC)
+        out = tmp_path / name
+        for command in ("solve-closed", "aeg"):
+            assert run(RunConfig(command, path, output_dir=str(out))) == 0
+        return out
+
+    def test_solve_closed_and_aeg_frozen(self, tmp_path):
+        out = self.outputs(tmp_path, "out")
+        _, rows, _ = read_csv(out / "snapshot.csv")
+        snap = np.array(rows)
+        assert snap.shape == (2000, 3)
+        frozen = np.array([row[1:] for row in self.SNAPSHOT_ROWS])
+        idx = [row[0] for row in self.SNAPSHOT_ROWS]
+        scale = np.array(self.SNAPSHOT_MAX)
+        assert np.all(np.abs(snap[idx] - frozen) <= 1e-11 * scale)
+        assert np.all(np.abs(np.abs(snap).max(axis=0) - scale) <= 1e-11 * scale)
+        _, aeg_rows, _ = read_csv(out / "aeg.csv")
+        aeg = np.array(aeg_rows)
+        assert np.all(np.abs(aeg - self.AEG_ROWS) <= 1e-11 * np.array([2.0, 52317.195350232258]))
+        assert (out / "moments.csv").read_bytes() == self.MOMENTS_CSV
+
+    def test_reruns_byte_identical(self, tmp_path):
+        first, second = self.outputs(tmp_path, "a"), self.outputs(tmp_path, "b")
+        for name in ("snapshot.csv", "moments.csv", "aeg.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
 
 class TestSolvePdeCommand:
     def test_writes_snapshot_and_moments(self, tmp_path):

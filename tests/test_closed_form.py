@@ -176,9 +176,13 @@ class TestBoundaryExtension:
         assert boundary_extension_psi(f, 0.0) == pytest.approx(f.value(0.0), abs=1e-14)
 
     def test_positive_offset_rejected(self):
+        from gfrag.closed_form import _psi_samples
+
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
         with pytest.raises(InvalidInputError):
             boundary_extension_psi(f, 0.2)
+        with pytest.raises(InvalidInputError):
+            _psi_samples(f, np.array([-1.0, 0.2]))
 
     def test_two_closed_resolutions_agree(self):
         # adaptive quadrature on the double-derivative formula versus the
@@ -189,6 +193,47 @@ class TestBoundaryExtension:
         xi = np.linspace(-3.5, -0.1, 35)
         direct = np.array([boundary_extension_psi(f, x) for x in xi])
         assert np.abs(direct - _psi_samples(f, xi)).max() < 1e-10
+
+    @pytest.mark.parametrize("t_max", [4.0, 12.0, 30.0])
+    @pytest.mark.parametrize(
+        "r, a, beta0, beta1",
+        [
+            (1.0, 1.0, 0.5, 0.5),
+            (1.2, 1.5, 0.5 / 1.2, 0.5 / 1.2),
+            (0.8, 0.4, 0.0, 0.9),
+            (0.8, 1e-3, 0.3, 0.2),
+            (2.0, 0.0, 0.5, 0.5),
+        ],
+    )
+    def test_full_table_matches_quadrature_oracle(self, r, a, beta0, beta1, t_max):
+        # the table ClosedFormSolution builds: 2048 offsets on [-r t_max, 0];
+        # at long horizons psi decays like e^{-a r t^2/2} while the forcing
+        # grows like t^3, so any cancellation of the cubic shows here
+        from gfrag.closed_form import _psi_samples
+
+        f = ForcingF(BinaryModelParams(r=r, a=a, beta0=beta0, beta1=beta1), REFERENCE_MOMENTS)
+        xi = np.linspace(-r * t_max, 0.0, 2048)
+        with np.errstate(over="raise"):
+            psi = _psi_samples(f, xi)
+        assert np.all(np.isfinite(psi))
+        idx = np.r_[0:2048:31, 2047]
+        direct = np.array([boundary_extension_psi(f, x) for x in xi[idx]])
+        assert np.abs(psi[idx] - direct).max() <= 1e-11 * np.abs(psi).max()
+
+    def test_table_input_order_and_repeats(self):
+        from gfrag.closed_form import _psi_samples
+
+        f = ForcingF(BinaryModelParams(r=1.2, a=1.5, beta0=0.4, beta1=0.4), REFERENCE_MOMENTS)
+        xi = np.linspace(-12.0, 0.0, 2048)
+        psi = _psi_samples(f, xi)
+        perm = np.random.default_rng(7).permutation(2048)
+        assert np.array_equal(_psi_samples(f, xi[perm]), psi[perm])
+        doubled = np.concatenate((xi[::-1], xi[:5]))
+        assert np.array_equal(_psi_samples(f, doubled), np.concatenate((psi[::-1], psi[:5])))
+        # a subset builds its own panels: same values to roundoff
+        sub = xi[[2047, 100, 1500, 7]]
+        assert np.abs(_psi_samples(f, sub) - psi[[2047, 100, 1500, 7]]).max() < 1e-13
+        assert _psi_samples(f, np.array([0.0, -0.0]))[1] == f.value(0.0)
 
     def test_volterra_collocation_oracle(self):
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
