@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -71,6 +70,7 @@ from .model import (
     midpoint_grid,
     model_from_config,
     quad_weights,
+    read_config,
     shift_floor,
     validate_assumptions,
 )
@@ -133,16 +133,7 @@ def emit_csv(path, header, rows) -> None:
 
 
 def _load(cfg: RunConfig) -> tuple[dict, ModelDefinition]:
-    path = Path(cfg.model_path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidModelError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    if not isinstance(doc, dict):
-        raise InvalidModelError(f"{path}: top-level config must be an object")
+    doc = read_config(Path(cfg.model_path))
     model = model_from_config(doc)
     if cfg.x_max is not None:
         model = replace(model, x_max=float(cfg.x_max))

@@ -38,7 +38,6 @@ from .model import (
     Linear,
     ModelDefinition,
     UniformBinary,
-    midpoint_grid,
 )
 
 __all__ = [
@@ -55,8 +54,6 @@ __all__ = [
     "tail_bound_check",
     "right_eigenfunction_cf",
     "left_eigenfunction_cf",
-    "right_eigenpair_cf",
-    "left_eigenpair_cf",
     "asymptotic_profile",
     "binary_params_from_model",
     "is_binary_model",
@@ -365,30 +362,29 @@ def _psi_samples(f: ForcingF, xi) -> np.ndarray:
 
 # largest ratio of the summed term sizes to the solution that evaluate accepts
 MAX_CANCELLATION = 1e6
+# a callable datum is sampled at _DATUM_SAMPLES points on [0, _DATUM_X_MAX];
+# the boundary extension is tabulated at _TABLE_POINTS offsets
+_DATUM_X_MAX = 50.0
+_DATUM_SAMPLES = 8000
+_TABLE_POINTS = 2048
 
 
 class ClosedFormSolution:
     """Prepared evaluator for the explicit two-branch solution formula.
 
-    The datum may be a callable or a :class:`GridFunction`; it is resampled
-    (with the value at zero prepended) and its suffix integrals are stored
-    as cubic-spline antiderivatives.  The boundary extension is tabulated
-    once on ``table_points`` characteristic offsets covering [0, t_max]
-    (one O(n) pass of :func:`_psi_samples`) and splined together with its
-    own running integrals, so point evaluation costs O(1) quadrature-free
-    work.  :meth:`evaluate` refuses times at which the formula's terms
-    cancel beyond MAX_CANCELLATION.
+    The datum may be a :class:`GridFunction`, taken on its own nodes with
+    the value at zero prepended, or a callable, sampled at _DATUM_SAMPLES =
+    8000 points on [0, _DATUM_X_MAX] = [0, 50].  The ``x_max`` attribute
+    is the last sample, beyond which the datum counts as zero.  Its suffix
+    integrals are stored as cubic-spline antiderivatives.  The boundary
+    extension is tabulated once on _TABLE_POINTS = 2048 characteristic
+    offsets covering [0, t_max] (one O(n) pass of :func:`_psi_samples`) and
+    splined together with its own running integrals, so point evaluation
+    costs O(1) quadrature-free work.  :meth:`evaluate` refuses times at
+    which the formula's terms cancel beyond MAX_CANCELLATION.
     """
 
-    def __init__(
-        self,
-        params: BinaryModelParams,
-        u0,
-        t_max: float = 4.0,
-        x_max: float = 50.0,
-        n_samples: int = 8000,
-        table_points: int = 2048,
-    ):
+    def __init__(self, params: BinaryModelParams, u0, t_max: float = 4.0):
         from scipy.interpolate import CubicSpline
 
         self.params = params
@@ -399,9 +395,9 @@ class ClosedFormSolution:
             y = np.concatenate(([float(u0(0.0))], np.asarray(u0(inner), dtype=float)))
             self.x_max = float(u0.nodes[-1])
         else:
-            x = np.linspace(0.0, x_max, n_samples)
+            x = np.linspace(0.0, _DATUM_X_MAX, _DATUM_SAMPLES)
             y = np.asarray(u0(x), dtype=float)
-            self.x_max = float(x_max)
+            self.x_max = _DATUM_X_MAX
         self._u0 = CubicSpline(x, y, extrapolate=False)
         self._u0_anti = self._u0.antiderivative()
         moment_spline = CubicSpline(x, x * y, extrapolate=False)
@@ -411,7 +407,7 @@ class ClosedFormSolution:
         self.initial = MomentState(self._total0, self._total1)
         self.forcing = ForcingF(params, self.initial)
 
-        xi = np.linspace(-params.r * self.t_max, 0.0, table_points)
+        xi = np.linspace(-params.r * self.t_max, 0.0, _TABLE_POINTS)
         psi = _psi_samples(self.forcing, xi)
         self._psi = CubicSpline(xi, psi)
         self._psi_anti = self._psi.antiderivative()
@@ -498,20 +494,22 @@ def evaluate_solution(params: BinaryModelParams, u0, x, t: float):
     return ClosedFormSolution(params, u0, t_max=max(float(t), 4.0)).evaluate(x, t)
 
 
-def tail_bound_check(
-    params: BinaryModelParams, u0, m: float, t: float, t_ref: float = 2.0
-) -> tuple[float, float]:
+# the time at which tail_bound_check calibrates its constant
+_TAIL_T_REF = 2.0
+
+
+def tail_bound_check(params: BinaryModelParams, u0, m: float, t: float) -> tuple[float, float]:
     """Weighted mass beyond the characteristic front versus its decay bound.
 
     measured = int_{rt}^inf (1+x^m) u(x,t) dx; bound = c t^{m+1}
-    e^{-a r t^2/2} ||u0||_m with the constant c calibrated once at t_ref
-    and held fixed.
+    e^{-a r t^2/2} ||u0||_m with the constant c calibrated once at
+    _TAIL_T_REF = 2 and held fixed.
     """
     if m <= 1:
         raise InvalidInputError("weight exponent must exceed 1")
     from scipy import integrate
 
-    sol = ClosedFormSolution(params, u0, t_max=max(t, t_ref, 4.0))
+    sol = ClosedFormSolution(params, u0, t_max=max(t, _TAIL_T_REF, 4.0))
 
     def front_mass(tt: float) -> float:
         # substitute x = r tt + s: smooth integrand on the datum's support
@@ -525,7 +523,7 @@ def tail_bound_check(
     if norm0 == 0.0:
         return 0.0, 0.0
     shape = lambda tt: tt ** (m + 1) * math.exp(-0.5 * params.a * params.r * tt * tt)
-    c = front_mass(t_ref) / (shape(t_ref) * norm0)
+    c = front_mass(_TAIL_T_REF) / (shape(_TAIL_T_REF) * norm0)
     return front_mass(t), c * shape(t) * norm0
 
 
@@ -571,30 +569,6 @@ def left_eigenfunction_cf(params: BinaryModelParams):
     return w
 
 
-def right_eigenpair_cf(
-    params: BinaryModelParams, nodes: np.ndarray | None = None
-) -> tuple[float, GridFunction]:
-    """Dominant eigenvalue with the unit-integral eigenfunction sampled on
-    a grid; see :func:`right_eigenfunction_cf` for the analytic form."""
-    if nodes is None:
-        nodes = midpoint_grid(50.0, 2000)
-    nodes = np.asarray(nodes, dtype=float)
-    v = right_eigenfunction_cf(params)
-    return params.lambda_plus, GridFunction(nodes, np.asarray(v(nodes)), 2.0)
-
-
-def left_eigenpair_cf(
-    params: BinaryModelParams, nodes: np.ndarray | None = None
-) -> tuple[float, GridFunction]:
-    """Dominant eigenvalue with the affine dual eigenfunction sampled on a
-    grid; see :func:`left_eigenfunction_cf` for the analytic form."""
-    if nodes is None:
-        nodes = midpoint_grid(50.0, 2000)
-    nodes = np.asarray(nodes, dtype=float)
-    w = left_eigenfunction_cf(params)
-    return params.lambda_plus, GridFunction(nodes, np.asarray(w(nodes)), 2.0)
-
-
 def asymptotic_profile(params: BinaryModelParams, u0: GridFunction) -> GridFunction:
     """Large-time profile <w, u0> * v on the datum's grid.
 
@@ -605,8 +579,8 @@ def asymptotic_profile(params: BinaryModelParams, u0: GridFunction) -> GridFunct
     m = moments_from_grid(u0)
     sigma = 1.0 / (params.lambda_plus - params.lambda_minus)
     coeff = sigma * (params.lambda_plus * m.M0 + params.alpha1 * m.M1)
-    _, v = right_eigenpair_cf(params, u0.nodes)
-    return GridFunction(u0.nodes, coeff * v.values, u0.m)
+    v = right_eigenfunction_cf(params)(u0.nodes)
+    return GridFunction(u0.nodes, coeff * v, u0.m)
 
 
 # ---------------------------------------------------------------------------

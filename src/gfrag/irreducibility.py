@@ -330,20 +330,23 @@ def compute_c_bar(s: SupportModel, z_samples, tol: float = 1e-12, cap: int = 10*
     return CbarResult(c_bar=c_bar, case=case, witnesses=witnesses)
 
 
-def decide_irreducibility(
-    s: SupportModel, result: CbarResult, zero_tol: float = 1e-9
-) -> IrreducibilityDecision:
+# a floor c_bar at or below this counts as zero
+_ZERO_TOL = 1e-9
+
+
+def decide_irreducibility(s: SupportModel, result: CbarResult) -> IrreducibilityDecision:
     """Decision: the renewal reach must beat the fragmentation floor.
 
     Irreducible when the renewal weight has unbounded support, or reaches
     beyond c_bar, or the floor c_bar vanishes; otherwise every failed
     condition is reported.  A floor approached geometrically stops at the
-    iteration tolerance rather than at zero, hence the zero tolerance.
+    iteration tolerance rather than at zero, so c_bar <= _ZERO_TOL = 1e-9
+    counts as zero.
     """
     c_bar = result.c_bar
     if math.isinf(s.beta_sup):
         return IrreducibilityDecision(True, ("renewal support is unbounded",))
-    if c_bar <= zero_tol:
+    if c_bar <= _ZERO_TOL:
         return IrreducibilityDecision(True, ("c_bar = 0: fragments reach arbitrarily small sizes",))
     if s.beta_sup > c_bar:
         return IrreducibilityDecision(

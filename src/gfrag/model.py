@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -71,6 +71,7 @@ __all__ = [
     "midpoint_grid",
     "model_from_config",
     "load_model",
+    "read_config",
     "coefficient_from_config",
     "kernel_from_config",
 ]
@@ -617,12 +618,15 @@ class _LazyIntegrate:
 integrate = _LazyIntegrate()
 
 
+# absolute tolerance of compute_RQ's adaptive quadrature
+_RQ_TOL = 1e-10
+
+
 class _CumulativeIntegral:
     """Adaptive cumulative antiderivative F(x) = int_0^x g, cached at visited knots."""
 
-    def __init__(self, integrand: Callable, tol: float):
+    def __init__(self, integrand: Callable):
         self._g = integrand
-        self._tol = tol
         self._knots = [0.0]
         self._vals = [0.0]
 
@@ -631,10 +635,11 @@ class _CumulativeIntegral:
         x0, f0 = self._knots[i], self._vals[i]
         if x == x0:
             return f0
-        inc, _ = integrate.quad(self._g, x0, x, epsabs=self._tol, epsrel=1e-12, limit=200)
+        inc, _ = integrate.quad(self._g, x0, x, epsabs=_RQ_TOL, epsrel=1e-12, limit=200)
         val = f0 + inc
-        bisect.insort(self._knots, x)
-        self._vals.insert(self._knots.index(x), val)
+        # knots[i] < x < knots[i + 1], so both lists take x at i + 1
+        self._knots.insert(i + 1, x)
+        self._vals.insert(i + 1, val)
         if len(self._knots) > 200000:
             del self._knots[1:-1:2], self._vals[1:-1:2]
         return val
@@ -651,19 +656,13 @@ class _CumulativeIntegral:
         return out
 
 
-def compute_RQ(model: ModelDefinition, tol: float = 1e-10) -> RQFunctions:
+def compute_RQ(model: ModelDefinition) -> RQFunctions:
     """Antiderivative pair for the transport part.
 
     Analytic closed forms are used whenever r and a are (equivalent to)
     affine functions; otherwise the integrals are evaluated by adaptive
-    quadrature accumulated along visited points.
-
-    Parameters
-    ----------
-    model : ModelDefinition
-        Supplies r and a; r must be strictly positive on (0, x_max].
-    tol : float
-        Absolute tolerance of the adaptive fallback.
+    quadrature to the absolute tolerance _RQ_TOL = 1e-10, accumulated
+    along visited points.  r must be strictly positive on (0, x_max].
     """
     r_spec, a_spec = model.r, model.a
     r_aff = _as_affine(r_spec)
@@ -677,7 +676,7 @@ def compute_RQ(model: ModelDefinition, tol: float = 1e-10) -> RQFunctions:
         else:
             R = lambda x: np.log1p(b1 * np.asarray(x, dtype=float) / b0) / b1
     else:
-        R = _CumulativeIntegral(lambda s: 1.0 / float(r_spec(s)), tol)
+        R = _CumulativeIntegral(lambda s: 1.0 / float(r_spec(s)))
 
     a_aff = _as_affine(a_spec)
     Q = None
@@ -705,7 +704,7 @@ def compute_RQ(model: ModelDefinition, tol: float = 1e-10) -> RQFunctions:
         ) / b0
         m_q = math.inf
     if Q is None:
-        Q = _CumulativeIntegral(lambda s: float(a_spec(s)) / float(r_spec(s)), tol)
+        Q = _CumulativeIntegral(lambda s: float(a_spec(s)) / float(r_spec(s)))
         if isinstance(a_spec, Tabulated) and a_spec.values[-1] == 0.0:
             m_q = float(Q(a_spec.nodes[-1]))
         else:
@@ -762,8 +761,6 @@ def shift_floor(model: ModelDefinition) -> tuple[float, float]:
 class AssumptionReport:
     """Empirical checks of the standing kernel/coefficient assumptions."""
 
-    m: float
-    y_horizon: float
     mass_conservation_max_rel: float
     conservative: bool
     b0_fitted: float
@@ -792,30 +789,32 @@ class AssumptionReport:
         ]
 
 
-def validate_assumptions(
-    model: ModelDefinition,
-    y_horizon: float = 1e4,
-    liminf_threshold: float = 1e-3,
-    mass_tol: float = 1e-9,
-) -> AssumptionReport:
+# validate_assumptions samples parent sizes up to _Y_HORIZON; a kernel is
+# conservative to _MASS_TOL, and the moment-defect liminf must exceed
+# _LIMINF_THRESHOLD
+_Y_HORIZON = 1e4
+_MASS_TOL = 1e-9
+_LIMINF_THRESHOLD = 1e-3
+
+
+def validate_assumptions(model: ModelDefinition) -> AssumptionReport:
     """Sample the kernel functionals and report which assumptions hold.
 
-    Checks, all empirical over a log-spaced sample of parent sizes:
-    conservation |n_1(y) - y| <= tol*y; the fitted daughter-count bound
-    n_0(y) <= b0*(1+y^l); the lower limit of N_m(y)/y^m over the top decade
-    of the horizon (must exceed ``liminf_threshold`` to pass); and the
-    fitted moment fraction c_m = sup n_m(y)/y^m (must stay below 1).
+    Checks, all empirical over 400 log-spaced parent sizes y in
+    [1, _Y_HORIZON] = [1, 1e4]: conservation |n_1(y) - y| <= _MASS_TOL*y
+    (1e-9); the fitted daughter-count bound n_0(y) <= b0*(1+y^l); the lower
+    limit of N_m(y)/y^m over the top decade (must exceed _LIMINF_THRESHOLD
+    = 1e-3 to pass); and the fitted moment fraction c_m = sup n_m(y)/y^m
+    (must stay below 1).
     """
-    if y_horizon <= 0:
-        raise InvalidInputError("y_horizon must be positive")
     kernel, m = model.kernel, model.m
-    y_all = np.geomspace(y_horizon * 1e-4, y_horizon, 400)
+    y_all = np.geomspace(_Y_HORIZON * 1e-4, _Y_HORIZON, 400)
     n1 = np.asarray(kernel_moment(kernel, 1.0, y_all))
     mass_rel = float(np.max(np.abs(n1 - y_all) / y_all))
-    conservative = mass_rel <= mass_tol
+    conservative = mass_rel <= _MASS_TOL
 
     n0 = np.asarray(kernel_moment(kernel, 0.0, y_all))
-    top = y_all >= y_horizon / 10.0
+    top = y_all >= _Y_HORIZON / 10.0
     # daughter-count growth exponent from a log-log fit over the top decade
     slope = np.polyfit(np.log(y_all[top]), np.log(np.maximum(n0[top], 1e-300)), 1)[0]
     l_fit = float(slope) if slope > 1e-6 else 0.0
@@ -828,15 +827,13 @@ def validate_assumptions(
     c_m_fit = float(np.max(ratio_moment))
 
     return AssumptionReport(
-        m=m,
-        y_horizon=y_horizon,
         mass_conservation_max_rel=mass_rel,
         conservative=conservative,
         b0_fitted=b0_fit,
         l_fitted=l_fit,
         n0_bound_ok=n0_ok,
         liminf_estimate=liminf_est,
-        liminf_pass=liminf_est > liminf_threshold,
+        liminf_pass=liminf_est > _LIMINF_THRESHOLD,
         c_m_fitted=c_m_fit,
         c_m_pass=c_m_fit < 1.0,
     )
@@ -930,8 +927,12 @@ def model_from_config(cfg: dict) -> ModelDefinition:
     )
 
 
-def load_model(path) -> ModelDefinition:
-    """Read a model definition from a UTF-8 JSON document."""
+def read_config(path) -> dict:
+    """Parse a UTF-8 JSON document whose top level is an object.
+
+    Malformed JSON and any other top level raise InvalidModelError naming
+    ``path``; a file that cannot be read raises OSError.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
@@ -939,4 +940,9 @@ def load_model(path) -> ModelDefinition:
             raise InvalidModelError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise InvalidModelError(f"{path}: top-level config must be an object")
-    return model_from_config(cfg)
+    return cfg
+
+
+def load_model(path) -> ModelDefinition:
+    """Read a model definition from a UTF-8 JSON document."""
+    return model_from_config(read_config(path))

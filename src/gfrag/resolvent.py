@@ -47,7 +47,6 @@ from .model import (
     GridFunction,
     ModelDefinition,
     PowerLaw,
-    RQFunctions,
     UniformBinary,
     boundary_weight_flux,
     compute_RQ,
@@ -86,7 +85,7 @@ class ResolventContext:
     lam : float
         Spectral parameter; must exceed ``omega_r + beta_m``.
     rq : RQFunctions
-        Antiderivatives of 1/r and a/r.
+        Antiderivatives of 1/r and a/r, from :func:`~gfrag.model.compute_RQ`.
     e_lambda : GridFunction
         Homogeneous boundary mode exp(-lam*R - Q)/r sampled on the grid.
     beta_pairing : float
@@ -118,7 +117,6 @@ class ResolventContext:
         model: ModelDefinition,
         lam: float,
         nodes: np.ndarray | None = None,
-        rq: RQFunctions | None = None,
         n_cells: int = 2000,
         strict: bool = True,
     ):
@@ -132,7 +130,7 @@ class ResolventContext:
 
         self.model = model
         self.lam = float(lam)
-        self.rq = compute_RQ(model) if rq is None else rq
+        self.rq = compute_RQ(model)
         self.nodes = nodes
 
         m = model.m
@@ -384,14 +382,20 @@ def apply_fragmentation_gain(model: ModelDefinition, u: GridFunction) -> GridFun
 # full-generator resolvent by Neumann series
 
 
-def _neumann_series(first, apply_R, apply_B, norm, tol, max_terms=200, burn_in=5):
+# the Neumann series gives up after _MAX_TERMS + 1 terms, and checks that
+# its terms shrink from term _BURN_IN on
+_MAX_TERMS = 200
+_BURN_IN = 5
+
+
+def _neumann_series(first, apply_R, apply_B, norm, tol):
     """Sum R (B R)^n applied to ``first`` over n >= 0, for the given R, B and norm.
 
     Stops once the last term and its gain image both have norm below tol;
     the norm of that gain image is the exact discrete defect at truncation.
     Returns (values, n_terms, defect).  Raises SeriesDivergenceError when a
     term after the burn-in is no smaller than the one before it and >= tol,
-    or when max_terms + 1 terms leave a defect >= tol.
+    or when _MAX_TERMS + 1 terms leave a defect >= tol.
     """
     if not tol > 0:
         raise InvalidInputError("series tolerance must be positive")
@@ -399,7 +403,7 @@ def _neumann_series(first, apply_R, apply_B, norm, tol, max_terms=200, burn_in=5
     total = term.copy()
     prev_norm = norm(term)
     n_terms = 1
-    for n in range(1, max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         image = apply_B(term)
         defect = norm(image)
         if prev_norm < tol and defect < tol:
@@ -407,7 +411,7 @@ def _neumann_series(first, apply_R, apply_B, norm, tol, max_terms=200, burn_in=5
         term = apply_R(image)
         total += term
         term_norm = norm(term)
-        if n >= burn_in and term_norm >= prev_norm and term_norm >= tol:
+        if n >= _BURN_IN and term_norm >= prev_norm and term_norm >= tol:
             raise SeriesDivergenceError(
                 f"resolvent series stopped contracting at term {n} "
                 f"(increment {term_norm:.3e} >= {prev_norm:.3e}); increase lambda"
@@ -417,7 +421,7 @@ def _neumann_series(first, apply_R, apply_B, norm, tol, max_terms=200, burn_in=5
     defect = norm(apply_B(term))
     if not defect < tol:
         raise SeriesDivergenceError(
-            f"resolvent series did not reach tol {tol:.1e} in {max_terms} terms "
+            f"resolvent series did not reach tol {tol:.1e} in {_MAX_TERMS} terms "
             f"(defect {defect:.3e}); increase lambda"
         )
     return total, n_terms, defect
@@ -453,9 +457,9 @@ def apply_resolvent_K(ctx: ResolventContext, f: GridFunction, tol: float = 1e-10
     Raises
     ------
     SeriesDivergenceError
-        When a term after the fifth is no smaller than the one before it
-        and >= tol, or when 201 terms (the cap) leave a defect >= tol; lam
-        is too small for the series.
+        When a term after the first _BURN_IN = 5 is no smaller than the
+        one before it and >= tol, or when _MAX_TERMS + 1 = 201 terms leave a
+        defect >= tol; lam is too small for the series.
     InvalidInputError
         When tol is not positive or f is not on the context grid.
     """

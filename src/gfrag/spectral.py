@@ -73,6 +73,8 @@ __all__ = [
 # second factors the generator this far above the resulting estimate of s0
 _ROUGH_TOL = 1e-3
 _SHIFT_OFFSET = 1e-3
+# sweeps each inverse iteration may take before it raises ConvergenceError
+_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -150,14 +152,15 @@ def _warn_if_negative(name: str, values: np.ndarray, tol: float) -> None:
         )
 
 
-def _inverse_iteration(apply, start, weight, norm, tol, max_iters):
+def _inverse_iteration(apply, start, weight, norm, tol):
     """Power iteration x <- apply(x) / <weight, apply(x)> from ``start``.
 
     Stops once ``norm`` of the change between sweeps falls below tol and
-    returns (x, mu), mu being the last normalizing pairing <weight, apply(x)>.
+    returns (x, mu), mu being the last normalizing pairing <weight, apply(x)>;
+    raises ConvergenceError after _MAX_ITERS sweeps.
     """
     x = start / float(np.sum(weight * start))
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         image = apply(x)
         mu = float(np.sum(weight * image))
         x_next = image / mu
@@ -165,7 +168,7 @@ def _inverse_iteration(apply, start, weight, norm, tol, max_iters):
         x = x_next
         if delta < tol:
             return x, mu
-    raise ConvergenceError(f"inverse iteration did not reach {tol} in {max_iters} sweeps")
+    raise ConvergenceError(f"inverse iteration did not reach {tol} in {_MAX_ITERS} sweeps")
 
 
 def perron_eigenpair(
@@ -174,7 +177,6 @@ def perron_eigenpair(
     tol: float = 1e-10,
     nodes: np.ndarray | None = None,
     n_cells: int = 2000,
-    max_iters: int = 200,
 ) -> Eigenpair:
     """Dominant eigentriple by inverse iteration on the resolvent.
 
@@ -186,8 +188,8 @@ def perron_eigenpair(
     The Neumann series then finish the pair from that warm start, normally
     in one sweep each way; the returned ``s0`` is the eigenvalue recovered
     from the series' Rayleigh quotient.  Each of these iterations stops
-    after ``max_iters`` sweeps with ConvergenceError; a singular factor
-    raises ConvergenceError too.
+    after ``_MAX_ITERS`` = 200 sweeps with ConvergenceError; a singular
+    factor raises ConvergenceError too.
     """
     if coefficient_is_zero(model.beta) and coefficient_is_zero(model.a):
         raise DegenerateModelError(
@@ -204,11 +206,11 @@ def perron_eigenpair(
     # warm start: inverse iteration on the factored generator, first at the
     # context shift to a rough estimate, then shifted just above it
     direct = DirectResolvent(ctx)
-    v, mu = _inverse_iteration(direct.solve, np.exp(-grid), wq, ctx.norm_m, _ROUGH_TOL, max_iters)
+    v, mu = _inverse_iteration(direct.solve, np.exp(-grid), wq, ctx.norm_m, _ROUGH_TOL)
     direct = DirectResolvent(ctx, lambda_shift - 1.0 / mu + _SHIFT_OFFSET)
-    v, _mu = _inverse_iteration(direct.solve, v, wq, ctx.norm_m, tol, max_iters)
+    v, _mu = _inverse_iteration(direct.solve, v, wq, ctx.norm_m, tol)
     w, _mu = _inverse_iteration(
-        direct.solve_transpose, np.ones_like(grid), wq * v, ctx.dual_norm, tol, max_iters
+        direct.solve_transpose, np.ones_like(grid), wq * v, ctx.dual_norm, tol
     )
     # LU round-off leaves ~1e-19 of either sign where the pair is ~1e-55
     v, w = np.maximum(v, 0.0), np.maximum(w, 0.0)
@@ -220,12 +222,12 @@ def perron_eigenpair(
         lambda x: apply_resolvent_K(
             ctx, GridFunction._on_grid(grid, x, model.m), tol=series_tol
         ).values,
-        v, wq, ctx.norm_m, tol, max_iters,
+        v, wq, ctx.norm_m, tol,
     )
     s0 = lambda_shift - 1.0 / mu
     w, _mu = _inverse_iteration(
         lambda x: _resolvent_K_transpose(ctx, x, series_tol),
-        w, wq * v, ctx.dual_norm, tol, max_iters,
+        w, wq * v, ctx.dual_norm, tol,
     )
 
     _warn_if_negative("right eigenfunction", v, tol)

@@ -16,12 +16,10 @@ from gfrag.closed_form import (
     is_binary_model,
     lambda_pm,
     left_eigenfunction_cf,
-    left_eigenpair_cf,
     moment_propagator,
     moments_from_grid,
     propagate_moments,
     right_eigenfunction_cf,
-    right_eigenpair_cf,
     tail_bound_check,
 )
 from gfrag.errors import (
@@ -455,11 +453,12 @@ class TestEigenpairs:
 
     def test_grid_sampling(self):
         nodes = midpoint_grid(30.0, 500)
-        s0, v = right_eigenpair_cf(reference_params(), nodes)
-        s0w, w = left_eigenpair_cf(reference_params(), nodes)
-        assert s0 == s0w == 1.5
-        assert v.nodes is nodes and v.values.min() >= 0.0
-        assert w(1.0) == pytest.approx(1.2, abs=1e-14)
+        p = reference_params()
+        v = right_eigenfunction_cf(p)(nodes)
+        w = left_eigenfunction_cf(p)(nodes)
+        assert p.lambda_plus == 1.5
+        assert v.shape == w.shape == nodes.shape and v.min() >= 0.0
+        assert left_eigenfunction_cf(p)(1.0) == pytest.approx(1.2, abs=1e-14)
 
     def test_requires_splitting(self):
         p = BinaryModelParams(r=1.0, a=0.0, beta0=1.0, beta1=0.0)
@@ -472,16 +471,16 @@ class TestAsymptoticProfile:
         nodes = midpoint_grid(50.0, 4000)
         u0 = GridFunction(nodes, reference_datum(nodes), 2.0)
         prof = asymptotic_profile(reference_params(), u0)
-        _, v = right_eigenpair_cf(reference_params(), nodes)
-        coeff = prof.values[200] / v.values[200]
+        v = right_eigenfunction_cf(reference_params())(nodes)
+        coeff = prof.values[200] / v[200]
         assert coeff == pytest.approx(1.2, rel=1e-4)
 
     def test_second_datum_same_coefficient(self):
         nodes = midpoint_grid(50.0, 4000)
         u0 = GridFunction(nodes, (2 * nodes**2 + 1) * np.exp(-2 * nodes), 2.0)
         prof = asymptotic_profile(reference_params(), u0)
-        _, v = right_eigenpair_cf(reference_params(), nodes)
-        coeff = prof.values[200] / v.values[200]
+        v = right_eigenfunction_cf(reference_params())(nodes)
+        coeff = prof.values[200] / v[200]
         assert coeff == pytest.approx(1.2, rel=1e-4)
 
     def test_moment_bracket_equals_quadrature_pairing(self):
@@ -497,7 +496,7 @@ class TestAsymptoticProfile:
     def test_eigenfunction_datum_reproduces_itself(self):
         p = reference_params()
         nodes = midpoint_grid(50.0, 8000)
-        _, v = right_eigenpair_cf(p, nodes)
+        v = GridFunction(nodes, right_eigenfunction_cf(p)(nodes), 2.0)
         prof = asymptotic_profile(p, v)
         assert np.abs(prof.values - v.values).max() < 1e-4 * np.abs(v.values).max()
 

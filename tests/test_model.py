@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfrag import model as model_module
 from gfrag.errors import DivergentNormError, InvalidInputError, InvalidModelError
 from gfrag.model import (
     Constant,
@@ -202,6 +203,43 @@ class TestRQ:
         rq = compute_RQ(md)
         xs = np.array([2.0, 0.5, 1.0, 3.0])
         np.testing.assert_allclose(rq.Q(xs), xs - np.log1p(xs), rtol=1e-9)
+
+    def test_knot_cache_across_interleaved_and_repeated_batches(self, monkeypatch):
+        # every new point integrates from the nearest visited knot below it,
+        # whatever order the batches arrive in; repeated points cost nothing
+        calls = []
+
+        class Recording:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def quad(self, g, x0, x, **kwargs):
+                out = self._inner.quad(g, x0, x, **kwargs)
+                calls.append((x0, x, out[0]))
+                return out
+
+        monkeypatch.setattr(model_module, "integrate", Recording(model_module.integrate))
+        R = compute_RQ(make_model(r=Tabulated([0.0, 4.0, 20.0], [1.0, 3.0, 0.5]))).R
+        grid = np.linspace(0.5, 18.0, 40)
+        between = 0.5 * (grid[1:] + grid[:-1])
+        batches = [grid, between[::-1], np.concatenate((grid[::3], between[::2], [25.0])), grid]
+        got = [R(b) for b in batches] + [R(float(between[7]))]
+
+        known = {0.0: 0.0}
+        steps = iter(calls)
+        for batch in batches + [np.array([between[7]])]:
+            for x in sorted(set(batch.tolist())):
+                if x not in known:
+                    x0, end, inc = next(steps)
+                    assert (x0, end) == (max(k for k in known if k < x), x)
+                    known[x] = known[x0] + inc
+        assert next(steps, None) is None
+        for batch, out in zip(batches, got):
+            assert np.array_equal(out, [known[x] for x in batch.tolist()])
+        assert got[-1] == known[float(between[7])]
+        assert R._knots == sorted(known)
+        assert all(a < b for a, b in zip(R._knots, R._knots[1:]))
+        assert R._vals == [known[k] for k in R._knots]
 
     def test_compact_loss_has_finite_exponent_limit(self):
         md = make_model(
@@ -422,3 +460,18 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(InvalidModelError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "text, start",
+        [('{"r": 1.0,\n', "line 2, column 1: "), ("[1.0, 2.0]", "top-level config must be an object")],
+    )
+    def test_library_and_cli_report_bad_documents_alike(self, tmp_path, capsys, text, start):
+        from gfrag.cli import RunConfig, run
+
+        path = tmp_path / "broken.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidModelError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: {start}")
+        assert run(RunConfig("validate", str(path), output_dir=str(tmp_path))) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"

@@ -9,6 +9,7 @@ from gfrag.closed_form import (
     BinaryModelParams,
     MomentState,
     evaluate_solution,
+    moments_from_grid,
     right_eigenfunction_cf,
 )
 from gfrag.errors import InvalidInputError, StepSizeError
@@ -74,7 +75,7 @@ def l1_norm(nodes, values):
 
 def single_step_states(model, cfg, fn, n_steps=4, safety=0.3):
     dt = safety * stable_step(model, cfg.x_max, cfg.n_cells)
-    state = SolverState(0.0, grid_datum(fn, cfg), MomentState(0.0, 0.0), ())
+    state = SolverState(0.0, grid_datum(fn, cfg), MomentState(0.0, 0.0))
     states = [state]
     for _ in range(n_steps):
         state = step(model, state, dt)
@@ -107,6 +108,16 @@ class TestSolverConfig:
         with pytest.raises(InvalidInputError):
             SolverConfig(x_max=10.0, n_cells=64, cfl=0.5, t_end=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name", ["t_end", "x_max"])
+    def test_non_finite_domain_or_horizon_rejected(self, name, value):
+        # accepted, these would reach solve's step count as inf or nan and
+        # fail there with a bare OverflowError or ValueError
+        settings = dict(x_max=10.0, n_cells=64, cfl=0.5, t_end=1.0)
+        settings[name] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            SolverConfig(**settings)
+
     def test_output_times_must_increase_within_horizon(self):
         with pytest.raises(InvalidInputError):
             SolverConfig(
@@ -120,13 +131,17 @@ class TestSolverConfig:
             SolverConfig(
                 x_max=10.0, n_cells=64, cfl=0.5, t_end=1.0, output_times=(2.0,)
             )
+        with pytest.raises(InvalidInputError):
+            SolverConfig(
+                x_max=10.0, n_cells=64, cfl=0.5, t_end=1.0, output_times=(0.5, math.nan)
+            )
 
 
 class TestStep:
     def test_nonpositive_dt_rejected(self):
         model = advection_model()
         cfg = SolverConfig(x_max=20.0, n_cells=64, cfl=0.5, t_end=1.0)
-        state = SolverState(0.0, grid_datum(bump, cfg), MomentState(0.0, 0.0), ())
+        state = SolverState(0.0, grid_datum(bump, cfg), MomentState(0.0, 0.0))
         with pytest.raises(InvalidInputError):
             step(model, state, 0.0)
 
@@ -134,7 +149,7 @@ class TestStep:
         model = reference_model()
         cfg = SolverConfig(x_max=15.0, n_cells=480, cfl=0.5, t_end=1.0)
         state = SolverState(
-            0.0, grid_datum(reference_datum, cfg), MomentState(0.0, 0.0), ()
+            0.0, grid_datum(reference_datum, cfg), MomentState(0.0, 0.0)
         )
         cap = stable_step(model, 15.0, 480)
         with pytest.raises(StepSizeError):
@@ -146,7 +161,7 @@ class TestStep:
         nodes = cfg.nodes
         u0 = bump(nodes)
         dt = 0.5 * stable_step(model, 20.0, 64)
-        state = SolverState(0.0, GridFunction(nodes, u0, 2.0), MomentState(0.0, 0.0), ())
+        state = SolverState(0.0, GridFunction(nodes, u0, 2.0), MomentState(0.0, 0.0))
         out = step(model, state, dt)
         dx = 20.0 / 64
         flux = np.concatenate(([0.0], u0))  # inflow 0, face speed 1
@@ -219,7 +234,7 @@ class TestClosedFormAgreement:
 
         def run(model, cfg):
             state = SolverState(
-                0.0, grid_datum(reference_datum, cfg), MomentState(0.0, 0.0), ()
+                0.0, grid_datum(reference_datum, cfg), MomentState(0.0, 0.0)
             )
             for _ in range(n_steps):
                 state = step(model, state, dt)
@@ -339,9 +354,12 @@ class TestMomentBalance:
         cfg = SolverConfig(
             x_max=15.0, n_cells=480, cfl=0.5, t_end=0.5, output_times=times
         )
-        states = solve(model, grid_datum(reference_datum, cfg), cfg)
-        assert [len(s.balance_residuals) for s in states] == list(range(1, 11))
-        assert all(abs(r) < 0.05 for r in states[-1].balance_residuals)
+        u0 = grid_datum(reference_datum, cfg)
+        states = solve(model, u0, cfg)
+        start = SolverState(0.0, u0, moments_from_grid(u0))
+        residuals = moment_balance_residual(model, [start] + states, 1.0)
+        assert len(residuals) == 10
+        assert all(abs(r) < 0.05 for r in residuals)
 
 
 class TestFluxConvention:

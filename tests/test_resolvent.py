@@ -129,12 +129,11 @@ class TestResolventZ0:
     def test_norm_bound_random(self):
         # ||R(lam,Z0) f||_m * (lam - omega_r) <= ||f||_m for 100 random (f, lam)
         md = transport_model(r=Linear(1.0, 0.5), a=Linear(0.0, 0.5), x_max=40.0)
-        rq = compute_RQ(md)
         nodes = midpoint_grid(md.x_max, 800)
         rng = np.random.default_rng(42)
         for _ in range(100):
             lam = md.m * 2.0 * 1.0 + 0.5 + 20.0 * rng.random()
-            ctx = ResolventContext(md, lam=lam, nodes=nodes, rq=rq)
+            ctx = ResolventContext(md, lam=lam, nodes=nodes)
             c = 0.1 + rng.random(3)
             s = 0.3 + 1.7 * rng.random()
             f = GridFunction(nodes, (c[0] + c[1] * nodes + c[2] * nodes**2) * np.exp(-s * nodes), md.m)

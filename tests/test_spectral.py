@@ -132,9 +132,10 @@ class TestPerronEigenpair:
         with pytest.raises(InvalidInputError):
             perron_eigenpair(reference_model(), 6.0, tol=tol, n_cells=200)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_ITERS", 2)
         with pytest.raises(ConvergenceError):
-            perron_eigenpair(reference_model(), 6.0, tol=1e-12, n_cells=200, max_iters=2)
+            perron_eigenpair(reference_model(), 6.0, tol=1e-12, n_cells=200)
 
     def test_clean_run_emits_no_warning(self):
         with warnings.catch_warnings():
@@ -188,7 +189,7 @@ class TestFactoredWarmStart:
         wq = quad_weights(ctx.nodes)
         _v, mu = _inverse_iteration(
             lambda x: apply_resolvent_K(ctx, GridFunction(ctx.nodes, x, 2.0), tol=tol).values,
-            np.exp(-ctx.nodes), wq, ctx.norm_m, tol, 500,
+            np.exp(-ctx.nodes), wq, ctx.norm_m, tol,
         )
         pair = perron_eigenpair(model, lam, tol=tol, n_cells=200)
         assert abs(pair.s0 - (lam - 1.0 / mu)) <= 1e-9
