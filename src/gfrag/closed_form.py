@@ -280,6 +280,104 @@ def _affine_scan(c: np.ndarray, p: np.ndarray) -> np.ndarray:
     return q
 
 
+class _PiecewisePoly:
+    """sum_k c[k, i] (z - x[i])^(deg - k) on [x[i], x[i+1]], scipy's ``PPoly``
+    layout; points outside [x[0], x[-1]] use the end pieces."""
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = x, c
+
+    def __call__(self, z):
+        return self.at(*self.locate(z))
+
+    def locate(self, z):
+        """Piece index of each point and its offset from the piece's left knot;
+        pieces on the same knots, such as an antiderivative, can share them."""
+        z = np.asarray(z, dtype=float)
+        i = np.clip(np.searchsorted(self.x, z, side="right") - 1, 0, self.x.size - 2)
+        return i, z - self.x[i]
+
+    def at(self, i, s):
+        """Value at offset s into piece i, by Horner's rule."""
+        out = self.c[0, i]
+        for ck in self.c[1:]:
+            out = out * s + ck[i]
+        return out
+
+    def antiderivative(self) -> "_PiecewisePoly":
+        """Running integral from x[0]."""
+        deg = self.c.shape[0]
+        c = np.zeros((deg + 1, self.x.size - 1))
+        c[:-1] = self.c / np.arange(deg, 0, -1)[:, None]
+        anti = _PiecewisePoly(self.x, c)
+        # while the constant terms are zero, each piece at its right end is
+        # its own integral
+        c[-1, 1:] = np.cumsum(anti.at(slice(None, -1), np.diff(self.x)[:-1]))
+        return anti
+
+
+def _thomas_pivots(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Pivots m_0 = diag_0, m_i = diag_i - sub_i sup_{i-1} / m_{i-1} of a
+    tridiagonal elimination without row exchanges, bitwise as a loop over
+    the rows would give them.
+
+    Each pass recomputes every pivot from the previous pass's pivot one row
+    up, starting from m = diag.  After k passes the first k pivots are
+    final, and the only vector a pass leaves unchanged is the sequential
+    one, so the passes stop there.  On the spline systems the recurrence
+    contracts: in an interior row an error in m_{i-1} reaches m_i scaled by
+    at most h_i / (12 h_{i-1}), h the panel widths, so the passes stop
+    after 15-16 on uniform grids and on grids with width ratios up to 10.
+    """
+    coupling = sub[1:] * sup[:-1]
+    m = diag
+    for _ in range(diag.size):
+        nxt = diag.copy()
+        nxt[1:] -= coupling / m[:-1]
+        if (nxt == m).all():
+            break
+        m = nxt
+    return m
+
+
+def _not_a_knot_splines(x: np.ndarray, ys: np.ndarray) -> list[_PiecewisePoly]:
+    """Cubic interpolants of each row of ``ys`` at the knots ``x``.
+
+    Knots, end conditions and coefficients are those of scipy's
+    ``CubicSpline(x, y)``: not-a-knot ends, a line through two knots and
+    a parabola through three.  For four or more knots the slopes solve
+    scipy's tridiagonal system; the pivots depend on the grid alone and
+    come from :func:`_thomas_pivots`, and forward elimination and back
+    substitution are two :func:`_affine_scan` passes over all rows at once.
+    """
+    h = np.diff(x)
+    slope = np.diff(ys) / h
+    if x.size == 2:
+        s = np.concatenate((slope, slope), axis=-1)
+    elif x.size == 3:
+        bend = (slope[:, 1:] - slope[:, :1]) / (x[2] - x[0])
+        s = np.concatenate((slope[:, :1] - bend * h[0], slope[:, :1] + bend * h[0],
+                            slope[:, 1:] + bend * h[1]), axis=-1)
+    else:
+        n = x.size
+        sub, diag, sup = np.zeros(n), np.empty(n), np.zeros(n)
+        sub[1:-1], diag[1:-1], sup[1:-1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+        rhs = np.empty_like(ys)
+        rhs[:, 1:-1] = 3.0 * (h[1:] * slope[:, :-1] + h[:-1] * slope[:, 1:])
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        diag[0], sup[0] = h[1], d0
+        rhs[:, 0] = ((h[0] + 2.0 * d0) * h[1] * slope[:, 0] + h[0] ** 2 * slope[:, 1]) / d0
+        sub[-1], diag[-1] = d1, h[-2]
+        rhs[:, -1] = (h[-1] ** 2 * slope[:, -2] + (2.0 * d1 + h[-1]) * h[-2] * slope[:, -1]) / d1
+        pivot = _thomas_pivots(sub, diag, sup)
+        forward = _affine_scan(-sub / pivot, rhs / pivot)
+        s = _affine_scan(-(sup / pivot)[::-1], forward[:, ::-1])[:, ::-1]
+    # Hermite form on each panel, as scipy's CubicHermiteSpline
+    t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / h
+    coeffs = np.stack((t / h, (slope - s[:, :-1]) / h - t, s[:, :-1], ys[:, :-1]), axis=1)
+    return [_PiecewisePoly(x, c) for c in coeffs]
+
+
 def _psi_samples(f: ForcingF, xi) -> np.ndarray:
     """Extension values at nonpositive offsets ``xi`` (any order, 0 allowed).
 
@@ -380,13 +478,18 @@ class ClosedFormSolution:
     extension is tabulated once on _TABLE_POINTS = 2048 characteristic
     offsets covering [0, t_max] (one O(n) pass of :func:`_psi_samples`) and
     splined together with its own running integrals, so point evaluation
-    costs O(1) quadrature-free work.  :meth:`evaluate` refuses times at
-    which the formula's terms cancel beyond MAX_CANCELLATION.
+    costs O(1) quadrature-free work.  The splines are the not-a-knot cubics
+    of scipy's ``CubicSpline``, built in numpy by
+    :func:`_not_a_knot_splines`: the datum and x times the datum share one
+    set of elimination pivots, the extension and xi times the extension
+    another, and values and antiderivatives are found by ``searchsorted``
+    and Horner's rule.  A non-finite datum sample raises InvalidInputError,
+    an extension table that overflows before t_max ConvergenceError, and
+    :meth:`evaluate` refuses times at which the formula's terms cancel
+    beyond MAX_CANCELLATION.
     """
 
     def __init__(self, params: BinaryModelParams, u0, t_max: float = 4.0):
-        from scipy.interpolate import CubicSpline
-
         self.params = params
         self.t_max = float(t_max)
         if isinstance(u0, GridFunction):
@@ -398,9 +501,10 @@ class ClosedFormSolution:
             x = np.linspace(0.0, _DATUM_X_MAX, _DATUM_SAMPLES)
             y = np.asarray(u0(x), dtype=float)
             self.x_max = _DATUM_X_MAX
-        self._u0 = CubicSpline(x, y, extrapolate=False)
+        if not np.all(np.isfinite(y)):
+            raise InvalidInputError("the initial datum must be finite")
+        self._u0, moment_spline = _not_a_knot_splines(x, np.stack((y, x * y)))
         self._u0_anti = self._u0.antiderivative()
-        moment_spline = CubicSpline(x, x * y, extrapolate=False)
         self._u0_x_anti = moment_spline.antiderivative()
         self._total0 = float(self._u0_anti(x[-1]))
         self._total1 = float(self._u0_x_anti(x[-1]))
@@ -408,23 +512,18 @@ class ClosedFormSolution:
         self.forcing = ForcingF(params, self.initial)
 
         xi = np.linspace(-params.r * self.t_max, 0.0, _TABLE_POINTS)
-        psi = _psi_samples(self.forcing, xi)
-        self._psi = CubicSpline(xi, psi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = _psi_samples(self.forcing, xi)
+        if not np.all(np.isfinite(psi)):
+            raise ConvergenceError(
+                f"the closed form's boundary extension overflows before t = {self.t_max:g}; "
+                "use a shorter horizon"
+            )
+        self._psi, psi_x = _not_a_knot_splines(xi, np.stack((psi, xi * psi)))
         self._psi_anti = self._psi.antiderivative()
-        self._psi_x_anti = CubicSpline(xi, xi * psi).antiderivative()
-
-    # suffix integrals of the datum: int_z^inf u0 and int_z^inf s u0(s) ds
-    def _suffix0(self, z):
-        z = np.clip(z, 0.0, self.x_max)
-        return self._total0 - self._u0_anti(z)
-
-    def _suffix1(self, z):
-        z = np.clip(z, 0.0, self.x_max)
-        return self._total1 - self._u0_x_anti(z)
-
-    def _datum(self, z):
-        out = self._u0(np.minimum(z, self.x_max))
-        return np.where(z > self.x_max, 0.0, out)
+        self._psi_x_anti = psi_x.antiderivative()
+        self._psi_total0 = float(self._psi_anti(0.0))
+        self._psi_total1 = float(self._psi_x_anti(0.0))
 
     def evaluate(self, x, t: float):
         """Solution value u(x, t); vectorized over x.
@@ -449,16 +548,22 @@ class ClosedFormSolution:
 
         upper = xi0 >= 0.0
         zu = np.where(upper, xi0, 0.0)
-        head, tail0, tail1 = self._datum(zu), self._suffix0(zu), self._suffix1(zu)
+        # the datum and its suffix integrals int_z^inf u0, int_z^inf s u0(s) ds
+        # vanish beyond x_max
+        cell = self._u0.locate(np.minimum(zu, self.x_max))
+        head = np.where(zu > self.x_max, 0.0, self._u0.at(*cell))
+        tail0 = self._total0 - self._u0_anti.at(*cell)
+        tail1 = self._total1 - self._u0_x_anti.at(*cell)
         bulk = head + at * ((2.0 - at * zu) * tail0 + at * tail1)
         bulk_size = np.abs(head) + at * (np.abs((2.0 - at * zu) * tail0) + at * np.abs(tail1))
 
         zl = np.where(upper, 0.0, np.maximum(xi0, -r * t))
         m = self.initial
         mass = at * (2.0 + a * r * t * t - at * xs) * m.M0
-        ext = self._psi(zl)
-        ext0 = (2.0 - at * zl) * (self._psi_anti(0.0) - self._psi_anti(zl))
-        ext1 = at * (self._psi_x_anti(0.0) - self._psi_x_anti(zl))
+        cell = self._psi.locate(zl)
+        ext = self._psi.at(*cell)
+        ext0 = (2.0 - at * zl) * (self._psi_total0 - self._psi_anti.at(*cell))
+        ext1 = at * (self._psi_total1 - self._psi_x_anti.at(*cell))
         lower = mass + at * at * m.M1 + ext + at * (ext0 + ext1)
         lower_size = (
             np.abs(mass) + at * at * m.M1 + np.abs(ext) + at * (np.abs(ext0) + np.abs(ext1))
@@ -518,7 +623,7 @@ def tail_bound_check(params: BinaryModelParams, u0, m: float, t: float) -> tuple
         return float(integrate.simpson(vals, x=s))
 
     s = np.linspace(0.0, sol.x_max, 4001)
-    u0_vals = sol._datum(s)
+    u0_vals = sol._u0(s)
     norm0 = float(integrate.simpson((1.0 + s**m) * np.abs(u0_vals), x=s))
     if norm0 == 0.0:
         return 0.0, 0.0

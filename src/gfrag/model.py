@@ -476,8 +476,11 @@ class GridFunction:
             raise InvalidInputError("grid needs at least two nodes")
         if nodes.shape != values.shape:
             raise InvalidInputError("nodes and values must have matching shape")
-        if np.any(np.diff(nodes) <= 0) or nodes[0] < 0:
-            raise InvalidInputError("grid nodes must be strictly increasing and nonnegative")
+        # comparisons with NaN are false, so NaN nodes fail here too
+        if not (np.all(np.diff(nodes) > 0) and 0 <= nodes[0] and math.isfinite(nodes[-1])):
+            raise InvalidInputError(
+                "grid nodes must be finite, strictly increasing and nonnegative"
+            )
         self.nodes = nodes
         self.values = values
 
@@ -538,8 +541,8 @@ def grid_eval(fn: Callable, nodes: np.ndarray) -> np.ndarray:
 
 def midpoint_grid(x_max: float, n_cells: int) -> np.ndarray:
     """Cell-midpoint nodes of a uniform mesh on (0, x_max]."""
-    if n_cells < 2 or x_max <= 0:
-        raise InvalidInputError("need x_max > 0 and at least two cells")
+    if n_cells < 2 or not (math.isfinite(x_max) and x_max > 0):
+        raise InvalidInputError("need a finite x_max > 0 and at least two cells")
     dx = x_max / n_cells
     return dx * (np.arange(n_cells) + 0.5)
 

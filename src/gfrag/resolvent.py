@@ -123,8 +123,10 @@ class ResolventContext:
         if nodes is None:
             nodes = midpoint_grid(model.x_max, n_cells)
         nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
-            raise InvalidInputError("context grid must be 1-D and strictly increasing")
+        if nodes.ndim != 1 or nodes.size < 2 or not (
+            np.all(np.diff(nodes) > 0) and np.isfinite(nodes[-1])
+        ):
+            raise InvalidInputError("context grid must be 1-D, finite and strictly increasing")
         if nodes[0] <= 0:
             raise InvalidInputError("context grid must start strictly inside the half-line")
 

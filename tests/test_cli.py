@@ -181,9 +181,10 @@ class TestSolveClosedCommand:
 
     # r = 1.2, a = 1.5 x, beta = 0.5 + 0.5 x as a flux: at t = 6 the terms
     # of the formula exceed the solution 1e12-fold, at t = 30 the
-    # prefactor e^{a r t^2/2} overflows
+    # prefactor e^{a r t^2/2} overflows, and at t = 1000 so do the moments
+    # in the boundary-extension table
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("t_end", ["6", "30"])
+    @pytest.mark.parametrize("t_end", ["6", "30", "1000"])
     def test_cancelling_horizon_exits_2_without_csv(self, tmp_path, capsys, t_end):
         doc = {k: v for k, v in BINARY_DOC.items() if k != "bc_convention"}
         doc.update(r=1.2, a={"type": "linear", "c0": 0.0, "c1": 1.5})

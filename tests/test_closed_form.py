@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 
 from gfrag.closed_form import (
     BinaryModelParams,
@@ -354,6 +355,97 @@ class TestSolutionFormula:
         coarse, fine = max_residual(4e-3), max_residual(2e-3)
         assert fine < 1e-3
         assert coarse / fine > 3.0
+
+
+def _cli_datum_knots():
+    # the knots ClosedFormSolution takes from a CLI datum: 0, then the 2000
+    # midpoints on [0, 30], so the first panel is half as wide as the rest
+    nodes = midpoint_grid(30.0, 2000)
+    return np.concatenate(([0.0], nodes)), 1.0 + 2.5 * np.concatenate(([0.0], nodes))
+
+
+def _random_knots(n, seed):
+    # adjacent panel widths differ by factors up to 10
+    rng = np.random.default_rng(seed)
+    widths = 10.0 ** rng.uniform(0.0, 1.0, n - 1)
+    return np.concatenate(([0.0], np.cumsum(widths))) - 3.0, rng.normal(size=n)
+
+
+class TestNotAKnotSplines:
+    """The numpy splines against scipy's CubicSpline, the oracle."""
+
+    @staticmethod
+    def assert_matches_cubic_spline(x, ys):
+        from gfrag.closed_form import _not_a_knot_splines
+
+        # the knots, the panel midpoints and points a tenth into each panel
+        z = np.concatenate((x, 0.5 * (x[:-1] + x[1:]), x[:-1] + 0.1 * np.diff(x)))
+        for y, spline in zip(ys, _not_a_knot_splines(x, ys)):
+            oracle = CubicSpline(x, y)
+            scale = np.abs(y).max()
+            assert np.abs(spline(z) - oracle(z)).max() <= 1e-13 * scale
+            # an antiderivative's unit is the value's times a length
+            anti = np.abs(spline.antiderivative()(z) - oracle.antiderivative()(z)).max()
+            assert anti <= 1e-13 * scale * (x[-1] - x[0])
+
+    def test_cli_datum_grid(self):
+        x, y = _cli_datum_knots()
+        self.assert_matches_cubic_spline(x, np.stack((y, x * y)))
+
+    def test_psi_table(self):
+        from gfrag.closed_form import _TABLE_POINTS, _psi_samples
+
+        f = ForcingF(reference_params(), REFERENCE_MOMENTS)
+        xi = np.linspace(-4.0, 0.0, _TABLE_POINTS)
+        psi = _psi_samples(f, xi)
+        self.assert_matches_cubic_spline(xi, np.stack((psi, xi * psi)))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 9, 40, 700])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_nonuniform_grids(self, n, seed):
+        x, y = _random_knots(n, seed)
+        self.assert_matches_cubic_spline(x, np.stack((y, np.sin(x))))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_and_three_knots_as_cubic_spline(self, n):
+        # CubicSpline's special cases: a line through two knots, one
+        # parabola through three
+        from gfrag.closed_form import _not_a_knot_splines
+
+        x, y = _random_knots(n, 3)
+        self.assert_matches_cubic_spline(x, y[None])
+        cubic = _not_a_knot_splines(x, y[None])[0].c[0]
+        assert np.abs(cubic).max() <= 1e-13 * np.abs(y).max()
+
+    @pytest.mark.parametrize("nodes", [[0.5, 1.5], [0.0, 1.5]], ids=["3-knots", "2-knots"])
+    def test_two_node_datum(self, nodes):
+        # 0 is prepended to a datum whose first node is positive
+        u0 = GridFunction(np.array(nodes), np.array([2.0, 0.5]), 2.0)
+        sol = ClosedFormSolution(reference_params(), u0)
+        x = np.unique(np.concatenate(([0.0], u0.nodes)))
+        y = u0(x)
+        z = np.linspace(0.0, 1.5, 31)
+        assert np.abs(sol._u0(z) - CubicSpline(x, y)(z)).max() <= 1e-13 * 2.0
+        assert sol.initial.M0 == pytest.approx(CubicSpline(x, y).integrate(0.0, 1.5), rel=1e-13)
+
+    def test_pivots_are_those_of_the_sequential_elimination(self):
+        from gfrag.closed_form import _thomas_pivots
+
+        x, _ = _random_knots(300, 11)
+        h = np.diff(x)
+        sub, diag, sup = np.zeros(300), 2.0 * np.r_[h[0], h[:-1] + h[1:], h[-1]], np.zeros(300)
+        sub[1:], sup[:-1] = h, h
+        expected = diag.copy()
+        for i in range(1, 300):
+            expected[i] = diag[i] - sub[i] * sup[i - 1] / expected[i - 1]
+        np.testing.assert_array_equal(_thomas_pivots(sub, diag, sup), expected)
+
+    def test_non_finite_datum_rejected(self):
+        nodes = midpoint_grid(10.0, 50)
+        values = np.exp(-nodes)
+        values[7] = np.nan
+        with pytest.raises(InvalidInputError):
+            ClosedFormSolution(reference_params(), GridFunction(nodes, values, 2.0))
 
 
 class TestTailBound:

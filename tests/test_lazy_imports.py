@@ -110,3 +110,22 @@ def test_eigen_loads_no_scipy_optimize(tmp_path):
     proc = _fresh_python("-c", probe, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("command", ["solve-closed", "aeg"])
+def test_closed_form_commands_load_no_scipy(tmp_path, command):
+    # the closed-form splines are numpy-only
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(README_MODEL), encoding="utf-8")
+    probe = (
+        "import sys\n"
+        "from gfrag.cli import main\n"
+        "try:\n"
+        f"    main([{command!r}, '--model', {str(path)!r}, '--out', {str(tmp_path)!r}])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = _fresh_python("-c", probe, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -171,6 +171,20 @@ class TestGridsAndNorms:
         with pytest.raises(InvalidInputError):
             GridFunction([1.0, 0.5], [1.0, 1.0], 2.0)
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [[np.nan] * 3, [0.5, np.nan, 2.0], [0.5, 1.0, np.inf], [-np.inf, 0.5, 1.0]],
+        ids=["all-nan", "nan-inside", "inf-last", "minus-inf-first"],
+    )
+    def test_non_finite_nodes_rejected(self, nodes):
+        with pytest.raises(InvalidInputError):
+            GridFunction(nodes, np.ones(3), 2.0)
+
+    @pytest.mark.parametrize("x_max", [np.inf, np.nan, -np.inf])
+    def test_midpoint_grid_rejects_non_finite_x_max(self, x_max):
+        with pytest.raises(InvalidInputError):
+            midpoint_grid(x_max, 4)
+
 
 class TestRQ:
     def test_affine_closed_form(self):

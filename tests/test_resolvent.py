@@ -185,6 +185,15 @@ class TestGridCheck:
         with pytest.raises(InvalidInputError):
             GridFunction(np.array(nodes), np.ones(3), 2.0)
 
+    @pytest.mark.parametrize(
+        "nodes", [[np.nan] * 3, [0.5, np.nan, 2.0], [0.5, 1.0, np.inf]],
+        ids=["all-nan", "nan-inside", "inf-last"],
+    )
+    def test_context_rejects_non_finite_nodes(self, nodes):
+        # an all-NaN grid used to surface as a LambdaOutOfRangeError
+        with pytest.raises(InvalidInputError):
+            ResolventContext(binary_model(), lam=7.0, nodes=np.array(nodes))
+
 
 class TestELambdaOperator:
     def test_zero_beta(self):
