@@ -71,10 +71,9 @@ from .model import (
     model_from_config,
     quad_weights,
     read_config,
-    shift_floor,
     validate_assumptions,
 )
-from .pde import SolverConfig, solve
+from .pde import solve
 from .spectral import aeg_diagnostics, closed_form_eigenpair, perron_eigenpair
 
 __all__ = ["RunConfig", "emit_csv", "main", "run"]
@@ -155,10 +154,6 @@ def _snapshot_rows(nodes: np.ndarray, values: np.ndarray):
     return [(x, u, u * scale) for x, u in zip(nodes, values)]
 
 
-def _default_shift(model: ModelDefinition) -> float:
-    return sum(shift_floor(model)) + 2.0
-
-
 def _cmd_validate(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
     report = validate_assumptions(model)
     for line in report.lines():
@@ -196,10 +191,7 @@ def _cmd_solve_pde(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path)
     nodes = midpoint_grid(model.x_max, cfg.n_cells)
     u0 = _initial_datum(doc, nodes)
     times = tuple(float(t) for t in np.linspace(0.0, cfg.t_end, 11)[1:])
-    solver = SolverConfig(
-        x_max=model.x_max, n_cells=cfg.n_cells, cfl=0.5, t_end=cfg.t_end, output_times=times
-    )
-    states = solve(model, u0, solver)
+    states = solve(model, u0, times)
     final = states[-1]
     emit_csv(
         out / "snapshot.csv", ("x", "u", "u_normalized"), _snapshot_rows(nodes, final.u.values)
@@ -213,13 +205,12 @@ def _cmd_solve_pde(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path)
 
 
 def _cmd_eigen(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
-    nodes = midpoint_grid(model.x_max, cfg.n_cells)
     tol = 1e-10 if cfg.tol is None else cfg.tol
-    pair = perron_eigenpair(model, _default_shift(model), tol=tol, nodes=nodes)
+    pair = perron_eigenpair(model, cfg.n_cells, tol)
     emit_csv(
         out / "eigen.csv",
         ("x", "v", "w"),
-        zip(nodes, pair.v.values, pair.w.values),
+        zip(pair.v.nodes, pair.v.values, pair.w.values),
     )
     print(f"s0 = {_fmt(pair.s0)}")
     print(f"residual = {_fmt(pair.residual)}")
@@ -246,7 +237,7 @@ def _cmd_aeg(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> in
         pair = closed_form_eigenpair(model, nodes)
     else:
         tol = 1e-10 if cfg.tol is None else cfg.tol
-        pair = perron_eigenpair(model, _default_shift(model), tol=tol, nodes=nodes)
+        pair = perron_eigenpair(model, cfg.n_cells, tol)
     times = tuple(float(t) for t in np.linspace(cfg.t_end / 4.0, cfg.t_end, 4))
     report = aeg_diagnostics(model, pair, u0, times)
     emit_csv(out / "aeg.csv", ("t", "deviation"), zip(report.times, report.deviations))

@@ -88,6 +88,8 @@ class EnvelopeSegment:
     def __post_init__(self):
         if not (0.0 <= self.left < self.right < math.inf):
             raise InvalidModelError("segment needs 0 <= left < right < inf")
+        if not (math.isfinite(self.value_left) and math.isfinite(self.value_right)):
+            raise InvalidModelError("envelope values must be finite")
         if self.value_left < 0.0 or self.value_right < 0.0:
             raise InvalidModelError("envelope values must be nonnegative")
         # the envelope must sit strictly below the identity inside the
@@ -115,6 +117,8 @@ class TailRule:
     def __post_init__(self):
         if self.kind not in TAIL_KINDS:
             raise InvalidModelError(f"unknown tail kind {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise InvalidModelError("tail value must be finite")
         if self.kind == "constant_floor" and self.value < 0.0:
             raise InvalidModelError("constant floor must be nonnegative")
         if self.kind == "equals_y_beyond" and self.value <= 0.0:

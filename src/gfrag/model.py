@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -51,7 +52,6 @@ __all__ = [
     "AssumptionReport",
     "compute_RQ",
     "xm_norm",
-    "l1_norm",
     "dual_norm_beta",
     "kernel_moment",
     "kernel_defect",
@@ -306,14 +306,20 @@ class InverseEpsilon:
 class ShrinkingBinary:
     """Two daughter atoms at eps(y)*y and (1-eps(y))*y.
 
-    ``eps`` is either a constant in (0, 1/2] or an :class:`InverseEpsilon`.
+    ``eps`` is either a real constant in (0, 1/2], stored as a float, or an
+    :class:`InverseEpsilon`.
     """
 
     eps: Union[float, InverseEpsilon] = 0.25
 
     def __post_init__(self):
-        if isinstance(self.eps, float) and not 0.0 < self.eps <= 0.5:
+        if isinstance(self.eps, InverseEpsilon):
+            return
+        if isinstance(self.eps, bool) or not isinstance(self.eps, numbers.Real):
+            raise InvalidModelError(f"split fraction must be a number, got {self.eps!r}")
+        if not 0.0 < self.eps <= 0.5:
             raise InvalidModelError("constant split fraction must lie in (0, 1/2]")
+        object.__setattr__(self, "eps", float(self.eps))
 
     def eps_at(self, y):
         if isinstance(self.eps, InverseEpsilon):
@@ -522,11 +528,6 @@ def xm_norm(f: GridFunction, m: float | None = None) -> float:
     mm = f.m if m is None else m
     w = quad_weights(f.nodes)
     return float(np.sum(w * (1.0 + np.power(f.nodes, mm)) * np.abs(f.values)))
-
-
-def l1_norm(f: GridFunction) -> float:
-    """Plain integral of |f| over the grid."""
-    return float(np.sum(quad_weights(f.nodes) * np.abs(f.values)))
 
 
 def pairing(g, f: GridFunction) -> float:

@@ -1,7 +1,10 @@
 """Time-domain solver for growth-fragmentation with renewal inflow.
 
 First-order conservative upwind transport plus explicit Euler for the
-splitting terms.  Growth is strictly positive, so x = 0 is an inflow
+splitting terms.  The model fixes the grid: a datum with n values lives on
+``midpoint_grid(model.x_max, n)``, and a run ends at its last output time,
+so :func:`solve` takes only the model, the datum, the output times and a
+stability margin.  Growth is strictly positive, so x = 0 is an inflow
 boundary; the inflow flux is the renewal pairing r(0) u(0,t) = <beta, u>
 in the flux convention, lagged one step to keep the update linear and
 explicit.  The fragmentation gain is the shared quadrature operator of
@@ -35,49 +38,12 @@ from .model import (
 from .resolvent import fragmentation_gain_matrix
 
 __all__ = [
-    "SolverConfig",
     "SolverState",
     "stable_step",
     "step",
     "solve",
     "moment_balance_residual",
 ]
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Grid, time horizon and stability margin for a solver run.
-
-    ``x_max`` and ``t_end`` must be finite and positive, ``cfl`` in (0, 1],
-    and output times nonnegative, increasing and at most ``t_end``; anything
-    else raises InvalidInputError.
-    """
-
-    x_max: float
-    n_cells: int
-    cfl: float
-    t_end: float
-    output_times: tuple = ()
-
-    def __post_init__(self):
-        if self.n_cells < 16:
-            raise InvalidInputError("need at least 16 cells")
-        if not 0.0 < self.cfl <= 1.0:
-            raise InvalidInputError("cfl must lie in (0, 1]")
-        if not all(math.isfinite(v) and v > 0 for v in (self.x_max, self.t_end)):
-            raise InvalidInputError("domain and horizon must be finite and positive")
-        times = tuple(float(t) for t in self.output_times)
-        if not all(t >= 0 for t in times) or any(
-            t2 <= t1 for t1, t2 in zip(times, times[1:])
-        ):
-            raise InvalidInputError("output times must be nonnegative and increasing")
-        if times and times[-1] > self.t_end + 1e-12:
-            raise InvalidInputError("output times must not exceed t_end")
-        object.__setattr__(self, "output_times", times)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return midpoint_grid(self.x_max, self.n_cells)
 
 
 @dataclass(frozen=True)
@@ -91,23 +57,38 @@ class SolverState:
     moments: MomentState
 
 
-def _face_speeds(model: ModelDefinition, x_max: float, n_cells: int) -> np.ndarray:
-    faces = np.linspace(0.0, x_max, n_cells + 1)
-    return np.asarray(grid_eval(model.r, faces), dtype=float)
-
-
 def _renewal_weights(model: ModelDefinition, nodes: np.ndarray) -> np.ndarray:
     beta_flux = boundary_weight_flux(model)
     return quad_weights(nodes) * np.asarray(grid_eval(beta_flux, nodes), dtype=float)
 
 
-def stable_step(model: ModelDefinition, x_max: float, n_cells: int) -> float:
+def _transport(model: ModelDefinition, n_cells: int):
+    """Grid, cell width, face speeds, node splitting rates and monotone step
+    bound (cfl = 1) of the scheme on ``n_cells`` cells of the model's domain."""
+    if n_cells < 16:
+        raise InvalidInputError("need at least 16 cells")
+    nodes = midpoint_grid(model.x_max, n_cells)
+    dx = model.x_max / n_cells
+    r_faces = grid_eval(model.r, np.linspace(0.0, model.x_max, n_cells + 1))
+    a_mid = grid_eval(model.a, nodes)
+    bound = 1.0 / (float(r_faces.max()) / dx + float(a_mid.max()))
+    return nodes, dx, r_faces, a_mid, bound
+
+
+def _scheme(model: ModelDefinition, u: GridFunction):
+    """Grid, step bound and the operator arguments of ``advance_upwind``
+    (dx, r_faces, a_mid, gain, beta_w) for a datum on the midpoint grid of
+    the model's domain."""
+    nodes, dx, r_faces, a_mid, bound = _transport(model, u.nodes.size)
+    if not np.allclose(u.nodes, nodes):
+        raise InvalidInputError("datum must live on the midpoint grid of the model's domain")
+    gain = fragmentation_gain_matrix(model, nodes)
+    return nodes, bound, (dx, r_faces, a_mid, gain, _renewal_weights(model, nodes))
+
+
+def stable_step(model: ModelDefinition, n_cells: int) -> float:
     """Largest dt keeping the explicit update monotone (cfl = 1)."""
-    nodes = midpoint_grid(x_max, n_cells)
-    dx = x_max / n_cells
-    r_faces = _face_speeds(model, x_max, n_cells)
-    a_mid = np.asarray(grid_eval(model.a, nodes), dtype=float)
-    return 1.0 / (float(r_faces.max()) / dx + float(a_mid.max()))
+    return _transport(model, n_cells)[-1]
 
 
 def _moments_of(nodes: np.ndarray, values: np.ndarray) -> MomentState:
@@ -115,30 +96,14 @@ def _moments_of(nodes: np.ndarray, values: np.ndarray) -> MomentState:
     return MomentState(float(np.sum(w * values)), float(np.sum(w * nodes * values)))
 
 
-def _grid_geometry(nodes: np.ndarray) -> tuple[float, float]:
-    widths = np.diff(nodes)
-    dx = float(widths[0]) if widths.size else 2.0 * float(nodes[0])
-    if widths.size and not np.allclose(widths, dx, rtol=1e-9, atol=0.0):
-        raise InvalidInputError("solver requires a uniform cell grid")
-    x_max = float(nodes[-1]) + 0.5 * dx
-    return dx, x_max
-
-
 def step(model: ModelDefinition, state: SolverState, dt: float) -> SolverState:
     """Advance one explicit step of size dt."""
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
-    nodes = state.u.nodes
-    dx, x_max = _grid_geometry(nodes)
-    n = nodes.size
-    limit = stable_step(model, x_max, n)
+    nodes, limit, operators = _scheme(model, state.u)
     if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(f"dt={dt:g} exceeds the monotone bound {limit:g}")
-    r_faces = _face_speeds(model, x_max, n)
-    a_mid = np.asarray(grid_eval(model.a, nodes), dtype=float)
-    gain = fragmentation_gain_matrix(model, nodes)
-    beta_w = _renewal_weights(model, nodes)
-    new_vals = advance_upwind(state.u.values, 1, dt, dx, r_faces, a_mid, gain, beta_w)
+    new_vals = advance_upwind(state.u.values, 1, dt, *operators)
     return SolverState(
         t=state.t + dt,
         u=state.u.with_values(new_vals),
@@ -146,27 +111,31 @@ def step(model: ModelDefinition, state: SolverState, dt: float) -> SolverState:
     )
 
 
-def solve(model: ModelDefinition, u0: GridFunction, cfg: SolverConfig) -> list[SolverState]:
+def solve(
+    model: ModelDefinition, u0: GridFunction, output_times, cfl: float = 0.5
+) -> list[SolverState]:
     """March to each output time; fused steps between outputs.
 
-    Returns one state per output time (``t_end`` alone when none are
-    given), each interval split into the fewest equal steps of at most
-    ``cfl`` times :func:`stable_step`.  :func:`moment_balance_residual`
-    of the initial state followed by these states gives the balance
-    residual of each output interval (the states already start with it
-    when the first output time is 0).
+    Returns one state per output time, each interval split into the fewest
+    equal steps of at most ``cfl`` times :func:`stable_step`; the run ends
+    at the last output time.  :func:`moment_balance_residual` of the
+    initial state followed by these states gives the balance residual of
+    each output interval (the states already start with it when the first
+    output time is 0).
     """
-    nodes = cfg.nodes
-    if u0.nodes.shape != nodes.shape or not np.allclose(u0.nodes, nodes):
-        raise InvalidInputError("initial datum must live on the solver grid")
-    targets = cfg.output_times if cfg.output_times else (cfg.t_end,)
-
-    dx = cfg.x_max / cfg.n_cells
-    r_faces = _face_speeds(model, cfg.x_max, cfg.n_cells)
-    a_mid = np.asarray(grid_eval(model.a, nodes), dtype=float)
-    gain = fragmentation_gain_matrix(model, nodes)
-    beta_w = _renewal_weights(model, nodes)
-    dt_cap = cfg.cfl * stable_step(model, cfg.x_max, cfg.n_cells)
+    if not 0.0 < cfl <= 1.0:
+        raise InvalidInputError("cfl must lie in (0, 1]")
+    targets = tuple(float(t) for t in output_times)
+    if (
+        not targets
+        or not all(math.isfinite(t) and t >= 0 for t in targets)
+        or any(t2 <= t1 for t1, t2 in zip(targets, targets[1:]))
+    ):
+        raise InvalidInputError(
+            "output times must be nonempty, finite, nonnegative and increasing"
+        )
+    nodes, bound, operators = _scheme(model, u0)
+    dt_cap = cfl * bound
 
     states: list[SolverState] = []
     vals = np.asarray(u0.values, dtype=float).copy()
@@ -178,7 +147,7 @@ def solve(model: ModelDefinition, u0: GridFunction, cfg: SolverConfig) -> list[S
         span = t_out - t
         n_steps = max(1, int(np.ceil(span / dt_cap - 1e-12)))
         dt = span / n_steps
-        vals = advance_upwind(vals, n_steps, dt, dx, r_faces, a_mid, gain, beta_w)
+        vals = advance_upwind(vals, n_steps, dt, *operators)
         t = t_out
         states.append(SolverState(t, u0.with_values(vals), _moments_of(nodes, vals)))
     return states

@@ -10,10 +10,11 @@ measured in the dual X_m norm max |z|/(1 + x^m), where the adjoint
 resolvent contracts.
 
 The sweeps run first on the sparse LU factor of the discrete generator
-(:class:`~gfrag.resolvent.DirectResolvent`): at the user's shift until the
-estimate of s0 settles, then refactored just above that estimate, where a
-handful of sweeps converge.  One sweep of the Neumann-series resolvent
-each way then confirms the pair and gives s0 from its Rayleigh quotient.
+(:class:`~gfrag.resolvent.DirectResolvent`): at the model's shift, two
+above its shift floor, until the estimate of s0 settles, then refactored
+just above that estimate, where a handful of sweeps converge.  One sweep
+of the Neumann-series resolvent each way then confirms the pair and gives
+s0 from its Rayleigh quotient.
 Residuals are measured against an independent direct discretization of the
 generator (central differences plus the shared gain quadrature), not
 against the resolvent machinery that produced the eigenfunction.
@@ -47,9 +48,10 @@ from .model import (
     coefficient_is_zero,
     grid_eval,
     quad_weights,
+    shift_floor,
     xm_norm,
 )
-from .pde import SolverConfig, solve
+from .pde import solve
 from .resolvent import (
     DirectResolvent,
     ResolventContext,
@@ -172,21 +174,22 @@ def _inverse_iteration(apply, start, weight, norm, tol):
 
 
 def perron_eigenpair(
-    model: ModelDefinition,
-    lambda_shift: float,
-    tol: float = 1e-10,
-    nodes: np.ndarray | None = None,
-    n_cells: int = 2000,
+    model: ModelDefinition, n_cells: int = 2000, tol: float = 1e-10
 ) -> Eigenpair:
     """Dominant eigentriple by inverse iteration on the resolvent.
 
-    ``lambda_shift`` must lie in the range where the resolvent series
-    contracts.  Inverse iteration on the LU-factored generator runs at that
-    shift until the sweep-to-sweep change falls below 1e-3, and then on a
-    factor refactored 1e-3 above the resulting estimate of s0, where both
-    eigenfunctions converge to ``tol`` in a few sweeps whatever the shift.
-    The Neumann series then finish the pair from that warm start, normally
-    in one sweep each way; the returned ``s0`` is the eigenvalue recovered
+    The pair lives on ``midpoint_grid(model.x_max, n_cells)``, and the
+    resolvent context sits at the shift lam = omega_r + beta_m + 2, two
+    above the floor of :func:`~gfrag.model.shift_floor`.  The shift is part
+    of the discretization, not only a starting point: it fixes the
+    exponentially fitted panel weights of the transport scans, so it moves
+    s0 at the level of the discretization error, and the rule makes it one
+    value per model.  Inverse iteration on the LU-factored generator runs
+    at that shift until the sweep-to-sweep change falls below 1e-3, and
+    then on a factor refactored 1e-3 above the resulting estimate of s0,
+    where both eigenfunctions converge to ``tol`` in a few sweeps.  The
+    Neumann series then finish the pair from that warm start, normally in
+    one sweep each way; the returned ``s0`` is the eigenvalue recovered
     from the series' Rayleigh quotient.  Each of these iterations stops
     after ``_MAX_ITERS`` = 200 sweeps with ConvergenceError; a singular
     factor raises ConvergenceError too.
@@ -198,7 +201,8 @@ def perron_eigenpair(
         )
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidInputError(f"tolerance must be finite and positive, got {tol}")
-    ctx = ResolventContext(model, lambda_shift, nodes=nodes, n_cells=n_cells)
+    lambda_shift = sum(shift_floor(model)) + 2.0
+    ctx = ResolventContext(model, lambda_shift, n_cells=n_cells)
     grid = ctx.nodes
     wq = quad_weights(grid)
     series_tol = min(tol, 1e-10)
@@ -263,18 +267,7 @@ def _trajectory_values(model, u0, times):
         params = binary_params_from_model(model)
         sol = ClosedFormSolution(params, u0, t_max=float(times[-1]))
         return [np.asarray(sol.evaluate(u0.nodes, t), dtype=float) for t in times]
-    n_cells = len(u0.nodes)
-    cfg = SolverConfig(
-        x_max=float(model.x_max),
-        n_cells=n_cells,
-        cfl=0.5,
-        t_end=float(times[-1]),
-        output_times=tuple(float(t) for t in times),
-    )
-    if not np.allclose(cfg.nodes, u0.nodes, rtol=0, atol=1e-12):
-        raise InvalidInputError("datum grid must be the uniform solver grid")
-    states = solve(model, u0, cfg)
-    return [s.u.values for s in states]
+    return [s.u.values for s in solve(model, u0, times)]
 
 
 def aeg_diagnostics(

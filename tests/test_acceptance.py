@@ -40,7 +40,7 @@ from gfrag.model import (
     validate_assumptions,
     xm_norm,
 )
-from gfrag.pde import SolverConfig, moment_balance_residual, solve
+from gfrag.pde import moment_balance_residual, solve
 from gfrag.resolvent import (
     ResolventContext,
     _resolvent_K_details,
@@ -89,7 +89,7 @@ def test_criterion_01_eigenvalues_closed_form():
 
 
 def test_criterion_02_eigenvalue_general_machinery():
-    pair = perron_eigenpair(reference_model(30.0), 6.0, tol=1e-10, n_cells=2000)
+    pair = perron_eigenpair(reference_model(30.0), n_cells=2000, tol=1e-10)
     assert pair.s0 == pytest.approx(1.5, abs=1e-3)
     v_exact = right_eigenfunction_cf(REFERENCE_PARAMS)(pair.v.nodes)
     w = quad_weights(pair.v.nodes)
@@ -215,10 +215,9 @@ def test_criterion_08_solver_reproduces_closed_form():
     model = reference_model(x_max=15.0)
     errs = []
     for n in (480, 960, 1920):
-        cfg = SolverConfig(x_max=15.0, n_cells=n, cfl=0.3, t_end=1.0)
-        nodes = cfg.nodes
+        nodes = midpoint_grid(15.0, n)
         u0 = GridFunction(nodes, datum_affine(nodes), 2.0)
-        final = solve(model, u0, cfg)[-1]
+        final = solve(model, u0, (1.0,), cfl=0.3)[-1]
         exact = ClosedFormSolution(REFERENCE_PARAMS, datum_affine, t_max=1.0).evaluate(
             nodes, 1.0
         )
@@ -230,11 +229,9 @@ def test_criterion_08_solver_reproduces_closed_form():
 
     balance = []
     for n in (240, 480):
-        cfg = SolverConfig(
-            x_max=15.0, n_cells=n, cfl=0.3, t_end=1.0, output_times=tuple(np.linspace(0.1, 1.0, 10))
-        )
-        u0 = GridFunction(cfg.nodes, datum_affine(cfg.nodes), 2.0)
-        states = solve(model, u0, cfg)
+        nodes = midpoint_grid(15.0, n)
+        u0 = GridFunction(nodes, datum_affine(nodes), 2.0)
+        states = solve(model, u0, tuple(np.linspace(0.1, 1.0, 10)), cfl=0.3)
         balance.append(max(abs(r) for r in moment_balance_residual(model, states, 0)))
     assert balance[1] < balance[0]
     assert balance[1] < 2.0 * balance[0] * (240.0 / 480.0)  # O(dx + dt) shrink

@@ -9,6 +9,8 @@ import pytest
 from gfrag import cli, resolvent
 from gfrag.cli import RunConfig, emit_csv, main, run
 from gfrag.errors import InvalidInputError, NonFiniteOutputError
+from gfrag.model import model_from_config
+from gfrag.spectral import perron_eigenpair
 
 BINARY_DOC = {
     "r": 1.0,
@@ -323,6 +325,14 @@ class TestEigenCommand:
         assert len(rows) == 500
         assert all(r[2] > 0 for r in rows)
 
+    def test_library_s0_equals_printed_s0(self, tmp_path, capsys):
+        # the CLI adds no shift or grid of its own: the library call with the
+        # model alone gives the printed s0 to the last bit
+        assert run(RunConfig("eigen", binary_model_file(tmp_path), output_dir=str(tmp_path))) == 0
+        printed = float(capsys.readouterr().out.split("s0 = ")[1].split()[0])
+        model = model_from_config(BINARY_DOC)
+        assert perron_eigenpair(model).s0 == printed
+
     def test_reruns_byte_identical(self, tmp_path):
         path = binary_model_file(tmp_path)
         cfg1 = RunConfig("eigen", path, output_dir=str(tmp_path / "r1"), n_cells=200)
@@ -495,6 +505,20 @@ NON_FINITE_INPUTS = {
     ),
     "model-m-inf": (["eigen"], {"m": float("inf")}),
     "support-beta-sup-nan": (["irreducible"], {"support": {**GAP_SUPPORT, "beta_sup": NAN}}),
+    "support-envelope-value-nan": (
+        ["irreducible"],
+        {"support": {**GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": 2.0},
+                     "envelope": [
+                         {"left": 2.0, "right": 4.0, "value_left": NAN, "value_right": 2.0}]}},
+    ),
+    "support-tail-floor-nan": (
+        ["irreducible"],
+        {"support": {**GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": NAN}}},
+    ),
+    "support-tail-floor-inf": (
+        ["irreducible"],
+        {"support": {**GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": float("inf")}}},
+    ),
 }
 
 

@@ -73,6 +73,13 @@ _GAP_SUPPORT = {
     "beta_sup": 0.5,
     "tail": {"kind": "envelope_extends"},
 }
+# json writes and reads a bare NaN: geometry the reader must refuse
+_NON_FINITE_SUPPORTS = (
+    {**_GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": 2.0},
+     "envelope": [{"left": 2.0, "right": 4.0, "value_left": float("nan"), "value_right": 2.0}]},
+    {**_GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": float("nan")}},
+    {**_GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": float("inf")}},
+)
 
 _DROP = object()
 # values that are wrong for some or all keys: bad types, bad ranges, bad forms
@@ -102,7 +109,7 @@ def model_docs(draw):
         "m": draw(_num(1.1, 4.0)),
         "bc_convention": draw(st.sampled_from(["flux", "value"])),
         "x_max": x_max,
-        "support": draw(st.sampled_from([None, _SUPPORT, _GAP_SUPPORT])),
+        "support": draw(st.sampled_from([None, _SUPPORT, _GAP_SUPPORT, *_NON_FINITE_SUPPORTS])),
         "initial": draw(st.one_of(st.none(), _coefficient(_nonnegative))),
     }
     if draw(st.integers(0, 3)) == 0:
@@ -141,6 +148,8 @@ def test_cli_exits_0_1_or_2_with_one_line_on_failure(doc, command, cells, t_end)
             raise AssertionError("main returned without exiting")
     event(f"exit {code}")
     assert code in (0, 1, 2)
+    if any(doc.get("support") is bad for bad in _NON_FINITE_SUPPORTS):
+        assert code == 1
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -159,6 +159,40 @@ class TestGeometryValidation:
         with pytest.raises(InvalidModelError):
             TailRule("mystery")
 
+    @pytest.mark.parametrize(
+        "values", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)],
+        ids=["left", "right", "both"],
+    )
+    def test_segment_rejects_nan_values(self, values):
+        with pytest.raises(InvalidModelError, match="finite"):
+            EnvelopeSegment(1.0, 2.0, *values)
+
+    @pytest.mark.parametrize("kind", ["constant_floor", "equals_y_beyond"])
+    @pytest.mark.parametrize("value", [math.nan, INF], ids=["nan", "inf"])
+    def test_tail_rejects_non_finite_value(self, kind, value):
+        with pytest.raises(InvalidModelError, match="finite"):
+            TailRule(kind, value)
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"envelope": [{"left": 2.0, "right": 4.0, "value_left": math.nan, "value_right": 2.0}]},
+            {"tail": {"kind": "constant_floor", "value": math.nan}},
+            {"tail": {"kind": "constant_floor", "value": INF}},
+        ],
+        ids=["envelope-nan", "floor-nan", "floor-inf"],
+    )
+    def test_config_with_non_finite_geometry_rejected(self, patch):
+        cfg = {
+            "supp_a": [[2.0, "inf"]],
+            "envelope": [{"left": 2.0, "right": 4.0, "value_left": 1.0, "value_right": 2.0}],
+            "beta_sup": 0.5,
+            "tail": {"kind": "envelope_extends"},
+        }
+        # the reader reports a rejected segment or tail as bad input
+        with pytest.raises(InvalidInputError, match="finite"):
+            support_model_from_config({**cfg, **patch})
+
 
 class TestEnvelopeValue:
     def test_on_support(self):

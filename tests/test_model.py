@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,6 +140,24 @@ class TestKernelMoments:
             ShrinkingBinary(0.75)
         with pytest.raises(InvalidInputError):
             kernel_moment(UniformBinary(), 1, 0.0)
+
+    @pytest.mark.parametrize(
+        "eps", [2, 0, -0.1, np.float64(0.6), float("nan"), float("inf"), "0.3", True, None],
+        ids=["int-2", "int-0", "negative", "numpy-above-half", "nan", "inf", "string", "bool",
+             "none"],
+    )
+    def test_split_fraction_must_be_a_number_in_range(self, eps):
+        # eps = 2 would place a daughter at -y
+        with pytest.raises(InvalidModelError):
+            ShrinkingBinary(eps)
+
+    @pytest.mark.parametrize(
+        "eps", [np.float64(0.25), Fraction(1, 4), 0.5], ids=["numpy", "fraction", "half"]
+    )
+    def test_split_fraction_is_stored_as_float(self, eps):
+        kern = ShrinkingBinary(eps)
+        assert type(kern.eps) is float
+        assert kern.eps_at(4.0) == float(eps)
 
 
 class TestGridsAndNorms:

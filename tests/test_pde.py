@@ -19,10 +19,10 @@ from gfrag.model import (
     Linear,
     ModelDefinition,
     UniformBinary,
+    midpoint_grid,
     quad_weights,
 )
 from gfrag.pde import (
-    SolverConfig,
     SolverState,
     moment_balance_residual,
     solve,
@@ -64,8 +64,8 @@ def bump(x):
     return np.exp(-4.0 * (x - 4.0) ** 2)
 
 
-def grid_datum(fn, cfg):
-    nodes = cfg.nodes
+def grid_datum(fn, model, n_cells):
+    nodes = midpoint_grid(model.x_max, n_cells)
     return GridFunction(nodes, fn(nodes), 2.0)
 
 
@@ -73,9 +73,9 @@ def l1_norm(nodes, values):
     return float(np.sum(quad_weights(nodes) * np.abs(values)))
 
 
-def single_step_states(model, cfg, fn, n_steps=4, safety=0.3):
-    dt = safety * stable_step(model, cfg.x_max, cfg.n_cells)
-    state = SolverState(0.0, grid_datum(fn, cfg), MomentState(0.0, 0.0))
+def single_step_states(model, n_cells, fn, n_steps=4, safety=0.3):
+    dt = safety * stable_step(model, n_cells)
+    state = SolverState(0.0, grid_datum(fn, model, n_cells), MomentState(0.0, 0.0))
     states = [state]
     for _ in range(n_steps):
         state = step(model, state, dt)
@@ -83,84 +83,61 @@ def single_step_states(model, cfg, fn, n_steps=4, safety=0.3):
     return states
 
 
-class TestSolverConfig:
+class TestSolveArguments:
     def test_nodes_are_uniform_cell_midpoints(self):
-        cfg = SolverConfig(x_max=10.0, n_cells=20, cfl=0.5, t_end=1.0)
-        nodes = cfg.nodes
+        nodes = midpoint_grid(10.0, 20)
         assert len(nodes) == 20
         assert nodes[0] == pytest.approx(0.25)
         assert nodes[-1] == pytest.approx(9.75)
         spacings = np.diff(nodes)
         assert np.allclose(spacings, 0.5, rtol=0, atol=1e-14)
+        states = solve(advection_model(10.0), GridFunction(nodes, bump(nodes), 2.0), (0.0,))
+        assert np.array_equal(states[0].u.nodes, nodes)
 
     def test_too_few_cells_rejected(self):
+        model = advection_model(10.0)
         with pytest.raises(InvalidInputError):
-            SolverConfig(x_max=10.0, n_cells=8, cfl=0.5, t_end=1.0)
+            solve(model, grid_datum(bump, model, 8), (1.0,))
 
     @pytest.mark.parametrize("cfl", [0.0, -0.5, 1.5])
     def test_bad_cfl_rejected(self, cfl):
+        model = advection_model(10.0)
         with pytest.raises(InvalidInputError):
-            SolverConfig(x_max=10.0, n_cells=64, cfl=cfl, t_end=1.0)
+            solve(model, grid_datum(bump, model, 64), (1.0,), cfl=cfl)
 
-    def test_nonpositive_domain_or_horizon_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SolverConfig(x_max=0.0, n_cells=64, cfl=0.5, t_end=1.0)
-        with pytest.raises(InvalidInputError):
-            SolverConfig(x_max=10.0, n_cells=64, cfl=0.5, t_end=0.0)
-
-    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
-    @pytest.mark.parametrize("name", ["t_end", "x_max"])
-    def test_non_finite_domain_or_horizon_rejected(self, name, value):
-        # accepted, these would reach solve's step count as inf or nan and
-        # fail there with a bare OverflowError or ValueError
-        settings = dict(x_max=10.0, n_cells=64, cfl=0.5, t_end=1.0)
-        settings[name] = value
-        with pytest.raises(InvalidInputError, match="finite"):
-            SolverConfig(**settings)
-
-    def test_output_times_must_increase_within_horizon(self):
-        with pytest.raises(InvalidInputError):
-            SolverConfig(
-                x_max=10.0, n_cells=64, cfl=0.5, t_end=1.0, output_times=(0.5, 0.4)
-            )
-        with pytest.raises(InvalidInputError):
-            SolverConfig(
-                x_max=10.0, n_cells=64, cfl=0.5, t_end=1.0, output_times=(-0.1,)
-            )
-        with pytest.raises(InvalidInputError):
-            SolverConfig(
-                x_max=10.0, n_cells=64, cfl=0.5, t_end=1.0, output_times=(2.0,)
-            )
-        with pytest.raises(InvalidInputError):
-            SolverConfig(
-                x_max=10.0, n_cells=64, cfl=0.5, t_end=1.0, output_times=(0.5, math.nan)
-            )
+    @pytest.mark.parametrize(
+        "times",
+        [(), (0.5, 0.4), (0.5, 0.5), (-0.1,), (math.nan,), (0.5, math.nan), (0.5, math.inf)],
+        ids=["empty", "decreasing", "repeated", "negative", "nan", "nan-last", "inf"],
+    )
+    def test_output_times_rejected(self, times):
+        # the last output time is the horizon: it must exist and be finite
+        model = advection_model(10.0)
+        with pytest.raises(InvalidInputError, match="output times"):
+            solve(model, grid_datum(bump, model, 64), times)
 
 
 class TestStep:
     def test_nonpositive_dt_rejected(self):
         model = advection_model()
-        cfg = SolverConfig(x_max=20.0, n_cells=64, cfl=0.5, t_end=1.0)
-        state = SolverState(0.0, grid_datum(bump, cfg), MomentState(0.0, 0.0))
+        state = SolverState(0.0, grid_datum(bump, model, 64), MomentState(0.0, 0.0))
         with pytest.raises(InvalidInputError):
             step(model, state, 0.0)
 
     def test_step_beyond_stability_cap_rejected(self):
         model = reference_model()
-        cfg = SolverConfig(x_max=15.0, n_cells=480, cfl=0.5, t_end=1.0)
         state = SolverState(
-            0.0, grid_datum(reference_datum, cfg), MomentState(0.0, 0.0)
+            0.0, grid_datum(reference_datum, model, 480), MomentState(0.0, 0.0)
         )
-        cap = stable_step(model, 15.0, 480)
+        cap = stable_step(model, 480)
         with pytest.raises(StepSizeError):
             step(model, state, 1.5 * cap)
 
     def test_single_advection_step_matches_manual_update(self):
         model = advection_model()
-        cfg = SolverConfig(x_max=20.0, n_cells=64, cfl=0.5, t_end=1.0)
-        nodes = cfg.nodes
+        nodes = midpoint_grid(20.0, 64)
         u0 = bump(nodes)
-        dt = 0.5 * stable_step(model, 20.0, 64)
+        dt = 0.5 * stable_step(model, 64)
         state = SolverState(0.0, GridFunction(nodes, u0, 2.0), MomentState(0.0, 0.0))
         out = step(model, state, dt)
         dx = 20.0 / 64
@@ -175,9 +152,9 @@ class TestAdvection:
         model = advection_model()
         errs = []
         for n in (400, 800, 1600):
-            cfg = SolverConfig(x_max=20.0, n_cells=n, cfl=0.5, t_end=1.0)
-            final = solve(model, grid_datum(bump, cfg), cfg)[-1]
-            errs.append(l1_norm(cfg.nodes, final.u.values - bump(cfg.nodes - 1.0)))
+            nodes = midpoint_grid(20.0, n)
+            final = solve(model, grid_datum(bump, model, n), (1.0,))[-1]
+            errs.append(l1_norm(nodes, final.u.values - bump(nodes - 1.0)))
         assert errs[0] / errs[1] > 1.8
         assert errs[1] / errs[2] > 1.8
         assert errs[2] < 0.025
@@ -185,14 +162,7 @@ class TestAdvection:
     def test_interior_bump_weighted_mass_balance_is_exact(self):
         # constant speed, no sources: the discrete residual telescopes away
         model = advection_model()
-        cfg = SolverConfig(
-            x_max=20.0,
-            n_cells=400,
-            cfl=0.5,
-            t_end=0.5,
-            output_times=(0.1, 0.2, 0.3, 0.4, 0.5),
-        )
-        states = solve(model, grid_datum(bump, cfg), cfg)
+        states = solve(model, grid_datum(bump, model, 400), (0.1, 0.2, 0.3, 0.4, 0.5))
         residuals = moment_balance_residual(model, states, 1)
         assert max(abs(r) for r in residuals) < 1e-12
 
@@ -203,9 +173,8 @@ class TestClosedFormAgreement:
         params = BinaryModelParams(r=1.0, a=1.0, beta0=0.5, beta1=0.5)
         errs = []
         for n in (480, 960, 1920):
-            cfg = SolverConfig(x_max=15.0, n_cells=n, cfl=0.3, t_end=1.0)
-            nodes = cfg.nodes
-            final = solve(model, grid_datum(reference_datum, cfg), cfg)[-1]
+            nodes = midpoint_grid(15.0, n)
+            final = solve(model, grid_datum(reference_datum, model, n), (1.0,), cfl=0.3)[-1]
             exact = evaluate_solution(params, reference_datum, nodes, 1.0)
             errs.append(l1_norm(nodes, final.u.values - exact))
         order = np.polyfit(
@@ -217,8 +186,7 @@ class TestClosedFormAgreement:
 
     def test_solution_stays_nonnegative(self):
         model = reference_model()
-        cfg = SolverConfig(x_max=15.0, n_cells=480, cfl=0.9, t_end=1.0)
-        final = solve(model, grid_datum(reference_datum, cfg), cfg)[-1]
+        final = solve(model, grid_datum(reference_datum, model, 480), (1.0,), cfl=0.9)[-1]
         assert final.u.values.min() >= 0.0
 
     def test_truncation_domain_insensitivity_at_matched_steps(self):
@@ -226,23 +194,21 @@ class TestClosedFormAgreement:
         # the interior solution, the datum tail being negligible past x=15
         model_small = reference_model(x_max=15.0)
         model_large = reference_model(x_max=30.0)
-        cfg_small = SolverConfig(x_max=15.0, n_cells=960, cfl=0.3, t_end=2.0)
-        cfg_large = SolverConfig(x_max=30.0, n_cells=1920, cfl=0.3, t_end=2.0)
-        dt = 0.3 * stable_step(model_large, 30.0, 1920)
+        dt = 0.3 * stable_step(model_large, 1920)
         n_steps = int(round(2.0 / dt))
         dt = 2.0 / n_steps
 
-        def run(model, cfg):
+        def run(model, n_cells):
             state = SolverState(
-                0.0, grid_datum(reference_datum, cfg), MomentState(0.0, 0.0)
+                0.0, grid_datum(reference_datum, model, n_cells), MomentState(0.0, 0.0)
             )
             for _ in range(n_steps):
                 state = step(model, state, dt)
             return state
 
-        small = run(model_small, cfg_small)
-        large = run(model_large, cfg_large)
-        nodes = cfg_small.nodes
+        small = run(model_small, 960)
+        large = run(model_large, 1920)
+        nodes = midpoint_grid(15.0, 960)
         mask = nodes <= 5.0
         diff = quad_weights(nodes) * np.abs(
             small.u.values - large.u.values[: len(nodes)]
@@ -251,18 +217,26 @@ class TestClosedFormAgreement:
 
     def test_zero_datum_stays_zero(self):
         model = reference_model()
-        cfg = SolverConfig(
-            x_max=15.0, n_cells=480, cfl=0.5, t_end=1.0, output_times=(0.5, 1.0)
-        )
-        states = solve(model, GridFunction(cfg.nodes, np.zeros(480), 2.0), cfg)
+        nodes = midpoint_grid(15.0, 480)
+        states = solve(model, GridFunction(nodes, np.zeros(480), 2.0), (0.5, 1.0))
         assert all(np.all(s.u.values == 0.0) for s in states)
 
-    def test_datum_grid_must_match_config(self):
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            midpoint_grid(16.0, 480),
+            15.0 / 480 * np.arange(1, 481),
+            np.geomspace(0.01, 15.0, 480),
+        ],
+        ids=["other-domain", "cells-from-h", "geometric"],
+    )
+    def test_datum_grid_must_match_model(self, nodes):
         model = reference_model()
-        cfg = SolverConfig(x_max=15.0, n_cells=480, cfl=0.5, t_end=1.0)
-        other = SolverConfig(x_max=15.0, n_cells=512, cfl=0.5, t_end=1.0)
-        with pytest.raises(InvalidInputError):
-            solve(model, grid_datum(reference_datum, other), cfg)
+        u0 = GridFunction(nodes, reference_datum(nodes), 2.0)
+        with pytest.raises(InvalidInputError, match="midpoint grid"):
+            solve(model, u0, (1.0,))
+        with pytest.raises(InvalidInputError, match="midpoint grid"):
+            step(model, SolverState(0.0, u0, MomentState(0.0, 0.0)), 1e-3)
 
 
 class TestEigenInvariance:
@@ -273,16 +247,9 @@ class TestEigenInvariance:
         params = BinaryModelParams(r=1.0, a=1.0, beta0=0.5, beta1=0.5)
         v = right_eigenfunction_cf(params)
         s0 = params.lambda_plus
-        cfg = SolverConfig(
-            x_max=15.0,
-            n_cells=960,
-            cfl=0.3,
-            t_end=2.0,
-            output_times=(0.5, 1.0, 1.5, 2.0),
-        )
-        nodes = cfg.nodes
+        nodes = midpoint_grid(15.0, 960)
         u0 = GridFunction(nodes, v(nodes), 2.0)
-        states = solve(model, u0, cfg)
+        states = solve(model, u0, (0.5, 1.0, 1.5, 2.0), cfl=0.3)
         devs = [
             l1_norm(nodes, math.exp(-s0 * s.t) * s.u.values - u0.values)
             for s in states
@@ -295,11 +262,10 @@ class TestEigenInvariance:
 class TestMomentBalance:
     def test_needs_three_states_and_valid_order(self):
         model = reference_model()
-        cfg = SolverConfig(x_max=15.0, n_cells=480, cfl=0.5, t_end=1.0)
-        states = single_step_states(model, cfg, reference_datum, n_steps=1)
+        states = single_step_states(model, 480, reference_datum, n_steps=1)
         with pytest.raises(InvalidInputError):
             moment_balance_residual(model, states, 1)
-        states = single_step_states(model, cfg, reference_datum, n_steps=2)
+        states = single_step_states(model, 480, reference_datum, n_steps=2)
         with pytest.raises(InvalidInputError):
             moment_balance_residual(model, states, -1)
 
@@ -307,8 +273,7 @@ class TestMomentBalance:
         model = reference_model()
         maxima = []
         for n in (480, 960, 1920, 3840):
-            cfg = SolverConfig(x_max=15.0, n_cells=n, cfl=0.3, t_end=1.0)
-            states = single_step_states(model, cfg, reference_datum)
+            states = single_step_states(model, n, reference_datum)
             residuals = moment_balance_residual(model, states, 0)
             maxima.append(max(abs(r) for r in residuals))
         assert maxima[0] / maxima[1] > 1.6
@@ -320,10 +285,9 @@ class TestMomentBalance:
         # dM0/dt = alpha0 M0 + alpha1 M1 (doubled), so smallness here
         # certifies the recovered moment equation
         model = reference_model()
-        cfg = SolverConfig(x_max=15.0, n_cells=480, cfl=0.3, t_end=1.0)
-        states = single_step_states(model, cfg, reference_datum)
+        states = single_step_states(model, 480, reference_datum)
         residuals = moment_balance_residual(model, states, 0)
-        nodes = cfg.nodes
+        nodes = midpoint_grid(15.0, 480)
         w = quad_weights(nodes)
         mid = 0.5 * (states[0].u.values + states[1].u.values)
         m0 = float(np.sum(w * mid))
@@ -339,8 +303,7 @@ class TestMomentBalance:
         model = reference_model()
         maxima = {}
         for n in (480, 3840):
-            cfg = SolverConfig(x_max=15.0, n_cells=n, cfl=0.3, t_end=1.0)
-            states = single_step_states(model, cfg, reference_datum)
+            states = single_step_states(model, n, reference_datum)
             residuals = moment_balance_residual(model, states, 1)
             maxima[n] = max(abs(r) for r in residuals)
         assert maxima[480] < 2.5e-3
@@ -351,11 +314,8 @@ class TestMomentBalance:
         # only accurate to O(span^2), so keep spans small here
         model = reference_model()
         times = tuple(round(0.05 * k, 2) for k in range(1, 11))
-        cfg = SolverConfig(
-            x_max=15.0, n_cells=480, cfl=0.5, t_end=0.5, output_times=times
-        )
-        u0 = grid_datum(reference_datum, cfg)
-        states = solve(model, u0, cfg)
+        u0 = grid_datum(reference_datum, model, 480)
+        states = solve(model, u0, times)
         start = SolverState(0.0, u0, moments_from_grid(u0))
         residuals = moment_balance_residual(model, [start] + states, 1.0)
         assert len(residuals) == 10
@@ -385,7 +345,6 @@ class TestFluxConvention:
             bc_convention="flux",
             x_max=15.0,
         )
-        cfg = SolverConfig(x_max=15.0, n_cells=480, cfl=0.5, t_end=0.5)
-        a = solve(value_model, grid_datum(reference_datum, cfg), cfg)[-1]
-        b = solve(flux_model, grid_datum(reference_datum, cfg), cfg)[-1]
+        a = solve(value_model, grid_datum(reference_datum, value_model, 480), (0.5,))[-1]
+        b = solve(flux_model, grid_datum(reference_datum, flux_model, 480), (0.5,))[-1]
         assert np.allclose(a.u.values, b.u.values, rtol=0, atol=1e-14)

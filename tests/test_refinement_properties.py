@@ -18,9 +18,8 @@ from gfrag.model import (
     ShrinkingBinary,
     UniformBinary,
     midpoint_grid,
-    shift_floor,
 )
-from gfrag.pde import SolverConfig, SolverState, moment_balance_residual, solve
+from gfrag.pde import SolverState, moment_balance_residual, solve
 from gfrag.spectral import perron_eigenpair
 
 KERNELS = {
@@ -40,9 +39,7 @@ def _model(family):
 
 @functools.cache
 def _eigenpairs(family):
-    model = _model(family)
-    shift = sum(shift_floor(model)) + 2.0
-    return [perron_eigenpair(model, shift, nodes=midpoint_grid(model.x_max, n)) for n in CELLS]
+    return [perron_eigenpair(_model(family), n) for n in CELLS]
 
 
 def _shrinks(errors, factor):
@@ -71,12 +68,10 @@ def test_moment_balance_residual_shrinks(family):
     model = _model(family)
     worst = []
     for n in CELLS:
-        cfg = SolverConfig(
-            x_max=model.x_max, n_cells=n, cfl=0.5, t_end=0.5,
-            output_times=tuple(0.05 * k for k in range(1, 11)),
-        )
-        u0 = GridFunction(cfg.nodes, np.exp(-cfg.nodes), model.m)
+        nodes = midpoint_grid(model.x_max, n)
+        u0 = GridFunction(nodes, np.exp(-nodes), model.m)
         start = SolverState(0.0, u0, moments_from_grid(u0))
-        residuals = moment_balance_residual(model, [start] + solve(model, u0, cfg), model.m)
+        states = solve(model, u0, tuple(0.05 * k for k in range(1, 11)))
+        residuals = moment_balance_residual(model, [start] + states, model.m)
         worst.append(max(abs(r) for r in residuals))
     assert _shrinks(worst, 2.0), worst

@@ -36,7 +36,7 @@ from gfrag.resolvent import (
     _resolvent_K_details,
     _resolvent_K_transpose,
 )
-from gfrag import cli, resolvent
+from gfrag import resolvent
 
 
 def transport_model(**kw):
@@ -706,11 +706,6 @@ class TestContextValidation:
         for r in (Constant(1.0), Tabulated([1.0, 2.0], [1.0, 1.0])):
             with pytest.raises(LambdaOutOfRangeError):
                 ResolventContext(binary_model(r=r, beta=Constant(0.1)), lam=2.5, n_cells=100)
-
-    def test_cli_shift_sits_two_above_the_context_floor(self):
-        md = binary_model()
-        ctx = ResolventContext(md, lam=7.0, n_cells=100)
-        assert cli._default_shift(md) == ctx.omega_r + ctx.beta_m + 2.0
 
     def test_relaxed_range_allows_small_lambda(self):
         ctx = ResolventContext(binary_model(), lam=2.0, n_cells=100, strict=False)

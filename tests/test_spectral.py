@@ -21,6 +21,7 @@ from gfrag.model import (
     UniformBinary,
     midpoint_grid,
     quad_weights,
+    shift_floor,
 )
 from gfrag import spectral
 from gfrag.resolvent import ResolventContext, apply_resolvent_K
@@ -59,8 +60,8 @@ def second_datum(x):
 
 
 @functools.lru_cache(maxsize=8)
-def cached_pair(n_cells, x_max=30.0, lam=6.0):
-    return perron_eigenpair(reference_model(x_max), lam, tol=1e-9, n_cells=n_cells)
+def cached_pair(n_cells, x_max=30.0):
+    return perron_eigenpair(reference_model(x_max), n_cells, tol=1e-9)
 
 
 def grid_inner(nodes, left, right):
@@ -95,12 +96,6 @@ class TestPerronEigenpair:
         rel = np.abs(pair.w.values[mask] - analytic.w.values[mask]) / analytic.w.values[mask]
         assert np.max(rel) < 1e-2
 
-    def test_shift_invariance(self):
-        values = [cached_pair(1000, lam=lam).s0 for lam in (5.0, 6.0, 8.0)]
-        assert max(values) - min(values) < 1e-3
-        for s0 in values:
-            assert s0 == pytest.approx(1.5, abs=2e-3)
-
     def test_residual_decreases_under_refinement(self):
         coarse = cached_pair(500)
         fine = cached_pair(1000)
@@ -124,23 +119,23 @@ class TestPerronEigenpair:
             x_max=30.0,
         )
         with pytest.raises(DegenerateModelError):
-            perron_eigenpair(dead, 6.0, tol=1e-9, n_cells=200)
+            perron_eigenpair(dead, 200, tol=1e-9)
 
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         # an infinite tolerance would stop after one sweep, far from s0
         with pytest.raises(InvalidInputError):
-            perron_eigenpair(reference_model(), 6.0, tol=tol, n_cells=200)
+            perron_eigenpair(reference_model(), 200, tol=tol)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_ITERS", 2)
         with pytest.raises(ConvergenceError):
-            perron_eigenpair(reference_model(), 6.0, tol=1e-12, n_cells=200)
+            perron_eigenpair(reference_model(), 200, tol=1e-12)
 
     def test_clean_run_emits_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DiscretizationWarning)
-            perron_eigenpair(reference_model(), 6.0, tol=1e-8, n_cells=500)
+            perron_eigenpair(reference_model(), 500, tol=1e-8)
 
     def test_negative_component_guard_warns(self):
         values = np.array([1.0, 0.5, -0.1])
@@ -155,7 +150,7 @@ class TestPerronEigenpair:
 class TestFactoredWarmStart:
     def test_s0_converges_at_second_order(self):
         errors = [
-            abs(perron_eigenpair(reference_model(), 6.0, n_cells=n).s0 - 1.5)
+            abs(perron_eigenpair(reference_model(), n).s0 - 1.5)
             for n in (200, 400, 800)
         ]
         for coarse, fine in zip(errors, errors[1:]):
@@ -178,20 +173,21 @@ class TestFactoredWarmStart:
             spectral, "_resolvent_K_transpose",
             counted("adjoint", spectral._resolvent_K_transpose),
         )
-        perron_eigenpair(reference_model(), 6.6, n_cells=2000)
+        perron_eigenpair(reference_model(), 2000)
         assert 1 <= calls["forward"] <= 2
         assert 1 <= calls["adjoint"] <= 2
 
     def test_matches_series_only_inverse_iteration(self):
         model = reference_model()
-        lam, tol = 6.6, 1e-10
+        # the shift perron_eigenpair builds its context at
+        lam, tol = sum(shift_floor(model)) + 2.0, 1e-10
         ctx = ResolventContext(model, lam, n_cells=200)
         wq = quad_weights(ctx.nodes)
         _v, mu = _inverse_iteration(
             lambda x: apply_resolvent_K(ctx, GridFunction(ctx.nodes, x, 2.0), tol=tol).values,
             np.exp(-ctx.nodes), wq, ctx.norm_m, tol,
         )
-        pair = perron_eigenpair(model, lam, tol=tol, n_cells=200)
+        pair = perron_eigenpair(model, 200, tol=tol)
         assert abs(pair.s0 - (lam - 1.0 / mu)) <= 1e-9
 
 
@@ -288,7 +284,7 @@ class TestAEGDiagnostics:
 
     def test_numeric_pair_route(self):
         model = reference_model(x_max=15.0)
-        pair = perron_eigenpair(model, 6.0, tol=1e-9, n_cells=2000)
+        pair = perron_eigenpair(model, 2000, tol=1e-9)
         u0 = GridFunction(pair.v.nodes, reference_datum(pair.v.nodes), 2.0)
         report = aeg_diagnostics(model, pair, u0, [1.0, 2.0, 3.0, 4.0])
         assert report.passed
@@ -305,7 +301,7 @@ class TestAEGDiagnostics:
             bc_convention="value",
             x_max=20.0,
         )
-        pair = perron_eigenpair(model, 6.0, tol=1e-8, n_cells=800)
+        pair = perron_eigenpair(model, 800, tol=1e-8)
         report = aeg_diagnostics(model, pair, pair.v, [0.5, 1.0])
         assert len(report.deviations) == 2
         # eigenfunction datum: deviation is pure solver drift, first order
