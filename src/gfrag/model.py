@@ -100,6 +100,10 @@ class Constant:
         x = np.asarray(x, dtype=float)
         return _match(x, np.full(x.shape, float(self.c)))
 
+    def at(self, s: float) -> float:
+        """Value at one point, without numpy; equal to ``float(self(s))``."""
+        return float(self.c)
+
 
 @dataclass(frozen=True)
 class Linear:
@@ -116,6 +120,10 @@ class Linear:
         x = np.asarray(x, dtype=float)
         return _match(x, self.c0 + self.c1 * x)
 
+    def at(self, s: float) -> float:
+        """Value at one point, without numpy; equal to ``float(self(s))``."""
+        return float(self.c0 + self.c1 * s)
+
 
 @dataclass(frozen=True)
 class Power:
@@ -131,6 +139,10 @@ class Power:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return _match(x, self.c0 * (1.0 + np.power(x, self.p)))
+
+    def at(self, s: float) -> float:
+        """Value at one point, through numpy's power."""
+        return float(self(s))
 
 
 @dataclass(frozen=True)
@@ -155,10 +167,29 @@ class Tabulated:
             raise InvalidModelError("tabulated values must be finite and nonnegative")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_xs", nodes.tolist())
+        object.__setattr__(self, "_ys", values.tolist())
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return _match(x, np.interp(x, self.nodes, self.values))
+
+    def at(self, s: float) -> float:
+        """Value at one point on Python floats, bitwise equal to ``float(self(s))``.
+
+        It follows ``np.interp``'s rules: the end values beyond the nodes,
+        a node's own value, and ``slope * (s - x_j) + y_j`` inside a panel.
+        """
+        xs, ys = self._xs, self._ys
+        if s < xs[0]:
+            return ys[0]
+        if s >= xs[-1]:
+            return ys[-1]
+        j = bisect.bisect_right(xs, s) - 1
+        if xs[j] == s:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return slope * (s - xs[j]) + ys[j]
 
 
 CoefficientSpec = Union[Constant, Linear, Power, Tabulated]
@@ -627,23 +658,32 @@ _RQ_TOL = 1e-10
 
 
 class _CumulativeIntegral:
-    """Adaptive cumulative antiderivative F(x) = int_0^x g, cached at visited knots."""
+    """Adaptive cumulative antiderivative F(x) = int_0^x g, cached at visited knots.
 
-    def __init__(self, integrand: Callable):
+    No single ``quad`` crosses a break point: an integration that would
+    first visits each break on its way, and the break becomes a knot.
+    """
+
+    def __init__(self, integrand: Callable, breaks: list):
         self._g = integrand
+        self._breaks = breaks
         self._knots = [0.0]
         self._vals = [0.0]
 
     def _value_at(self, x: float) -> float:
         i = bisect.bisect_right(self._knots, x) - 1
-        x0, f0 = self._knots[i], self._vals[i]
+        x0, val = self._knots[i], self._vals[i]
         if x == x0:
-            return f0
-        inc, _ = integrate.quad(self._g, x0, x, epsabs=_RQ_TOL, epsrel=1e-12, limit=200)
-        val = f0 + inc
-        # knots[i] < x < knots[i + 1], so both lists take x at i + 1
-        self._knots.insert(i + 1, x)
-        self._vals.insert(i + 1, val)
+            return val
+        crossed = self._breaks[bisect.bisect_right(self._breaks, x0) : bisect.bisect_left(self._breaks, x)]
+        for end in crossed + [x]:
+            inc, _ = integrate.quad(self._g, x0, end, epsabs=_RQ_TOL, epsrel=1e-12, limit=200)
+            val += inc
+            # knots[i] < end < knots[i + 1], so both lists take end at i + 1
+            i += 1
+            self._knots.insert(i, end)
+            self._vals.insert(i, val)
+            x0 = end
         if len(self._knots) > 200000:
             del self._knots[1:-1:2], self._vals[1:-1:2]
         return val
@@ -660,13 +700,22 @@ class _CumulativeIntegral:
         return out
 
 
+def _kinks(*specs: CoefficientSpec) -> list:
+    """Sorted positive nodes of the tabulated specs, where their slopes may jump."""
+    return sorted({x for spec in specs if isinstance(spec, Tabulated) for x in spec._xs if x > 0.0})
+
+
 def compute_RQ(model: ModelDefinition) -> RQFunctions:
     """Antiderivative pair for the transport part.
 
     Analytic closed forms are used whenever r and a are (equivalent to)
     affine functions; otherwise the integrals are evaluated by adaptive
     quadrature to the absolute tolerance _RQ_TOL = 1e-10, accumulated
-    along visited points.  r must be strictly positive on (0, x_max].
+    along visited points.  The integrands call the coefficients' scalar
+    evaluators (``at``), which work on Python floats; the positive nodes of
+    a tabulated r (for R), and of a tabulated r or a (for Q), are break
+    points that no single ``quad`` crosses, so every integration sees a
+    smooth integrand.  r must be strictly positive on (0, x_max].
     """
     r_spec, a_spec = model.r, model.a
     r_aff = _as_affine(r_spec)
@@ -680,7 +729,7 @@ def compute_RQ(model: ModelDefinition) -> RQFunctions:
         else:
             R = lambda x: np.log1p(b1 * np.asarray(x, dtype=float) / b0) / b1
     else:
-        R = _CumulativeIntegral(lambda s: 1.0 / float(r_spec(s)))
+        R = _CumulativeIntegral(lambda s: 1.0 / r_spec.at(s), _kinks(r_spec))
 
     a_aff = _as_affine(a_spec)
     Q = None
@@ -708,7 +757,7 @@ def compute_RQ(model: ModelDefinition) -> RQFunctions:
         ) / b0
         m_q = math.inf
     if Q is None:
-        Q = _CumulativeIntegral(lambda s: float(a_spec(s)) / float(r_spec(s)))
+        Q = _CumulativeIntegral(lambda s: a_spec.at(s) / r_spec.at(s), _kinks(r_spec, a_spec))
         if isinstance(a_spec, Tabulated) and a_spec.values[-1] == 0.0:
             m_q = float(Q(a_spec.nodes[-1]))
         else:

@@ -98,7 +98,7 @@ def _moments_of(nodes: np.ndarray, values: np.ndarray) -> MomentState:
 
 def step(model: ModelDefinition, state: SolverState, dt: float) -> SolverState:
     """Advance one explicit step of size dt."""
-    if dt <= 0:
+    if not dt > 0:  # NaN fails this too
         raise InvalidInputError("dt must be positive")
     nodes, limit, operators = _scheme(model, state.u)
     if dt > limit * (1.0 + 1e-12):

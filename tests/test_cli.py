@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,6 +427,29 @@ class TestAegCommand:
         assert len(rows) == 4
         devs = [r[1] for r in rows]
         assert all(b < a for a, b in zip(devs, devs[1:]))
+
+    def test_tabulated_splitting_rate_with_kinks_prints_no_warning(self, tmp_path):
+        # M_Q = Q(7) integrates a/r across the kinks of a at 3, 4 and 6; in a
+        # fresh process, so that a quadrature warning would reach stderr
+        doc = {
+            "r": 1.0,
+            "a": {"type": "tabulated", "nodes": [0, 3, 4, 6, 7], "values": [2, 1, 1, 2, 0]},
+            "kernel": {"type": "uniform_binary"},
+            "beta": 0.0,
+            "m": 2.0,
+            "bc_convention": "flux",
+            "x_max": 1.0,
+        }
+        path = write_model(tmp_path, doc)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfrag.cli", "aeg", "--model", path, "--cells", "16", "--t-end", "0.25"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "wrote aeg.csv" in proc.stdout
 
     def test_fine_uniform_grid_is_accepted(self, tmp_path, capsys):
         # midpoint-grid roundoff at 10000 cells exceeds 1e-12 of the spacing

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,47 @@ class TestCoefficients:
             Constant(-1.0)
         with pytest.raises(InvalidModelError):
             Tabulated([0.0, 1.0], [1.0, -1.0])
+
+
+_value = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+
+
+@st.composite
+def _scalar_case(draw):
+    """A Constant, Linear or Tabulated spec and points to evaluate it at.
+
+    Tabulated specs have 2 to 8 nodes, zero values and flat pieces; their
+    points include every node, its neighbouring floats, 0, points below the
+    first node and points past the last.
+    """
+    kind = draw(st.sampled_from(("constant", "linear", "tabulated")))
+    points = [0.0] + draw(st.lists(st.floats(-5.0, 100.0), min_size=1, max_size=8))
+    if kind == "constant":
+        return Constant(draw(_value)), points
+    if kind == "linear":
+        return Linear(draw(_value), draw(_value)), points
+    n = draw(st.integers(2, 8))
+    steps = [draw(st.floats(0.0, 5.0))] + [draw(st.floats(0.001, 10.0)) for _ in range(n - 1)]
+    nodes = np.cumsum(steps).tolist()
+    values = [draw(_value)]
+    for _ in range(n - 1):
+        values.append(values[-1] if draw(st.booleans()) else draw(_value))
+    lo, hi = nodes[0], nodes[-1]
+    points += nodes + [math.nextafter(x, d) for x in nodes for d in (-math.inf, math.inf)]
+    points += [lo - draw(st.floats(0.001, 5.0)), lo * draw(st.floats(0.0, 1.0))]
+    points += [hi + draw(st.floats(0.001, 50.0)), hi + 1e6]
+    points += [draw(st.floats(lo, hi)) for _ in range(4)]
+    return Tabulated(nodes, values), points
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_scalar_case())
+def test_scalar_evaluator_matches_the_array_path_bitwise(case):
+    spec, points = case
+    for s in points:
+        got, want = spec.at(s), float(spec(s))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (s, got, want)
 
 
 class TestKernelMoments:
@@ -239,7 +281,8 @@ class TestRQ:
 
     def test_knot_cache_across_interleaved_and_repeated_batches(self, monkeypatch):
         # every new point integrates from the nearest visited knot below it,
-        # whatever order the batches arrive in; repeated points cost nothing
+        # whatever order the batches arrive in, by way of each node of r it
+        # crosses (4 and 20, which become knots); repeated points cost nothing
         calls = []
 
         class Recording:
@@ -263,16 +306,69 @@ class TestRQ:
         for batch in batches + [np.array([between[7]])]:
             for x in sorted(set(batch.tolist())):
                 if x not in known:
-                    x0, end, inc = next(steps)
-                    assert (x0, end) == (max(k for k in known if k < x), x)
-                    known[x] = known[x0] + inc
+                    below = max(k for k in known if k < x)
+                    for stop in [b for b in (4.0, 20.0) if below < b < x] + [x]:
+                        x0, end, inc = next(steps)
+                        assert (x0, end) == (below, stop)
+                        known[stop] = known[x0] + inc
+                        below = stop
         assert next(steps, None) is None
+        assert {4.0, 20.0} <= set(known)
         for batch, out in zip(batches, got):
             assert np.array_equal(out, [known[x] for x in batch.tolist()])
         assert got[-1] == known[float(between[7])]
         assert R._knots == sorted(known)
         assert all(a < b for a, b in zip(R._knots, R._knots[1:]))
         assert R._vals == [known[k] for k in R._knots]
+
+    @staticmethod
+    def _panelwise_RQ(nodes, values, a0, a1, x):
+        """R(x) and Q(x) for r through (nodes, values) from nodes[0] = 0, flat past the last node.
+
+        On a panel from p with r = r_p + k*t, t = s - p, int dt/r is
+        log1p(k*t/r_p)/k (t/r_p when k = 0), and a = A + a1*t with
+        (A + a1*t)/r = a1/k + (A - a1*r_p/k)/r.
+        """
+        R = Q = 0.0
+        ends = list(zip(nodes, values))
+        for (p, rp), (q, rq) in zip(ends, ends[1:] + [(math.inf, values[-1])]):
+            if x <= p:
+                break
+            t = min(x, q) - p
+            k = 0.0 if q == math.inf else (rq - rp) / (q - p)
+            A = a0 + a1 * p
+            if k == 0.0:
+                R += t / rp
+                Q += (A * t + 0.5 * a1 * t * t) / rp
+            else:
+                L = math.log1p(k * t / rp) / k
+                R += L
+                Q += a1 * t / k + (A - a1 * rp / k) * L
+        return R, Q
+
+    @pytest.mark.parametrize("bump", [0.1, -0.1, 0.05, 0.0])
+    @pytest.mark.parametrize("a0, a1", [(0.0, 0.5), (0.0, 1.5), (0.3, 1.0)])
+    def test_quadrature_matches_panelwise_closed_form(self, bump, a0, a1):
+        # the eigen-mix tab_r shape: kinks at 7.5, 15 and 22.5
+        nodes = [0.0, 7.5, 15.0, 22.5, 30.0]
+        values = [1.1, 1.1 * (1.0 + bump), 1.1, 1.1 * (1.0 - bump), 1.1]
+        md = make_model(r=Tabulated(nodes, values), a=Linear(a0, a1), x_max=30.0)
+        straddle = [x + d for x in nodes[1:] for d in (-1e-9, 0.0, 1e-9)]
+        straddle += [math.nextafter(x, d) for x in nodes[1:] for d in (-math.inf, math.inf)]
+        grids = [
+            midpoint_grid(30.0, 200),
+            np.linspace(0.0, 30.0, 9),
+            np.array(straddle + [0.1, 29.999, 31.0, 40.0]),
+        ]
+        for xs in grids:
+            rq = compute_RQ(md)
+            want = np.array([self._panelwise_RQ(nodes, values, a0, a1, x) for x in xs])
+            np.testing.assert_allclose(rq.R(xs), want[:, 0], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(rq.Q(xs), want[:, 1], rtol=0, atol=1e-10)
+            # scalar queries after the batch land on the same values
+            for x, (r_want, q_want) in zip(xs[::7], want[::7]):
+                assert abs(rq.R(float(x)) - r_want) <= 1e-10
+                assert abs(rq.Q(float(x)) - q_want) <= 1e-10
 
     def test_compact_loss_has_finite_exponent_limit(self):
         md = make_model(

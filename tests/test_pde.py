@@ -118,11 +118,12 @@ class TestSolveArguments:
 
 
 class TestStep:
-    def test_nonpositive_dt_rejected(self):
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan], ids=["zero", "negative", "nan"])
+    def test_nonpositive_or_nan_dt_rejected(self, dt):
         model = advection_model()
         state = SolverState(0.0, grid_datum(bump, model, 64), MomentState(0.0, 0.0))
-        with pytest.raises(InvalidInputError):
-            step(model, state, 0.0)
+        with pytest.raises(InvalidInputError, match="dt must be positive"):
+            step(model, state, dt)
 
     def test_step_beyond_stability_cap_rejected(self):
         model = reference_model()
