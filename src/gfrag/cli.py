@@ -91,7 +91,7 @@ class RunConfig:
     x_max: float | None = None
     n_cells: int = 2000
     t_end: float = 2.0
-    tol: float | None = None
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -205,8 +205,7 @@ def _cmd_solve_pde(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path)
 
 
 def _cmd_eigen(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
-    tol = 1e-10 if cfg.tol is None else cfg.tol
-    pair = perron_eigenpair(model, cfg.n_cells, tol)
+    pair = perron_eigenpair(model, cfg.n_cells, cfg.tol)
     emit_csv(
         out / "eigen.csv",
         ("x", "v", "w"),
@@ -222,8 +221,7 @@ def _cmd_irreducible(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Pat
     if model.support is None:
         raise InvalidModelError("the model file declares no 'support' geometry")
     s = model.support
-    top = max(s.breakpoints() + [1.0])
-    result = compute_c_bar(s, np.geomspace(0.02, 3.0 * top, 64))
+    result = compute_c_bar(s)
     decision = decide_irreducibility(s, result)
     print(f"c_bar = {_fmt(result.c_bar)} ({result.case})")
     print(str(decision))
@@ -236,8 +234,7 @@ def _cmd_aeg(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> in
     if is_binary_model(model):
         pair = closed_form_eigenpair(model, nodes)
     else:
-        tol = 1e-10 if cfg.tol is None else cfg.tol
-        pair = perron_eigenpair(model, cfg.n_cells, tol)
+        pair = perron_eigenpair(model, cfg.n_cells, cfg.tol)
     times = tuple(float(t) for t in np.linspace(cfg.t_end / 4.0, cfg.t_end, 4))
     report = aeg_diagnostics(model, pair, u0, times)
     emit_csv(out / "aeg.csv", ("t", "deviation"), zip(report.times, report.deviations))
@@ -300,7 +297,7 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--cells", type=int, default=2000, help="number of grid cells")
         q.add_argument("--t-end", type=float, default=2.0, help="time horizon")
         q.add_argument("--out", default=".", help="output directory for CSV files")
-        q.add_argument("--tol", type=float, default=None, help="iteration tolerance")
+        q.add_argument("--tol", type=float, default=1e-10, help="iteration tolerance")
     return p
 
 

@@ -3,18 +3,18 @@
 The decision data is purely geometric: the set of sizes where splitting is
 active, the lower envelope of daughter sizes produced from each parent,
 and the reach of the renewal weight.  Off the splitting support a parent
-keeps its size, so the envelope is extended there by the identity.  From
-the envelope, the tail infimum c(z) = inf over y >= z of the envelope is
-computed exactly from the piecewise-linear representation, iterated to its
-limit, and the supremum of the limits is compared against the renewal
-reach.  A brute-force reachability check on a binned size axis provides an
-independent oracle for the same decision.
+keeps its size, so the envelope is extended there by the identity.  The
+tail infimum c(z) = inf over y >= z of the envelope is exact on the
+piecewise-linear representation, and the floor c_bar its iteration
+settles on is read off the envelope's breakpoints and compared against
+the renewal reach.  A brute-force reachability check on a binned size
+axis provides an independent oracle for the same decision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,10 +223,8 @@ def envelope_value(s: SupportModel, y: float) -> float:
     return y  # equals_y_beyond with y above the cutoff
 
 
-def tail_infimum_c(s: SupportModel, z: float) -> float:
-    """Exact infimum of the extended envelope over [z, inf)."""
-    if z <= 0.0:
-        raise InvalidInputError("tail infimum needs z > 0")
+def _infimum_above(s: SupportModel, z: float) -> float:
+    """Exact infimum of the extended envelope over the open tail (z, inf)."""
     cands = []
 
     # identity cutoff: beyond it the envelope is the parent size itself
@@ -248,12 +246,9 @@ def tail_infimum_c(s: SupportModel, z: float) -> float:
 
     # on-support: affine pieces take their infimum at panel endpoints
     for seg in s.envelope:
-        if seg.right <= z:
-            if seg.right == z:
-                cands.append(seg.value_right)
-            continue
-        lo = max(seg.left, z)
-        cands.append(min(seg.at(lo), seg.value_right))
+        if seg.right > z:
+            lo = max(seg.left, z)
+            cands.append(min(seg.at(lo), seg.value_right))
 
     if s.supp_a.unbounded and cut is None:
         if s.tail is None:
@@ -267,36 +262,47 @@ def tail_infimum_c(s: SupportModel, z: float) -> float:
     return min(cands)
 
 
-def iterate_c(s: SupportModel, z0: float, tol: float = 1e-12, cap: int = 10**6):
+def tail_infimum_c(s: SupportModel, z: float) -> float:
+    """Exact infimum of the extended envelope over [z, inf)."""
+    if z <= 0.0:
+        raise InvalidInputError("tail infimum needs z > 0")
+    ends = [seg.value_right for seg in s.envelope if seg.right == z]
+    return min([_infimum_above(s, z)] + ends)
+
+
+_ITER_TOL = 1e-12
+_ITER_CAP = 10**6
+
+
+def iterate_c(s: SupportModel, z0: float):
     """Iterate the tail infimum from z0 to its limit.
 
-    Returns (c_inf, steps).  The sequence is checked to be nonincreasing
-    at every step; zero is absorbing because the infimum is monotone.
+    Returns (c_inf, steps).  The iteration stops when a step moves less
+    than _ITER_TOL = 1e-12 or after _ITER_CAP = 10**6 steps, returning
+    the value reached.  The sequence is checked to be nonincreasing at
+    every step; zero is absorbing because the infimum is monotone.
     """
     if z0 <= 0.0:
         raise InvalidInputError("iteration start must be positive")
-    if tol <= 0.0 or cap < 1:
-        raise InvalidInputError("need tol > 0 and cap >= 1")
     z = float(z0)
-    for step in range(1, cap + 1):
+    for step in range(1, _ITER_CAP + 1):
         c = tail_infimum_c(s, z)
         if c > z * (1.0 + 1e-14) + 1e-300:
             raise SupportConsistencyError(
                 f"tail infimum increased: c({z}) = {c}"
             )
-        if c == 0.0 or z - c < tol:
+        if c == 0.0 or z - c < _ITER_TOL:
             return c, step
         z = c
-    return z, cap
+    return z, _ITER_CAP
 
 
 @dataclass(frozen=True)
 class CbarResult:
-    """Supremum of iterated tail infima with its witness samples."""
+    """Supremum of the iterated tail infima and how it is reached."""
 
     c_bar: float
     case: str
-    witnesses: tuple = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -309,48 +315,37 @@ class IrreducibilityDecision:
         return f"{tag}: " + "; ".join(self.reasons)
 
 
-def compute_c_bar(s: SupportModel, z_samples, tol: float = 1e-12, cap: int = 10**6) -> CbarResult:
-    """Supremum of the iteration limits over a sample of starting points.
+def compute_c_bar(s: SupportModel) -> CbarResult:
+    """Floor of the tail-infimum iteration, read off the breakpoints.
 
-    The sample is augmented with every envelope breakpoint and tiny
-    offsets around each, since the supremum is isolated and may sit
-    exactly on a breakpoint.  An iteration still descending when the cap
-    runs out leaves a stalled witness; the case tag then reports that the
-    supremum was only approached from above.
+    c_bar is the largest w among the breakpoints and 3 * max(breakpoints,
+    1) with inf over y > w of the envelope at least w, or 0 if none is:
+    no parent above such a w has daughters below it.  Each limit of the iteration is such
+    a w, 3 * max standing for an identity region past every breakpoint.
+    The case is ``fixed_point`` when the closed tail infimum at c_bar is
+    c_bar, else ``approached_from_above``.
     """
-    points = {float(z) for z in z_samples if z > 0.0}
-    for p in s.breakpoints():
-        points.add(p)
-        points.add(p * (1.0 - 1e-12))
-        points.add(p * (1.0 + 1e-12))
-    if not points:
-        raise InvalidInputError("need at least one positive sample")
-    witnesses = tuple((z, iterate_c(s, z, tol=tol, cap=cap)[0]) for z in sorted(points))
-    c_bar = max(c for _, c in witnesses)
+    pts = s.breakpoints()
+    candidates = pts + [3.0 * max(pts + [1.0])]
+    c_bar = max((w for w in candidates if _infimum_above(s, w) >= w), default=0.0)
     if c_bar == 0.0:
         case = "fixed_point"
     else:
         case = "fixed_point" if tail_infimum_c(s, c_bar) >= c_bar else "approached_from_above"
-    return CbarResult(c_bar=c_bar, case=case, witnesses=witnesses)
-
-
-# a floor c_bar at or below this counts as zero
-_ZERO_TOL = 1e-9
+    return CbarResult(c_bar=c_bar, case=case)
 
 
 def decide_irreducibility(s: SupportModel, result: CbarResult) -> IrreducibilityDecision:
     """Decision: the renewal reach must beat the fragmentation floor.
 
     Irreducible when the renewal weight has unbounded support, or reaches
-    beyond c_bar, or the floor c_bar vanishes; otherwise every failed
-    condition is reported.  A floor approached geometrically stops at the
-    iteration tolerance rather than at zero, so c_bar <= _ZERO_TOL = 1e-9
-    counts as zero.
+    beyond c_bar, or the floor c_bar read off the breakpoints is 0;
+    otherwise every failed condition is reported.
     """
     c_bar = result.c_bar
     if math.isinf(s.beta_sup):
         return IrreducibilityDecision(True, ("renewal support is unbounded",))
-    if c_bar <= _ZERO_TOL:
+    if c_bar == 0.0:
         return IrreducibilityDecision(True, ("c_bar = 0: fragments reach arbitrarily small sizes",))
     if s.beta_sup > c_bar:
         return IrreducibilityDecision(

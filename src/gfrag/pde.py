@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import advance_upwind
-from .closed_form import MomentState
+from .closed_form import MomentState, moments_from_grid
 from .errors import InvalidInputError, StepSizeError
 from .model import (
     GridFunction,
@@ -76,14 +76,14 @@ def _transport(model: ModelDefinition, n_cells: int):
 
 
 def _scheme(model: ModelDefinition, u: GridFunction):
-    """Grid, step bound and the operator arguments of ``advance_upwind``
+    """Step bound and the operator arguments of ``advance_upwind``
     (dx, r_faces, a_mid, gain, beta_w) for a datum on the midpoint grid of
     the model's domain."""
     nodes, dx, r_faces, a_mid, bound = _transport(model, u.nodes.size)
     if not np.allclose(u.nodes, nodes):
         raise InvalidInputError("datum must live on the midpoint grid of the model's domain")
     gain = fragmentation_gain_matrix(model, nodes)
-    return nodes, bound, (dx, r_faces, a_mid, gain, _renewal_weights(model, nodes))
+    return bound, (dx, r_faces, a_mid, gain, _renewal_weights(model, nodes))
 
 
 def stable_step(model: ModelDefinition, n_cells: int) -> float:
@@ -91,24 +91,15 @@ def stable_step(model: ModelDefinition, n_cells: int) -> float:
     return _transport(model, n_cells)[-1]
 
 
-def _moments_of(nodes: np.ndarray, values: np.ndarray) -> MomentState:
-    w = quad_weights(nodes)
-    return MomentState(float(np.sum(w * values)), float(np.sum(w * nodes * values)))
-
-
 def step(model: ModelDefinition, state: SolverState, dt: float) -> SolverState:
     """Advance one explicit step of size dt."""
     if not dt > 0:  # NaN fails this too
         raise InvalidInputError("dt must be positive")
-    nodes, limit, operators = _scheme(model, state.u)
+    limit, operators = _scheme(model, state.u)
     if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(f"dt={dt:g} exceeds the monotone bound {limit:g}")
-    new_vals = advance_upwind(state.u.values, 1, dt, *operators)
-    return SolverState(
-        t=state.t + dt,
-        u=state.u.with_values(new_vals),
-        moments=_moments_of(nodes, new_vals),
-    )
+    u = state.u.with_values(advance_upwind(state.u.values, 1, dt, *operators))
+    return SolverState(t=state.t + dt, u=u, moments=moments_from_grid(u))
 
 
 def solve(
@@ -134,14 +125,15 @@ def solve(
         raise InvalidInputError(
             "output times must be nonempty, finite, nonnegative and increasing"
         )
-    nodes, bound, operators = _scheme(model, u0)
+    bound, operators = _scheme(model, u0)
     dt_cap = cfl * bound
 
     states: list[SolverState] = []
     vals = np.asarray(u0.values, dtype=float).copy()
     t = 0.0
     if targets[0] == 0.0:
-        states.append(SolverState(0.0, u0.with_values(vals), _moments_of(nodes, vals)))
+        u = u0.with_values(vals)
+        states.append(SolverState(0.0, u, moments_from_grid(u)))
         targets = targets[1:]
     for t_out in targets:
         span = t_out - t
@@ -149,7 +141,8 @@ def solve(
         dt = span / n_steps
         vals = advance_upwind(vals, n_steps, dt, *operators)
         t = t_out
-        states.append(SolverState(t, u0.with_values(vals), _moments_of(nodes, vals)))
+        u = u0.with_values(vals)
+        states.append(SolverState(t, u, moments_from_grid(u)))
     return states
 
 

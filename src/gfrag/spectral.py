@@ -47,6 +47,7 @@ from .model import (
     boundary_weight_flux,
     coefficient_is_zero,
     grid_eval,
+    pairing,
     quad_weights,
     shift_floor,
     xm_norm,
@@ -257,7 +258,7 @@ def spectral_projection(pair: Eigenpair, f: GridFunction) -> GridFunction:
     """Rank-one projection of ``f`` onto the Perron eigenfunction."""
     if f.nodes.shape != pair.v.nodes.shape or not np.array_equal(f.nodes, pair.v.nodes):
         raise InvalidInputError("projection needs f on the eigenpair grid")
-    coeff = float(np.sum(quad_weights(f.nodes) * pair.w.values * f.values))
+    coeff = pairing(pair.w.values, f)
     return f.with_values(coeff * pair.v.values)
 
 

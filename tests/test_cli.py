@@ -13,6 +13,7 @@ import pytest
 from gfrag import cli, resolvent
 from gfrag.cli import RunConfig, emit_csv, main, run
 from gfrag.errors import InvalidInputError, NonFiniteOutputError
+from gfrag.irreducibility import reachability_oracle, support_model_from_config
 from gfrag.model import model_from_config
 from gfrag.spectral import perron_eigenpair
 
@@ -400,6 +401,23 @@ class TestIrreducibleCommand:
         out = capsys.readouterr().out
         assert "c_bar = 1" in out
         assert "NOT_IRREDUCIBLE" in out
+
+    def test_slowly_descending_floor_is_zero(self, tmp_path, capsys):
+        # daughters at 0.99999 of the parent: orbits take millions of steps
+        # to creep towards the floor 0, which the renewal reach 1e-5 beats
+        support = {
+            "supp_a": [[0.0, "inf"]],
+            "envelope": [{"left": 0.0, "right": 2.0, "value_left": 0.0, "value_right": 1.99998}],
+            "beta_sup": 1e-5,
+            "tail": {"kind": "envelope_extends"},
+        }
+        cfg = RunConfig("irreducible", binary_model_file(tmp_path, support=support),
+                        output_dir=str(tmp_path))
+        assert run(cfg) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "c_bar = 0 (fixed_point)"
+        assert out[1].startswith("IRREDUCIBLE:")
+        assert reachability_oracle(support_model_from_config(support), 256).irreducible
 
     def test_missing_support_key_fails(self, tmp_path, capsys):
         doc = {k: v for k, v in BINARY_DOC.items() if k != "support"}

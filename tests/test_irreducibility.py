@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gfrag import irreducibility
 from gfrag.errors import (
     InvalidInputError,
     InvalidModelError,
@@ -299,7 +300,7 @@ class TestIterateC:
     def test_uniform_binary_hits_zero_immediately(self):
         assert iterate_c(uniform_binary_support(), 7.3) == (0.0, 1)
 
-    def test_cap_exhaustion_returns_stalled_value(self):
+    def test_cap_exhaustion_returns_stalled_value(self, monkeypatch):
         # proportional decay by 0.85 per step needs many steps from 50
         m = SupportModel(
             IntervalUnion(((0.0, INF),)),
@@ -307,7 +308,8 @@ class TestIterateC:
             beta_sup=0.0,
             tail=TailRule("envelope_extends"),
         )
-        stalled, steps = iterate_c(m, 50.0, tol=1e-12, cap=5)
+        monkeypatch.setattr(irreducibility, "_ITER_CAP", 5)
+        stalled, steps = iterate_c(m, 50.0)
         assert steps == 5
         assert stalled == pytest.approx(50.0 * 0.85**5, rel=1e-12)
 
@@ -326,15 +328,11 @@ class TestIterateC:
     def test_bad_arguments(self):
         with pytest.raises(InvalidInputError):
             iterate_c(gap_model(), -1.0)
-        with pytest.raises(InvalidInputError):
-            iterate_c(gap_model(), 1.0, tol=0.0)
-        with pytest.raises(InvalidInputError):
-            iterate_c(gap_model(), 1.0, cap=0)
 
 
 class TestComputeCbar:
     def test_gap_model_fixed_point(self):
-        res = compute_c_bar(gap_model(), [0.1, 0.5, 1.0, 3.0, 8.0, 20.0])
+        res = compute_c_bar(gap_model())
         assert res.c_bar == 1.0
         assert res.case == "fixed_point"
 
@@ -344,7 +342,7 @@ class TestComputeCbar:
             assert iterate_c(m, z)[0] == 1.0
 
     def test_uniform_binary_zero(self):
-        res = compute_c_bar(uniform_binary_support(), [0.2, 1.0, 4.0])
+        res = compute_c_bar(uniform_binary_support())
         assert res.c_bar == 0.0
         assert res.case == "fixed_point"
 
@@ -356,71 +354,88 @@ class TestComputeCbar:
             beta_sup=0.0,
             tail=TailRule("constant_floor", 0.0),
         )
-        res = compute_c_bar(m, [0.5, 1.0, 10.0])
+        res = compute_c_bar(m)
         assert res.c_bar == 0.0
 
-    def test_stalled_iteration_reports_approach_from_above(self):
+    def test_slow_descent_reaches_its_floor(self):
+        # slope 0.9995: orbits from above close in on the floor 0.9995 by
+        # 0.05% a step, thousands of steps from the starts past 2
         m = SupportModel(
             IntervalUnion(((1.0, INF),)),
             (EnvelopeSegment(1.0, 2.0, 0.9995, 1.999),),
             beta_sup=0.0,
             tail=TailRule("envelope_extends"),
         )
-        stalled = compute_c_bar(m, [5.0], tol=1e-12, cap=800)
-        assert stalled.case == "approached_from_above"
-        assert stalled.c_bar > 3.0
-        converged = compute_c_bar(m, [5.0])
-        assert converged.case == "fixed_point"
-        assert converged.c_bar == pytest.approx(0.9995, abs=5e-4)
-        assert stalled.c_bar > converged.c_bar
+        res = compute_c_bar(m)
+        assert res.case == "fixed_point"
+        assert res.c_bar == 0.9995
 
-    def test_witnesses_cover_breakpoints(self):
-        res = compute_c_bar(gap_model(), [5.0])
-        zs = [z for z, _ in res.witnesses]
-        assert any(z == 2.0 for z in zs)
-        assert any(z == 4.0 for z in zs)
-        assert all(0.0 <= ci <= z for z, ci in res.witnesses)
+    def test_envelope_touching_identity_is_approached_from_above(self):
+        # the second piece meets the identity at its left end 2: orbits
+        # from above tend to 2, while the first piece ends below it there
+        m = SupportModel(
+            IntervalUnion(((1.0, INF),)),
+            (EnvelopeSegment(1.0, 2.0, 0.5, 1.5), EnvelopeSegment(2.0, 3.0, 2.0, 2.5)),
+            beta_sup=0.0,
+            tail=TailRule("envelope_extends"),
+        )
+        res = compute_c_bar(m)
+        assert res.c_bar == 2.0
+        assert res.case == "approached_from_above"
+        assert iterate_c(m, 2.5)[0] == pytest.approx(2.0, abs=1e-11)
 
-    def test_empty_samples_fall_back_to_breakpoints(self):
-        res = compute_c_bar(gap_model(), [])
-        assert res.c_bar == 1.0
+    def test_orbit_landing_on_a_joint_keeps_the_open_floor(self):
+        # parents beyond 3 have daughters down to exactly 2, where the first
+        # piece ends at 1.5; the closed iteration lands on 2 and drops on to
+        # 0.5, but above 2 the envelope never goes below 2
+        m = SupportModel(
+            IntervalUnion(((1.0, INF),)),
+            (EnvelopeSegment(1.0, 2.0, 0.5, 1.5), EnvelopeSegment(2.0, 3.0, 2.0, 2.5)),
+            beta_sup=1.0,
+            tail=TailRule("constant_floor", 2.0),
+        )
+        assert iterate_c(m, 10.0)[0] == 0.5
+        res = compute_c_bar(m)
+        assert res.c_bar == 2.0
+        assert not decide_irreducibility(m, res).irreducible
+        # 768 bins put a bin edge on 2, so no bin straddles the joint
+        assert not reachability_oracle(m, 768).irreducible
 
 
 class TestDecide:
     def test_gap_with_small_renewal_reach(self):
         m = gap_model(beta_sup=0.5)
-        d = decide_irreducibility(m, compute_c_bar(m, [0.5, 3.0, 8.0]))
+        d = decide_irreducibility(m, compute_c_bar(m))
         assert not d.irreducible
         assert len(d.reasons) == 2
         assert str(d).startswith("NOT_IRREDUCIBLE")
 
     def test_gap_with_unbounded_renewal(self):
         m = gap_model(beta_sup=INF)
-        d = decide_irreducibility(m, compute_c_bar(m, [0.5, 3.0, 8.0]))
+        d = decide_irreducibility(m, compute_c_bar(m))
         assert d.irreducible
 
     def test_gap_with_renewal_beyond_floor(self):
         m = gap_model(beta_sup=1.5)
-        d = decide_irreducibility(m, compute_c_bar(m, [0.5, 3.0, 8.0]))
+        d = decide_irreducibility(m, compute_c_bar(m))
         assert d.irreducible
         assert "beyond" in d.reasons[0]
 
     def test_zero_floor_without_renewal(self):
         m = uniform_binary_support(beta_sup=0.0)
-        d = decide_irreducibility(m, compute_c_bar(m, [0.5, 3.0]))
+        d = decide_irreducibility(m, compute_c_bar(m))
         assert d.irreducible
 
     def test_geometric_approach_to_zero_counts_as_zero(self):
-        # daughters at 0.85 of the parent: the floor is only approached,
-        # the iteration stops at the tolerance, decision must still pass
+        # daughters at 0.85 of the parent: orbits only approach the floor 0
         m = SupportModel(
             IntervalUnion(((0.0, INF),)),
             (EnvelopeSegment(0.0, 2.0, 0.0, 1.7),),
             beta_sup=0.0,
             tail=TailRule("envelope_extends"),
         )
-        res = compute_c_bar(m, [0.3, 1.0, 5.0])
-        assert 0.0 < res.c_bar < 1e-9
+        res = compute_c_bar(m)
+        assert res.c_bar == 0.0
         assert decide_irreducibility(m, res).irreducible
 
 
@@ -447,7 +462,7 @@ class TestReachabilityOracle:
             beta_sup=0.98,
             tail=TailRule("envelope_extends"),
         )
-        assert not decide_irreducibility(m, compute_c_bar(m, [0.5, 4.0, 9.0])).irreducible
+        assert not decide_irreducibility(m, compute_c_bar(m)).irreducible
         assert reachability_oracle(m, 32).irreducible
         assert not reachability_oracle(m, 256).irreducible
         assert not reachability_oracle(m, 1024).irreducible
@@ -496,7 +511,7 @@ def random_support_model(rng):
 
     probe = SupportModel(IntervalUnion(tuple(intervals)), tuple(segs), 0.0, tail)
     top = max(probe.breakpoints() + [1.0])
-    prelim = compute_c_bar(probe, np.geomspace(0.02, 3.0 * top, 40))
+    prelim = compute_c_bar(probe)
     # gate below/zero choices away from floors the 256-bin oracle cannot see
     small = max(0.15, 8.0 * 2.0 * top / 256.0)
     u = rng.random()
@@ -519,9 +534,7 @@ class TestRandomizedAgreement:
         rng = np.random.default_rng(20260819)
         for trial in range(100):
             m = random_support_model(rng)
-            top = max(m.breakpoints() + [1.0])
-            res = compute_c_bar(m, np.geomspace(0.02, 3.0 * top, 40))
-            decided = decide_irreducibility(m, res)
+            decided = decide_irreducibility(m, compute_c_bar(m))
             oracle = reachability_oracle(m, 256)
             assert decided.irreducible == oracle.irreducible, (
                 f"trial {trial}: calculus {decided} vs oracle {oracle}"
@@ -548,17 +561,23 @@ class TestRandomizedAgreement:
                         break
                     z = c
 
-    def test_witness_plateau_at_fixed_points(self):
+    def test_c_bar_equals_largest_sampled_orbit_limit(self):
+        # the sampled supremum: orbits from a geometric grid and from every
+        # breakpoint and its two neighbours 1e-12 away, run to their limits
         rng = np.random.default_rng(99)
-        for _ in range(20):
+        for trial in range(100):
             m = random_support_model(rng)
             top = max(m.breakpoints() + [1.0])
-            res = compute_c_bar(m, np.geomspace(0.02, 3.0 * top, 40))
-            if res.case != "fixed_point":
-                continue
-            for z, ci in res.witnesses:
-                if z >= res.c_bar:
-                    assert ci == pytest.approx(res.c_bar, abs=1e-9)
+            starts = {float(z) for z in np.geomspace(0.02, 3.0 * top, 40)}
+            for p in m.breakpoints():
+                starts.update((p, p * (1.0 - 1e-12), p * (1.0 + 1e-12)))
+            limits = {z: iterate_c(m, z)[0] for z in sorted(starts)}
+            res = compute_c_bar(m)
+            assert res.c_bar == max(limits.values()), f"trial {trial}"
+            if res.case == "fixed_point":
+                for z, ci in limits.items():
+                    if z >= res.c_bar:
+                        assert ci == pytest.approx(res.c_bar, abs=1e-9)
 
 
 class TestSupportConfig:
