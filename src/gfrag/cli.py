@@ -78,9 +78,6 @@ from .spectral import aeg_diagnostics, closed_form_eigenpair, perron_eigenpair
 
 __all__ = ["RunConfig", "emit_csv", "main", "run"]
 
-COMMANDS = ("validate", "solve-closed", "solve-pde", "eigen", "irreducible", "aeg")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One resolved CLI invocation."""
@@ -245,13 +242,14 @@ def _cmd_aeg(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> in
     return 0
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "solve-closed": _cmd_solve_closed,
-    "solve-pde": _cmd_solve_pde,
-    "eigen": _cmd_eigen,
-    "irreducible": _cmd_irreducible,
-    "aeg": _cmd_aeg,
+# name -> (handler, help text), in the order the help lists them
+COMMANDS = {
+    "validate": (_cmd_validate, "check the standing kernel and coefficient assumptions"),
+    "solve-closed": (_cmd_solve_closed, "closed-form solution of the binary family"),
+    "solve-pde": (_cmd_solve_pde, "finite-volume solution of the dynamics"),
+    "eigen": (_cmd_eigen, "dominant eigenvalue and eigenfunctions"),
+    "irreducible": (_cmd_irreducible, "support-calculus irreducibility decision"),
+    "aeg": (_cmd_aeg, "asymptotic exponential growth diagnostics"),
 }
 
 
@@ -261,7 +259,7 @@ def run(cfg: RunConfig) -> int:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         doc, model = _load(cfg)
-        return _DISPATCH[cfg.command](cfg, doc, model, out)
+        return COMMANDS[cfg.command][0](cfg, doc, model, out)
     except (
         OSError,
         InvalidInputError,
@@ -283,14 +281,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Growth-fragmentation dynamics with renewal boundary conditions.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("validate", "check the standing kernel and coefficient assumptions"),
-        ("solve-closed", "closed-form solution of the binary family"),
-        ("solve-pde", "finite-volume solution of the dynamics"),
-        ("eigen", "dominant eigenvalue and eigenfunctions"),
-        ("irreducible", "support-calculus irreducibility decision"),
-        ("aeg", "asymptotic exponential growth diagnostics"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--model", required=True, help="path to the JSON model file")
         q.add_argument("--x-max", type=float, default=None, help="domain truncation")

@@ -4,11 +4,14 @@ The decision data is purely geometric: the set of sizes where splitting is
 active, the lower envelope of daughter sizes produced from each parent,
 and the reach of the renewal weight.  Off the splitting support a parent
 keeps its size, so the envelope is extended there by the identity.  The
-tail infimum c(z) = inf over y >= z of the envelope is exact on the
-piecewise-linear representation, and the floor c_bar its iteration
-settles on is read off the envelope's breakpoints and compared against
-the renewal reach.  A brute-force reachability check on a binned size
-axis provides an independent oracle for the same decision.
+envelope is one list of affine pieces: the described segments, then on
+an unbounded support one unbounded piece past their end taken from the
+declared tail rule.  The tail infimum c(z) = inf over y >= z of the
+envelope is exact on that representation, and the floor c_bar its
+iteration settles on is read off the envelope's breakpoints and compared
+against the renewal reach.  A reachability check on the digraph of cells
+between consecutive breakpoints is an independent oracle for the same
+decision.
 """
 
 from __future__ import annotations
@@ -126,6 +129,23 @@ class TailRule:
 
 
 @dataclass(frozen=True)
+class _TailPiece:
+    """The envelope past its last segment on (left, inf), per the tail rule."""
+
+    kind: str
+    left: float
+    value_left: float
+    line: EnvelopeSegment
+    right: float = math.inf
+    value_right: float = math.inf
+
+    def at(self, y: float) -> float:
+        if self.kind == "envelope_extends":
+            return self.line.at(y)
+        return self.value_left if self.kind == "constant_floor" else y
+
+
+@dataclass(frozen=True)
 class SupportModel:
     """Geometric splitting data driving the irreducibility decision."""
 
@@ -163,29 +183,27 @@ class SupportModel:
                     raise InvalidModelError(f"envelope gap inside ({l}, {r})")
         if idx != len(segments):
             raise InvalidModelError("envelope extends outside the support")
+        last, pieces = segments[-1], segments
         if self.tail is not None:
-            if self.tail.kind == "envelope_extends":
+            kind, value = self.tail.kind, self.tail.value
+            if kind == "envelope_extends":
                 if not self.supp_a.unbounded:
                     raise InvalidModelError("envelope_extends needs unbounded support")
-                slope = segments[-1].slope
-                if not (0.0 <= slope <= 1.0):
+                if not (0.0 <= last.slope <= 1.0):
                     raise InvalidModelError("extended envelope slope must lie in [0, 1]")
-                if slope == 1.0 and segments[-1].value_right >= segments[-1].right:
+                if last.slope == 1.0 and last.value_right >= last.right:
                     raise InvalidModelError("extended envelope must stay below the parent")
-            if self.tail.kind == "equals_y_beyond" and self.tail.value != segments[-1].right:
+            if kind == "equals_y_beyond" and value != last.right:
                 raise InvalidModelError("identity cutoff must sit at the envelope end")
             # floor applies at parents beyond the last segment; staying
             # below the parent size there means floor <= envelope end
-            if (
-                self.tail.kind == "constant_floor"
-                and self.supp_a.unbounded
-                and self.tail.value > segments[-1].right
-            ):
+            if kind == "constant_floor" and self.supp_a.unbounded and value > last.right:
                 raise InvalidModelError("constant floor exceeds the sizes it applies to")
-
-    @property
-    def envelope_end(self) -> float:
-        return self.envelope[-1].right
+            if self.supp_a.unbounded:
+                # the identity past its cutoff starts at the cutoff itself
+                start = {"envelope_extends": last.value_right, "constant_floor": value}
+                pieces += (_TailPiece(kind, last.right, start.get(kind, last.right), last),)
+        object.__setattr__(self, "_pieces", pieces)
 
     def breakpoints(self) -> list:
         pts = set()
@@ -193,9 +211,10 @@ class SupportModel:
             pts.add(l)
             if math.isfinite(r):
                 pts.add(r)
-        for seg in self.envelope:
-            pts.update((seg.left, seg.right, seg.value_left, seg.value_right))
-        if self.tail is not None and self.tail.kind != "envelope_extends":
+        for p in self._pieces:
+            pts.update((p.left, p.right, p.value_left, p.value_right))
+        # a declared floor counts even where the support leaves no tail piece
+        if self.tail is not None and self.tail.kind == "constant_floor":
             pts.add(self.tail.value)
         if math.isfinite(self.beta_sup):
             pts.add(self.beta_sup)
@@ -206,59 +225,26 @@ def envelope_value(s: SupportModel, y: float) -> float:
     """Pointwise lower envelope, extended by the identity off the support."""
     if y <= 0.0:
         raise InvalidInputError("parent size must be positive")
-    if s.tail is not None and s.tail.kind == "equals_y_beyond" and y > s.tail.value:
-        return y
     if s.supp_a.locate(y) is None:
         return y
-    for seg in s.envelope:
-        if seg.left <= y <= seg.right:
-            return seg.at(y)
+    for p in s._pieces:
+        if p.left <= y <= p.right:
+            return p.at(y)
     # inside the unbounded interval beyond the described envelope
-    if s.tail is None:
-        raise MissingTailError("unbounded support needs a declared tail rule")
-    if s.tail.kind == "envelope_extends":
-        return s.envelope[-1].at(y)
-    if s.tail.kind == "constant_floor":
-        return s.tail.value
-    return y  # equals_y_beyond with y above the cutoff
+    raise MissingTailError("unbounded support needs a declared tail rule")
 
 
 def _infimum_above(s: SupportModel, z: float) -> float:
     """Exact infimum of the extended envelope over the open tail (z, inf)."""
-    cands = []
-
-    # identity cutoff: beyond it the envelope is the parent size itself
-    cut = None
-    if s.tail is not None and s.tail.kind == "equals_y_beyond":
-        cut = s.tail.value
-        cands.append(max(z, cut))
-
+    if s.supp_a.unbounded and s.tail is None:
+        raise MissingTailError("unbounded support needs a declared tail rule")
     # off-support points carry envelope value y; the smallest one >= z
     inside = s.supp_a.locate(z)
-    if inside is None:
-        cands.append(z)
-    else:
-        right = inside[1]
-        if cut is not None and math.isinf(right):
-            right = max(cut, z)
-        if math.isfinite(right):
-            cands.append(right)
-
-    # on-support: affine pieces take their infimum at panel endpoints
-    for seg in s.envelope:
-        if seg.right > z:
-            lo = max(seg.left, z)
-            cands.append(min(seg.at(lo), seg.value_right))
-
-    if s.supp_a.unbounded and cut is None:
-        if s.tail is None:
-            raise MissingTailError("unbounded support needs a declared tail rule")
-        if s.tail.kind == "constant_floor":
-            cands.append(s.tail.value)
-        else:  # envelope_extends, slope in [0, 1] so the inf sits at the left
-            start = max(z, s.envelope_end)
-            cands.append(s.envelope[-1].at(start))
-
+    cands = [z if inside is None else inside[1]]
+    # affine pieces take their infimum at panel endpoints
+    for p in s._pieces:
+        if p.right > z:
+            cands.append(min(p.at(max(p.left, z)), p.value_right))
     return min(cands)
 
 
@@ -360,55 +346,46 @@ def decide_irreducibility(s: SupportModel, result: CbarResult) -> Irreducibility
     )
 
 
-def _bin_splitting_floor(s: SupportModel, lo: float, hi: float) -> float:
-    """Infimum of the envelope over [lo, hi] meeting the splitting support.
+def _cell_splitting_floor(s: SupportModel, lo: float, hi: float) -> float:
+    """Infimum of the envelope over the open cell (lo, hi).
 
-    Regions where the envelope equals the parent size (off the support,
-    or beyond an identity cutoff) produce no daughters strictly below the
-    parent and are excluded.  Returns inf when nothing in the bin splits.
+    The cell lies between consecutive breakpoints, so at most one piece
+    meets it, and that piece covers it; where the cell reaches the
+    piece's end the piece's stated end value is used.  Off the support
+    nothing splits and the floor is inf; past an identity cutoff the
+    floor is lo, so the cell reaches only itself.
     """
     best = math.inf
-    for seg in s.envelope:
-        a = max(seg.left, lo)
-        b = min(seg.right, hi)
-        if a < b:
-            best = min(best, seg.at(a), seg.at(b))
-    if s.supp_a.unbounded and s.tail is not None and s.tail.kind != "equals_y_beyond":
-        a = max(s.envelope_end, lo)
-        if a < hi:
-            if s.tail.kind == "constant_floor":
-                best = min(best, s.tail.value)
-            else:
-                best = min(best, s.envelope[-1].at(a), s.envelope[-1].at(hi))
+    for p in s._pieces:
+        if p.left < hi and lo < p.right:
+            a = p.value_left if lo <= p.left else p.at(lo)
+            b = p.value_right if hi >= p.right else p.at(hi)
+            best = min(best, a, b)
     return best
 
 
-def reachability_oracle(s: SupportModel, n_bins: int) -> IrreducibilityDecision:
-    """Brute-force positivity-spreading check on a binned size axis.
+def reachability_oracle(s: SupportModel) -> IrreducibilityDecision:
+    """Positivity-spreading check on the cells between breakpoints.
 
-    Builds a digraph on uniform bins: growth moves one bin up,
-    fragmentation jumps from a bin down to any bin overlapping
-    [floor, top) where floor is the exact envelope infimum over the
-    splitting sizes inside the source bin, and renewal sends any bin
-    meeting the renewal support back to the first bin.  Declares
-    irreducible exactly when the digraph is strongly connected.
+    The cells are the open intervals between consecutive points of
+    0, the breakpoints and 2 * max(breakpoints, 1); none straddles a
+    breakpoint, so the envelope is one affine piece on each cell, or the
+    identity, and the digraph is exact.  Growth moves one cell up,
+    fragmentation jumps from a cell down to any cell overlapping
+    [floor, top) where floor is the envelope infimum over the source
+    cell, and renewal sends any cell meeting the renewal support back to
+    the first cell.  Past an identity cutoff fragmentation gives a cell
+    only a self-loop.  Declares irreducible exactly when the digraph is
+    strongly connected.
     """
-    if n_bins < 32:
-        raise InvalidInputError("need at least 32 bins")
-    scales = s.breakpoints() + [1.0]
-    if math.isfinite(s.beta_sup) and s.beta_sup > 0.0:
-        scales.append(s.beta_sup)
-    x_top = 2.0 * max(scales)
-    h = x_top / n_bins
-    lowers = h * np.arange(n_bins)
-    uppers = lowers + h
+    pts = s.breakpoints()
+    edges = np.array([0.0] + pts + [2.0 * max(pts + [1.0])])
+    lowers, uppers = edges[:-1], edges[1:]
+    n_cells = len(lowers)
 
-    rows, cols = [], []
-    for i in range(n_bins - 1):
-        rows.append(i)
-        cols.append(i + 1)
-    for i in range(n_bins):
-        floor = _bin_splitting_floor(s, lowers[i], uppers[i])
+    rows, cols = list(range(n_cells - 1)), list(range(1, n_cells))
+    for i in range(n_cells):
+        floor = _cell_splitting_floor(s, lowers[i], uppers[i])
         if math.isinf(floor):
             continue
         targets = np.flatnonzero((uppers > floor) & (lowers < uppers[i]))
@@ -422,13 +399,13 @@ def reachability_oracle(s: SupportModel, n_bins: int) -> IrreducibilityDecision:
     from scipy.sparse.csgraph import connected_components
 
     graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n_bins, n_bins)
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n_cells, n_cells)
     )
     n_comp, _ = connected_components(graph, directed=True, connection="strong")
     if n_comp == 1:
-        return IrreducibilityDecision(True, (f"all {n_bins} bins mutually reachable",))
+        return IrreducibilityDecision(True, (f"all {n_cells} cells mutually reachable",))
     return IrreducibilityDecision(
-        False, (f"bin digraph splits into {n_comp} strongly connected components",)
+        False, (f"cell digraph splits into {n_comp} strongly connected components",)
     )
 
 

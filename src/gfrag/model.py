@@ -606,9 +606,10 @@ class ModelDefinition:
             raise InvalidModelError(f"bc_convention must be one of {_BC_CONVENTIONS}")
         if not (math.isfinite(self.x_max) and self.x_max > 0):
             raise InvalidModelError(f"x_max must be finite and positive, got {self.x_max}")
-        probe = np.concatenate(([0.0, self.x_max * 1e-9], np.linspace(1e-6, self.x_max, 257)))
+        # constant, linear and power growth are smallest at 0; a tabulated
+        # r is piecewise linear, smallest at a knot or an end of [0, x_max]
+        probe = np.array([0.0, self.x_max])
         if isinstance(self.r, Tabulated):
-            # piecewise linear: the minimum on [0, x_max] sits at a knot or an end
             probe = np.concatenate((probe, self.r.nodes[self.r.nodes <= self.x_max]))
         r_vals = np.asarray(self.r(probe))
         if np.any(r_vals <= 0):

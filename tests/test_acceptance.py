@@ -326,7 +326,7 @@ def test_criterion_10_irreducibility_suite():
     for _ in range(100):
         s = random_support_model(rng)
         decided = decide_irreducibility(s, compute_c_bar(s))
-        oracle = reachability_oracle(s, 256)
+        oracle = reachability_oracle(s)
         assert decided.irreducible == oracle.irreducible
         agreements += 1
     report(

@@ -417,7 +417,7 @@ class TestIrreducibleCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "c_bar = 0 (fixed_point)"
         assert out[1].startswith("IRREDUCIBLE:")
-        assert reachability_oracle(support_model_from_config(support), 256).irreducible
+        assert reachability_oracle(support_model_from_config(support)).irreducible
 
     def test_missing_support_key_fails(self, tmp_path, capsys):
         doc = {k: v for k, v in BINARY_DOC.items() if k != "support"}

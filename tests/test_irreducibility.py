@@ -320,8 +320,9 @@ class TestIterateC:
             beta_sup=0.0,
             tail=TailRule("constant_floor", 0.4),
         )
-        # corrupt the floor after construction to force an increasing step
-        object.__setattr__(m.tail, "value", 50.0)
+        # corrupt the tail piece's floor after construction to force an
+        # increasing step
+        object.__setattr__(m._pieces[-1], "value_left", 50.0)
         with pytest.raises(SupportConsistencyError):
             iterate_c(m, 5.0)
 
@@ -398,8 +399,8 @@ class TestComputeCbar:
         res = compute_c_bar(m)
         assert res.c_bar == 2.0
         assert not decide_irreducibility(m, res).irreducible
-        # 768 bins put a bin edge on 2, so no bin straddles the joint
-        assert not reachability_oracle(m, 768).irreducible
+        # 2 is a breakpoint, so no oracle cell straddles the joint
+        assert not reachability_oracle(m).irreducible
 
 
 class TestDecide:
@@ -441,21 +442,17 @@ class TestDecide:
 
 class TestReachabilityOracle:
     def test_uniform_binary_connected(self):
-        assert reachability_oracle(uniform_binary_support(), 256).irreducible
+        assert reachability_oracle(uniform_binary_support()).irreducible
 
     def test_gap_model_disconnected(self):
-        assert not reachability_oracle(gap_model(beta_sup=0.5), 256).irreducible
+        assert not reachability_oracle(gap_model(beta_sup=0.5)).irreducible
 
     def test_gap_model_with_unbounded_renewal(self):
-        assert reachability_oracle(gap_model(beta_sup=INF), 256).irreducible
+        assert reachability_oracle(gap_model(beta_sup=INF)).irreducible
 
-    def test_too_few_bins_rejected(self):
-        with pytest.raises(InvalidInputError):
-            reachability_oracle(gap_model(), 16)
-
-    def test_coarse_bin_artifact_vanishes_under_refinement(self):
-        # renewal reach 0.98 sits just below the floor 1; at 32 bins the
-        # straddling bin spuriously connects the two regions
+    def test_renewal_just_below_the_floor_is_not_bridged(self):
+        # renewal reach 0.98 sits just below the floor 1; both are cell
+        # edges, so no cell joins the sizes below 1 to those above
         m = SupportModel(
             IntervalUnion(((2.0, INF),)),
             (EnvelopeSegment(2.0, 3.0, 1.0, 1.5),),
@@ -463,9 +460,27 @@ class TestReachabilityOracle:
             tail=TailRule("envelope_extends"),
         )
         assert not decide_irreducibility(m, compute_c_bar(m)).irreducible
-        assert reachability_oracle(m, 32).irreducible
-        assert not reachability_oracle(m, 256).irreducible
-        assert not reachability_oracle(m, 1024).irreducible
+        assert not reachability_oracle(m).irreducible
+
+    @pytest.mark.parametrize("beta_sup", [1.0, 2.0, 2.5])
+    def test_envelope_jump_at_a_joint_is_not_bridged(self, beta_sup):
+        # the envelope jumps from 1.5 up to 2 at the joint 2 and parents
+        # beyond 3 split down to 2: nothing above 2 has daughters below it,
+        # so only a renewal reach beyond c_bar = 2 connects the two sides
+        m = SupportModel(
+            IntervalUnion(((1.0, INF),)),
+            (EnvelopeSegment(1.0, 2.0, 0.5, 1.5), EnvelopeSegment(2.0, 3.0, 2.0, 2.5)),
+            beta_sup=beta_sup,
+            tail=TailRule("constant_floor", 2.0),
+        )
+        decided = decide_irreducibility(m, compute_c_bar(m))
+        assert decided.irreducible == (beta_sup > 2.0)
+        assert reachability_oracle(m).irreducible == decided.irreducible
+
+    def test_cells_sit_between_breakpoints(self):
+        # the breakpoints 1, 2 and 4 and the top 8 cut four cells
+        d = reachability_oracle(gap_model(beta_sup=INF))
+        assert d.reasons == ("all 4 cells mutually reachable",)
 
 
 def _tiled_segments(rng, left, right):
@@ -481,7 +496,7 @@ def _tiled_segments(rng, left, right):
 
 
 def random_support_model(rng):
-    """Random splitting geometry with decision margins above a bin width."""
+    """Random splitting geometry with clear decision margins."""
     n_iv = int(rng.integers(1, 3))
     edges = np.cumsum(rng.uniform(0.4, 2.5, size=2 * n_iv))
     intervals = [(float(edges[2 * k]), float(edges[2 * k + 1])) for k in range(n_iv)]
@@ -512,7 +527,9 @@ def random_support_model(rng):
     probe = SupportModel(IntervalUnion(tuple(intervals)), tuple(segs), 0.0, tail)
     top = max(probe.breakpoints() + [1.0])
     prelim = compute_c_bar(probe)
-    # gate below/zero choices away from floors the 256-bin oracle cannot see
+    # reaches below the floor are drawn only for floors above `small`, 8
+    # steps of a 256-way split of [0, 2 * top], which keeps the draws apart
+    # from floors barely above 0
     small = max(0.15, 8.0 * 2.0 * top / 256.0)
     u = rng.random()
     if u < 0.25:
@@ -529,13 +546,77 @@ def random_support_model(rng):
     return SupportModel(IntervalUnion(tuple(intervals)), tuple(segs), beta, tail)
 
 
+def stress_support_model(rng):
+    """Random geometry with jumps at joints, ends on the identity, any tail.
+
+    One to three support intervals, touching or apart, the first starting
+    at 0 in 30% of draws and the last unbounded in 60%; one to three
+    segments per interval; the constructor may reject the draw.
+    """
+    lo = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.2, 2.0))
+    intervals = []
+    for _ in range(int(rng.integers(1, 4))):
+        hi = lo + float(rng.uniform(0.3, 3.0))
+        intervals.append((lo, hi))
+        lo = hi if rng.random() < 0.3 else hi + float(rng.uniform(0.1, 1.5))
+
+    def value(y):
+        return y if rng.random() < 0.15 else float(rng.uniform(0.0, 0.95)) * y
+
+    segs = []
+    for lo, hi in intervals:
+        cuts = [lo, *np.sort(rng.uniform(lo, hi, int(rng.integers(0, 3)))).tolist(), hi]
+        v = value(lo)
+        for a, b in zip(cuts, cuts[1:]):
+            if segs and segs[-1].right == a and rng.random() < 0.5:
+                v = value(a)  # the envelope jumps at this joint
+            vb = value(b)
+            segs.append(EnvelopeSegment(a, b, v, vb))
+            v = vb
+    end = intervals[-1][1]
+    if rng.random() < 0.6:
+        intervals[-1] = (intervals[-1][0], INF)
+    tail = (
+        None,
+        TailRule("envelope_extends"),
+        TailRule("constant_floor", float(rng.uniform(0.0, 1.0)) * end),
+        TailRule("equals_y_beyond", end),
+    )[int(rng.integers(0, 4))]
+    probe = SupportModel(IntervalUnion(tuple(intervals)), tuple(segs), 0.0, tail)
+    u = rng.random()
+    if u < 0.25:
+        beta = 0.0
+    elif u < 0.5:
+        beta = INF
+    elif u < 0.75:
+        beta = float(rng.uniform(0.0, 1.2 * max(probe.breakpoints())))
+    else:
+        beta = float(rng.choice(probe.breakpoints()))
+    return SupportModel(probe.supp_a, probe.envelope, beta, tail)
+
+
 class TestRandomizedAgreement:
+    def test_oracle_agrees_on_stress_geometries(self):
+        rng = np.random.default_rng(20261019)
+        checked = irreducible = 0
+        while checked < 2000:
+            try:
+                m = stress_support_model(rng)
+                decided = decide_irreducibility(m, compute_c_bar(m))
+            except (InvalidModelError, MissingTailError):
+                continue
+            oracle = reachability_oracle(m)
+            assert decided.irreducible == oracle.irreducible, f"{m}: {decided} vs {oracle}"
+            checked += 1
+            irreducible += decided.irreducible
+        assert 500 < irreducible < 1500
+
     def test_hundred_models_agree_with_reachability(self):
         rng = np.random.default_rng(20260819)
         for trial in range(100):
             m = random_support_model(rng)
             decided = decide_irreducibility(m, compute_c_bar(m))
-            oracle = reachability_oracle(m, 256)
+            oracle = reachability_oracle(m)
             assert decided.irreducible == oracle.irreducible, (
                 f"trial {trial}: calculus {decided} vs oracle {oracle}"
             )
