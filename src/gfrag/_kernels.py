@@ -89,12 +89,47 @@ def inverse_transport_scan(L, C, t):
 def advance_upwind(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
     """Explicit-Euler upwind loop: n_steps steps from u, which is not mutated.
 
-    ``gain`` is any operator with a ``matvec`` method.
+    With k = dt/dx one step is cur <- diag*cur + (sub*cur shifted down one
+    row) + dt*G cur, plus k*<beta_w, cur> on row 0 (the lagged renewal
+    inflow), where diag = 1 - k*r_faces[1:] - dt*a_mid and sub =
+    k*r_faces[1:-1].  ``gain`` is the :class:`gfrag.resolvent.GainOperator`
+    G of the grid.  diag, sub and the dt-scaled gain are built once per
+    call and every step runs in preallocated buffers.  A separable gain
+    folds dt*d into diag and runs on reversed copies, so its reverse
+    cumulative sum is a forward ``np.add.accumulate`` over contiguous
+    memory; a CSR or dense gain costs one matvec per step.
     """
-    cur = u.copy()
-    flux = np.empty(u.shape[0] + 1, dtype=np.float64)
+    k = dt / dx
+    diag = 1.0 - k * r_faces[1:] - dt * a_mid
+    sub = k * r_faces[1:-1]
+    cur = np.array(u, dtype=np.float64)
+    if gain._matrix is None:
+        # reversed order: row 0 is last, and the subdiagonal feeds row i
+        # from row i + 1
+        diag, sub = (diag + dt * gain._d)[::-1].copy(), sub[::-1].copy()
+        c, p, beta = (v[::-1].copy() for v in (gain._c, dt * gain._p, beta_w))
+        cur, nxt, tmp = cur[::-1].copy(), np.empty_like(cur), np.empty_like(cur)
+        head = tmp[:-1]
+        for _ in range(n_steps):
+            np.multiply(c, cur, out=tmp)
+            np.add.accumulate(tmp, out=tmp)
+            np.multiply(p, tmp, out=nxt)
+            np.multiply(diag, cur, out=tmp)
+            nxt += tmp
+            np.multiply(sub, cur[1:], out=head)
+            nxt[:-1] += head
+            nxt[-1] += k * (beta @ cur)
+            cur, nxt = nxt, cur
+        return cur[::-1].copy()
+    G, tmp = gain._matrix, np.empty_like(cur)
+    tail = tmp[1:]
     for _ in range(n_steps):
-        flux[0] = beta_w @ cur
-        flux[1:] = r_faces[1:] * cur
-        cur = cur - (dt / dx) * np.diff(flux) + dt * (gain.matvec(cur) - a_mid * cur)
+        nxt = G @ cur
+        nxt *= dt
+        np.multiply(diag, cur, out=tmp)
+        nxt += tmp
+        np.multiply(sub, cur[:-1], out=tail)
+        nxt[1:] += tail
+        nxt[0] += k * (beta_w @ cur)
+        cur = nxt
     return cur

@@ -234,10 +234,15 @@ def envelope_value(s: SupportModel, y: float) -> float:
     raise MissingTailError("unbounded support needs a declared tail rule")
 
 
-def _infimum_above(s: SupportModel, z: float) -> float:
-    """Exact infimum of the extended envelope over the open tail (z, inf)."""
+def _require_tail(s: SupportModel) -> None:
+    """An unbounded support needs a tail rule past the described envelope."""
     if s.supp_a.unbounded and s.tail is None:
         raise MissingTailError("unbounded support needs a declared tail rule")
+
+
+def _infimum_above(s: SupportModel, z: float) -> float:
+    """Exact infimum of the extended envelope over the open tail (z, inf)."""
+    _require_tail(s)
     # off-support points carry envelope value y; the smallest one >= z
     inside = s.supp_a.locate(z)
     cands = [z if inside is None else inside[1]]
@@ -376,8 +381,10 @@ def reachability_oracle(s: SupportModel) -> IrreducibilityDecision:
     cell, and renewal sends any cell meeting the renewal support back to
     the first cell.  Past an identity cutoff fragmentation gives a cell
     only a self-loop.  Declares irreducible exactly when the digraph is
-    strongly connected.
+    strongly connected.  Like :func:`compute_c_bar`, raises
+    MissingTailError on an unbounded support with no tail rule.
     """
+    _require_tail(s)
     pts = s.breakpoints()
     edges = np.array([0.0] + pts + [2.0 * max(pts + [1.0])])
     lowers, uppers = edges[:-1], edges[1:]

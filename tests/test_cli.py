@@ -277,6 +277,144 @@ class TestReadmeModelFrozen:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+class TestSolvePdeFrozen:
+    """``solve-pde`` on the README model with one kernel per gain storage form
+    (separable, CSR, dense) at 400 cells and t_end = 2: selected snapshot rows
+    and every moments.csv row, pinned to within 1e-12 of each column's max."""
+
+    KERNELS = {
+        "uniform_binary": {"type": "uniform_binary"},
+        "power_law": {"type": "power_law", "nu": 1.0},
+        "shrinking_binary": {"type": "shrinking_binary", "eps": 0.25},
+        "tabulated": {"type": "tabulated", "ratios": [0.0, 0.5, 1.0], "densities": [0.0, 4.0, 0.0]},
+    }
+    # kernel: ((max of |x|, |u|, |u_normalized|), [(row, x, u, u_normalized)]);
+    # the rows include the one holding the max of u
+    SNAPSHOTS = {
+        "uniform_binary": (
+            (29.9625, 264270.8423470266, 0.916255252656327),
+            [
+                (0, 0.0375, 255627.36245030136, 0.8862873841383002),
+                (2, 0.1875, 264270.8423470266, 0.916255252656327),
+                (50, 3.7874999999999996, 367.6321308029407, 0.00127461988580301),
+                (100, 7.5375, 0.13290885425554363, 4.6080920147922723e-07),
+                (200, 15.0375, 5.249245496871574e-09, 1.8199695116858076e-14),
+                (300, 22.537499999999998, 2.859537894942505e-17, 9.91432347640665e-23),
+                (399, 29.9625, 6.353805442705359e-27, 2.202932249177298e-32),
+            ],
+        ),
+        "power_law": (
+            (29.9625, 130461.04886089305, 0.8519558175910776),
+            [
+                (0, 0.0375, 130461.04886089305, 0.8519558175910776),
+                (50, 3.7874999999999996, 849.4654122151501, 0.005547303245666593),
+                (100, 7.5375, 0.6689881574405065, 4.368724286730941e-06),
+                (200, 15.0375, 4.207885312324512e-08, 2.7478947953372886e-13),
+                (300, 22.537499999999998, 2.206345250112257e-16, 1.4408198369245516e-21),
+                (399, 29.9625, 2.414837694178247e-26, 1.5769726213738015e-31),
+            ],
+        ),
+        "shrinking_binary": (
+            (29.9625, 267789.2642628632, 0.9292709184065039),
+            [
+                (0, 0.0375, 230490.39024133264, 0.7998379517305395),
+                (4, 0.33749999999999997, 267789.2642628632, 0.9292709184065039),
+                (50, 3.7874999999999996, 227.85375118222407, 0.0007906883989778974),
+                (100, 7.5375, 0.02330965118046265, 8.088816039668137e-08),
+                (200, 15.0375, 2.3252432992514736e-10, 8.06896042737902e-16),
+                (300, 22.537499999999998, 4.460771403561309e-19, 1.5479579251989264e-24),
+                (399, 29.9625, 1.4725486614915319e-28, 5.109975752124548e-34),
+            ],
+        ),
+        "tabulated": (
+            (29.9625, 247426.7725112068, 0.8720734720211458),
+            [
+                (0, 0.0375, 227636.6139868186, 0.8023216336042647),
+                (4, 0.33749999999999997, 247426.7725112068, 0.8720734720211458),
+                (50, 3.7874999999999996, 160.90994118298966, 0.0005671386716399589),
+                (100, 7.5375, 0.016984463867253174, 5.986296561526017e-08),
+                (200, 15.0375, 1.7187807565262559e-10, 6.057966511764984e-16),
+                (300, 22.537499999999998, 5.073275554966225e-19, 1.7881124919652788e-24),
+                (399, 29.9625, 2.6102394623597666e-28, 9.199976896774937e-34),
+            ],
+        ),
+    }
+    MOMENTS = {
+        "uniform_binary": [
+            (0.0, 1152.153515625, 22864.67705566406),
+            (0.2, 8552.730361123135, 23805.7738901889),
+            (0.4, 17279.416927913193, 26457.05006217188),
+            (0.6000000000000001, 28032.863865747837, 31084.124476486166),
+            (0.8, 41716.025091116964, 38191.64706053691),
+            (1.0, 59514.784251882054, 48496.52710903657),
+            (1.2000000000000002, 83003.78831428548, 62996.182969487556),
+            (1.4000000000000001, 114288.35161452748, 83062.03365695529),
+            (1.6, 156195.32879950554, 110566.81631388943),
+            (1.8, 212530.35191379083, 148057.4549072358),
+            (2.0, 288424.9138882159, 198989.3610684668),
+        ],
+        "power_law": [
+            (0.0, 1152.153515625, 22864.67705566406),
+            (0.2, 6120.904499135241, 23578.004958089365),
+            (0.4, 11892.127424179029, 25460.540198323713),
+            (0.6000000000000001, 18795.141546236042, 28634.47462190355),
+            (0.8, 27246.373141407927, 33374.80800743609),
+            (1.0, 37773.88282350585, 40053.14999730436),
+            (1.2000000000000002, 51051.57561277102, 49164.01197732831),
+            (1.4000000000000001, 67943.64680165211, 61359.2183251619),
+            (1.6, 89562.02028550662, 77492.74282046287),
+            (1.8, 117340.58991361881, 98679.01874342257),
+            (2.0, 153131.23775570228, 126368.67079258396),
+        ],
+        "shrinking_binary": [
+            (0.0, 1152.153515625, 22864.67705566406),
+            (0.2, 8552.765052025285, 23805.324632068015),
+            (0.4, 17278.94252823664, 26453.638989262086),
+            (0.6000000000000001, 28030.522896154922, 31075.0637161754),
+            (0.8, 41709.33845382313, 38173.24964337326),
+            (1.0, 59499.64545872431, 48463.57217397691),
+            (1.2000000000000002, 82973.70762387235, 62941.167475854374),
+            (1.4000000000000001, 114233.34403540244, 82974.12077462861),
+            (1.6, 156100.29551499942, 110430.35163835021),
+            (1.8, 212372.74135768382, 147849.87065962274),
+            (2.0, 288171.3598893885, 198678.21681932264),
+        ],
+        "tabulated": [
+            (0.0, 1152.153515625, 22864.67705566406),
+            (0.2, 8539.141717672273, 23800.65634374731),
+            (0.4, 17226.793031828012, 26432.326590271063),
+            (0.6000000000000001, 27907.427780734328, 31018.139282806118),
+            (0.8, 41466.81165533043, 38051.61059601711),
+            (1.0, 59065.02554884163, 48233.05507487108),
+            (1.2000000000000002, 82238.9546616787, 62535.41599426891),
+            (1.4000000000000001, 113039.02670331202, 82294.33498634907),
+            (1.6, 154212.71182067296, 109330.60394511532),
+            (1.8, 209451.3272353316, 146116.13221075255),
+            (2.0, 283722.39318066, 195998.4843612857),
+        ],
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_snapshot_and_moments_frozen(self, tmp_path, kernel):
+        path = write_model(tmp_path, {**README_DOC, "kernel": self.KERNELS[kernel]})
+        cfg = RunConfig("solve-pde", path, output_dir=str(tmp_path), n_cells=400, t_end=2.0)
+        assert run(cfg) == 0
+        _, rows, _ = read_csv(tmp_path / "snapshot.csv")
+        snap = np.array(rows)
+        assert snap.shape == (400, 3)
+        scale, pinned = self.SNAPSHOTS[kernel]
+        scale = np.array(scale)
+        idx = [row[0] for row in pinned]
+        frozen = np.array([row[1:] for row in pinned])
+        assert np.all(np.abs(snap[idx] - frozen) <= 1e-12 * scale)
+        assert np.all(np.abs(np.abs(snap).max(axis=0) - scale) <= 1e-12 * scale)
+        _, mom_rows, _ = read_csv(tmp_path / "moments.csv")
+        moments = np.array(mom_rows)
+        frozen = np.array(self.MOMENTS[kernel])
+        assert moments.shape == frozen.shape
+        assert np.all(np.abs(moments - frozen) <= 1e-12 * np.abs(frozen).max(axis=0))
+
+
 class TestSolvePdeCommand:
     def test_writes_snapshot_and_moments(self, tmp_path):
         cfg = RunConfig(

@@ -477,6 +477,17 @@ class TestReachabilityOracle:
         assert decided.irreducible == (beta_sup > 2.0)
         assert reachability_oracle(m).irreducible == decided.irreducible
 
+    def test_unbounded_support_without_tail_raises(self):
+        # sizes past the envelope end 3 have no stated floor: the oracle
+        # refuses a verdict, as the decision's c_bar does
+        m = SupportModel(
+            IntervalUnion(((1.0, INF),)), (EnvelopeSegment(1.0, 3.0, 0.5, 1.0),), beta_sup=0.0
+        )
+        with pytest.raises(MissingTailError):
+            compute_c_bar(m)
+        with pytest.raises(MissingTailError):
+            reachability_oracle(m)
+
     def test_cells_sit_between_breakpoints(self):
         # the breakpoints 1, 2 and 4 and the top 8 cut four cells
         d = reachability_oracle(gap_model(beta_sup=INF))

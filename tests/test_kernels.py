@@ -13,11 +13,20 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.sparse.linalg import aslinearoperator
 
 from gfrag import _kernels as K
 from gfrag import resolvent
-from gfrag.model import Constant, GridFunction, Linear, ModelDefinition, UniformBinary
+from gfrag.model import (
+    Constant,
+    GridFunction,
+    Linear,
+    ModelDefinition,
+    PowerLaw,
+    ShrinkingBinary,
+    TabulatedKernel,
+    UniformBinary,
+    midpoint_grid,
+)
 
 SEAM = 0.951229424500714  # exp(-0.05), where the weights switch branch
 
@@ -213,37 +222,65 @@ def upwind_oracle(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
     return cur
 
 
+GAIN_KERNELS = {
+    "uniform_binary": UniformBinary(),
+    "power_law": PowerLaw(1.0),
+    "shrinking_binary": ShrinkingBinary(0.25),
+    "tabulated": TabulatedKernel(np.array([0.0, 0.5, 1.0]), np.array([0.0, 4.0, 0.0])),
+}
+
+
+def grid_gain(kernel, n=48, dx=0.25):
+    """The real gain of ``kernel`` on the midpoint grid of n cells of width dx."""
+    model = ModelDefinition(
+        r=Constant(1.0), a=Linear(0.0, 1.0), kernel=kernel,
+        beta=Linear(0.5, 0.5), m=2.0, bc_convention="value", x_max=n * dx,
+    )
+    return resolvent.GainOperator(model, midpoint_grid(model.x_max, n))
+
+
+@pytest.fixture(params=sorted(GAIN_KERNELS))
+def upwind_args(request):
+    """Random transport data and the real gain of one kernel on 48 cells."""
+    rng = np.random.default_rng(12)
+    n, dx = 48, 0.25
+    gain = grid_gain(GAIN_KERNELS[request.param], n, dx)
+    u0 = rng.uniform(0.0, 1.0, size=n)
+    r_faces = rng.uniform(0.5, 1.5, size=n + 1)
+    a_mid = rng.uniform(0.0, 2.0, size=n)
+    beta_w = rng.uniform(0.0, 0.1, size=n)
+    return u0, 0.02, dx, r_faces, a_mid, gain, beta_w
+
+
 class TestAdvanceTwins:
-    def setup_method(self):
-        rng = np.random.default_rng(12)
-        self.n = 48
-        self.dx = 0.25
-        self.dt = 0.02
-        self.u0 = rng.uniform(0.0, 1.0, size=self.n)
-        self.r_faces = rng.uniform(0.5, 1.5, size=self.n + 1)
-        self.a_mid = rng.uniform(0.0, 2.0, size=self.n)
-        self.gain = aslinearoperator(rng.uniform(0.0, 0.05, size=(self.n, self.n)))
-        self.beta_w = rng.uniform(0.0, 0.1, size=self.n)
+    """The fused loop of each gain storage form (separable, CSR and dense)
+    against the cell-by-cell oracle on the gain's matrix."""
 
-    def test_twin_loops_agree(self):
-        args = (self.u0, 40, self.dt, self.dx, self.r_faces, self.a_mid, self.gain, self.beta_w)
+    def test_storage_forms_covered(self):
+        forms = {type(grid_gain(kernel)._matrix).__name__ for kernel in GAIN_KERNELS.values()}
+        assert forms == {"NoneType", "csr_array", "ndarray"}
+
+    def test_twin_loops_agree(self, upwind_args):
+        u0, dt, dx, r_faces, a_mid, gain, beta_w = upwind_args
+        matrix = np.column_stack([gain.matvec(e) for e in np.eye(u0.size)])
         np.testing.assert_allclose(
-            K.advance_upwind(*args), upwind_oracle(*args), rtol=1e-10, atol=1e-12
+            K.advance_upwind(u0, 40, dt, dx, r_faces, a_mid, gain, beta_w),
+            upwind_oracle(u0, 40, dt, dx, r_faces, a_mid, matrix, beta_w),
+            rtol=1e-10,
+            atol=1e-12,
         )
 
-    def test_input_not_mutated(self):
-        before = self.u0.copy()
-        K.advance_upwind(
-            self.u0, 5, self.dt, self.dx, self.r_faces, self.a_mid, self.gain, self.beta_w
-        )
-        np.testing.assert_array_equal(self.u0, before)
+    def test_input_not_mutated(self, upwind_args):
+        u0 = upwind_args[0]
+        before = u0.copy()
+        K.advance_upwind(u0, 5, *upwind_args[1:])
+        np.testing.assert_array_equal(u0, before)
 
-    def test_zero_steps_copies(self):
-        out = K.advance_upwind(
-            self.u0, 0, self.dt, self.dx, self.r_faces, self.a_mid, self.gain, self.beta_w
-        )
-        np.testing.assert_array_equal(out, self.u0)
-        assert out is not self.u0
+    def test_zero_steps_copies(self, upwind_args):
+        u0 = upwind_args[0]
+        out = K.advance_upwind(u0, 0, *upwind_args[1:])
+        np.testing.assert_array_equal(out, u0)
+        assert out is not u0
 
 
 CHILD_SCRIPT = """
