@@ -229,7 +229,7 @@ def _cmd_aeg(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> in
     nodes = midpoint_grid(model.x_max, cfg.n_cells)
     u0 = _initial_datum(doc, nodes)
     if is_binary_model(model):
-        pair = closed_form_eigenpair(model, nodes)
+        pair = closed_form_eigenpair(model, cfg.n_cells)
     else:
         pair = perron_eigenpair(model, cfg.n_cells, cfg.tol)
     times = tuple(float(t) for t in np.linspace(cfg.t_end / 4.0, cfg.t_end, 4))

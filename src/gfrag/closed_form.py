@@ -685,7 +685,7 @@ def asymptotic_profile(params: BinaryModelParams, u0: GridFunction) -> GridFunct
     sigma = 1.0 / (params.lambda_plus - params.lambda_minus)
     coeff = sigma * (params.lambda_plus * m.M0 + params.alpha1 * m.M1)
     v = right_eigenfunction_cf(params)(u0.nodes)
-    return GridFunction(u0.nodes, coeff * v, u0.m)
+    return GridFunction(u0.nodes, coeff * v)
 
 
 # ---------------------------------------------------------------------------

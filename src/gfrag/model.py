@@ -52,7 +52,7 @@ __all__ = [
     "AssumptionReport",
     "compute_RQ",
     "xm_norm",
-    "dual_norm_beta",
+    "dual_norm",
     "kernel_moment",
     "kernel_defect",
     "kernel_density",
@@ -62,13 +62,13 @@ __all__ = [
     "validate_assumptions",
     "boundary_weight_flux",
     "scale_coefficient",
-    "linear_growth_bound",
     "shift_floor",
     "coefficient_is_zero",
     "quad_weights",
     "pairing",
     "grid_eval",
     "midpoint_grid",
+    "check_model_grid",
     "model_from_config",
     "load_model",
     "read_config",
@@ -284,19 +284,6 @@ def _tabulated_sup(spec: Tabulated, m: float) -> float:
     return best
 
 
-def linear_growth_bound(spec: CoefficientSpec) -> float:
-    """Smallest r0 with value(x) <= r0*(1+x) for all x >= 0."""
-    if isinstance(spec, Constant):
-        return spec.c
-    if isinstance(spec, Linear):
-        return max(spec.c0, spec.c1)
-    if isinstance(spec, Power):
-        if spec.p > 1.0:
-            raise DivergentNormError("coefficient grows faster than linearly; no linear bound")
-        return spec.c0 * _power_sup(spec.p, 1.0)
-    return _tabulated_sup(spec, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # fragmentation kernels
 
@@ -497,14 +484,13 @@ def daughter_count_bound(kernel: KernelSpec) -> tuple[float, float]:
 class GridFunction:
     """Density samples on a strictly increasing size grid.
 
-    ``m`` is the weight exponent of the ambient space; quadrature over the
-    grid uses the composite trapezoid rule with zero extension beyond the
-    last node.
+    Quadrature over the grid uses the composite trapezoid rule with zero
+    extension beyond the last node.  The weight exponent of the ambient
+    space belongs to the model, so norms take it explicitly (:func:`xm_norm`).
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    m: float = 2.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -522,14 +508,14 @@ class GridFunction:
         self.values = values
 
     @classmethod
-    def _on_grid(cls, nodes: np.ndarray, values: np.ndarray, m: float) -> "GridFunction":
+    def _on_grid(cls, nodes: np.ndarray, values: np.ndarray) -> "GridFunction":
         """Float samples on a grid the caller has already validated; no checks run."""
         f = object.__new__(cls)
-        f.nodes, f.values, f.m = nodes, values, m
+        f.nodes, f.values = nodes, values
         return f
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.nodes, np.asarray(values, dtype=float), self.m)
+        return GridFunction(self.nodes, np.asarray(values, dtype=float))
 
     def __call__(self, x):
         """Linear interpolation; zero beyond the last node, constant below the first."""
@@ -554,11 +540,10 @@ def quad_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def xm_norm(f: GridFunction, m: float | None = None) -> float:
-    """Weighted norm int (1+x^m)|f(x)| dx over the grid (zero tail)."""
-    mm = f.m if m is None else m
+def xm_norm(f: GridFunction, m: float) -> float:
+    """Weighted norm int (1+x^m)|f(x)| dx over the grid (zero tail); m is the model's."""
     w = quad_weights(f.nodes)
-    return float(np.sum(w * (1.0 + np.power(f.nodes, mm)) * np.abs(f.values)))
+    return float(np.sum(w * (1.0 + np.power(f.nodes, m)) * np.abs(f.values)))
 
 
 def pairing(g, f: GridFunction) -> float:
@@ -577,6 +562,17 @@ def midpoint_grid(x_max: float, n_cells: int) -> np.ndarray:
         raise InvalidInputError("need a finite x_max > 0 and at least two cells")
     dx = x_max / n_cells
     return dx * (np.arange(n_cells) + 0.5)
+
+
+def check_model_grid(model: ModelDefinition, nodes: np.ndarray) -> None:
+    """Raise InvalidInputError unless ``nodes`` is ``midpoint_grid(model.x_max, nodes.size)``.
+
+    Every node may miss its midpoint by 1e-9 of a cell, well above the
+    roundoff of computing the same grid another way.
+    """
+    grid = midpoint_grid(model.x_max, nodes.size)
+    if not np.max(np.abs(nodes - grid)) <= 1e-9 * (model.x_max / nodes.size):
+        raise InvalidInputError("datum must live on the midpoint grid of the model's domain")
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +632,6 @@ class RQFunctions:
 
     R: Callable
     Q: Callable
-    M_Q: float
 
 
 class _LazyIntegrate:
@@ -733,10 +728,8 @@ def compute_RQ(model: ModelDefinition) -> RQFunctions:
         R = _CumulativeIntegral(lambda s: 1.0 / r_spec.at(s), _kinks(r_spec))
 
     a_aff = _as_affine(a_spec)
-    Q = None
     if coefficient_is_zero(a_spec):
         Q = lambda x: np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        m_q = 0.0
     elif a_aff is not None and r_aff is not None:
         a0, a1 = a_aff
         b0, b1 = r_aff
@@ -749,62 +742,59 @@ def compute_RQ(model: ModelDefinition) -> RQFunctions:
             Q = lambda x: lead * np.asarray(x, dtype=float) + rem * np.log1p(
                 b1 * np.asarray(x, dtype=float) / b0
             )
-        m_q = math.inf
     elif isinstance(a_spec, Power) and r_aff is not None and r_aff[1] == 0.0:
         c0, p = a_spec.c0, a_spec.p
         b0 = r_aff[0]
         Q = lambda x: c0 * (
             np.asarray(x, dtype=float) + np.power(np.asarray(x, dtype=float), p + 1.0) / (p + 1.0)
         ) / b0
-        m_q = math.inf
-    if Q is None:
+    else:
         Q = _CumulativeIntegral(lambda s: a_spec.at(s) / r_spec.at(s), _kinks(r_spec, a_spec))
-        if isinstance(a_spec, Tabulated) and a_spec.values[-1] == 0.0:
-            m_q = float(Q(a_spec.nodes[-1]))
-        else:
-            m_q = math.inf
-    return RQFunctions(R=R, Q=Q, M_Q=m_q)
+    return RQFunctions(R=R, Q=Q)
 
 
 # ---------------------------------------------------------------------------
-# dual norm of the renewal weight
+# weighted suprema of coefficients
 
 
-def dual_norm_beta(beta: CoefficientSpec, m: float) -> float:
-    """Supremum of beta(x)/(1+x^m) over x >= 0.
+def dual_norm(spec: CoefficientSpec, m: float) -> float:
+    """Dual X_m norm of a coefficient: the supremum of spec(x)/(1+x^m) over x >= 0.
 
     Raises
     ------
     DivergentNormError
-        When beta grows at least like x^m (the supremum is infinite).
+        When the coefficient grows faster than x^m (the supremum is infinite).
     """
     if m <= 0:
         raise InvalidInputError("weight exponent must be positive")
-    if coefficient_is_zero(beta):
+    if coefficient_is_zero(spec):
         return 0.0
-    if isinstance(beta, Constant):
-        return beta.c
-    if isinstance(beta, Linear):
-        if m < 1.0 and beta.c1 > 0:
-            raise DivergentNormError("linear renewal weight diverges against sublinear weight")
-        if m <= 1.0 or beta.c1 == 0.0:
-            return max(beta.c0, beta.c1)
-        return _affine_sup(0.0, beta.c0, beta.c1, m)
-    if isinstance(beta, Power):
-        if beta.p > m:
-            raise DivergentNormError("renewal weight grows faster than the space weight")
-        return beta.c0 * _power_sup(beta.p, m)
-    return _tabulated_sup(beta, m)
+    if (isinstance(spec, Linear) and m < 1.0 and spec.c1 > 0) or (
+        isinstance(spec, Power) and spec.p > m
+    ):
+        raise DivergentNormError(
+            f"coefficient grows faster than x^{m:g}, so its supremum against 1 + x^{m:g} is infinite"
+        )
+    if isinstance(spec, Constant):
+        return spec.c
+    if isinstance(spec, Linear):
+        if m <= 1.0 or spec.c1 == 0.0:
+            return max(spec.c0, spec.c1)
+        return _affine_sup(0.0, spec.c0, spec.c1, m)
+    if isinstance(spec, Power):
+        return spec.c0 * _power_sup(spec.p, m)
+    return _tabulated_sup(spec, m)
 
 
 def shift_floor(model: ModelDefinition) -> tuple[float, float]:
     """(omega_r, beta_m); the renewal resolvent holds for lambda > omega_r + beta_m.
 
     omega_r = 2*m*r0 bounds the growth of the zero-flux transport semigroup,
-    beta_m is the dual X_m norm of the renewal weight in the flux convention.
+    r0 = sup r(x)/(1+x) being the smallest bound r(x) <= r0*(1+x); beta_m is
+    the dual X_m norm of the renewal weight in the flux convention.
     """
-    omega_r = 2.0 * model.m * linear_growth_bound(model.r)
-    return omega_r, dual_norm_beta(boundary_weight_flux(model), model.m)
+    omega_r = 2.0 * model.m * dual_norm(model.r, 1.0)
+    return omega_r, dual_norm(boundary_weight_flux(model), model.m)
 
 
 # ---------------------------------------------------------------------------

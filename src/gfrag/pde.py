@@ -33,6 +33,7 @@ from .model import (
     GridFunction,
     ModelDefinition,
     boundary_weight_flux,
+    check_model_grid,
     grid_eval,
     kernel_defect,
     midpoint_grid,
@@ -83,8 +84,7 @@ def _scheme(model: ModelDefinition, u: GridFunction):
     (dx, r_faces, a_mid, gain, beta_w) for a datum on the midpoint grid of
     the model's domain."""
     nodes, dx, r_faces, a_mid, bound = _transport(model, u.nodes.size)
-    if not np.allclose(u.nodes, nodes):
-        raise InvalidInputError("datum must live on the midpoint grid of the model's domain")
+    check_model_grid(model, u.nodes)
     gain = fragmentation_gain_matrix(model, nodes)
     return bound, (dx, r_faces, a_mid, gain, _renewal_weights(model, nodes))
 

@@ -49,6 +49,7 @@ from .model import (
     PowerLaw,
     UniformBinary,
     boundary_weight_flux,
+    check_model_grid,
     compute_RQ,
     grid_eval,
     is_atomic_kernel,
@@ -79,11 +80,16 @@ __all__ = [
 class ResolventContext:
     """Immutable bundle of everything needed to apply resolvents at one lam.
 
+    The model fixes the grid and the weight exponent: ``nodes`` is
+    ``midpoint_grid(model.x_max, n_cells)`` and the norms use ``model.m``.
+
     Attributes
     ----------
     model : ModelDefinition
     lam : float
         Spectral parameter; must exceed ``omega_r + beta_m``.
+    nodes : numpy.ndarray
+        The context grid.
     rq : RQFunctions
         Antiderivatives of 1/r and a/r, from :func:`~gfrag.model.compute_RQ`.
     e_lambda : GridFunction
@@ -116,26 +122,14 @@ class ResolventContext:
         self,
         model: ModelDefinition,
         lam: float,
-        nodes: np.ndarray | None = None,
         n_cells: int = 2000,
         strict: bool = True,
     ):
-        if nodes is None:
-            nodes = midpoint_grid(model.x_max, n_cells)
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2 or not (
-            np.all(np.diff(nodes) > 0) and np.isfinite(nodes[-1])
-        ):
-            raise InvalidInputError("context grid must be 1-D, finite and strictly increasing")
-        if nodes[0] <= 0:
-            raise InvalidInputError("context grid must start strictly inside the half-line")
-
+        self.nodes = nodes = midpoint_grid(model.x_max, n_cells)
         self.model = model
         self.lam = float(lam)
         self.rq = compute_RQ(model)
-        self.nodes = nodes
 
-        m = model.m
         self.omega_r, self.beta_m = shift_floor(model)
         if strict and not self.lam > self.omega_r + self.beta_m:
             raise LambdaOutOfRangeError(
@@ -158,11 +152,11 @@ class ResolventContext:
         self._L, self._C = _kernels.transport_bands(nodes, decay)
         self._wq = quad_weights(nodes)
         # X_m norm weight and the dual weight of the adjoint series
-        self._dual_w = 1.0 + nodes**m
+        self._dual_w = 1.0 + nodes**model.m
         self._norm_w = self._wq * self._dual_w
 
         e_vals = np.exp(-exponent) / self._r_vals
-        self.e_lambda = GridFunction(nodes, e_vals, m)
+        self.e_lambda = GridFunction(nodes, e_vals)
         self._beta_vals = grid_eval(boundary_weight_flux(model), nodes)
         # products every series term reuses, formed in the order the
         # pairings multiply them so each pairing keeps its rounding
@@ -193,12 +187,12 @@ class ResolventContext:
 
 
 def _check_grid(ctx: ResolventContext, f: GridFunction) -> np.ndarray:
-    # the context grid was validated when the context was built, so samples
-    # carrying that very array skip the element-wise comparison
-    if f.values.shape != ctx.nodes.shape or (
-        f.nodes is not ctx.nodes and not np.array_equal(f.nodes, ctx.nodes)
-    ):
+    # the context grid is the model's midpoint grid, so samples carrying
+    # that very array skip the element-wise comparison
+    if f.values.shape != ctx.nodes.shape:
         raise InvalidInputError("input grid does not match the context grid")
+    if f.nodes is not ctx.nodes:
+        check_model_grid(ctx.model, f.nodes)
     return np.ascontiguousarray(f.values, dtype=float)
 
 
@@ -218,14 +212,14 @@ def apply_resolvent_Z0(ctx: ResolventContext, f: GridFunction) -> GridFunction:
     """
     vals = _check_grid(ctx, f)
     scan = _kernels.prefix_transport_scan(ctx._L, ctx._C, vals)
-    return GridFunction._on_grid(ctx.nodes, scan / ctx._r_vals, ctx.model.m)
+    return GridFunction._on_grid(ctx.nodes, scan / ctx._r_vals)
 
 
 def apply_E_lambda(ctx: ResolventContext, f: GridFunction) -> GridFunction:
     """Rank-one boundary correction e_lam * <beta, f> / (1 - <beta, e_lam>)."""
     vals = _check_grid(ctx, f)
     c = ctx.pair_beta(vals) / ctx._renewal_gap
-    return GridFunction._on_grid(ctx.nodes, c * ctx.e_lambda.values, ctx.model.m)
+    return GridFunction._on_grid(ctx.nodes, c * ctx.e_lambda.values)
 
 
 def apply_resolvent_Zbeta(ctx: ResolventContext, f: GridFunction) -> GridFunction:
@@ -234,7 +228,7 @@ def apply_resolvent_Zbeta(ctx: ResolventContext, f: GridFunction) -> GridFunctio
     vals = _check_grid(ctx, f)
     g = _kernels.prefix_transport_scan(ctx._L, ctx._C, vals) / ctx._r_vals
     c = ctx.pair_beta(g) / ctx._renewal_gap
-    return GridFunction._on_grid(ctx.nodes, g + c * ctx.e_lambda.values, ctx.model.m)
+    return GridFunction._on_grid(ctx.nodes, g + c * ctx.e_lambda.values)
 
 
 def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: GridFunction) -> GridFunction:
@@ -246,7 +240,7 @@ def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: GridFunction) -> Gri
     vals = _check_grid(ctx, u)
     g = vals - ctx.pair_beta(vals) * ctx.e_lambda.values
     f = _kernels.inverse_transport_scan(ctx._L, ctx._C, g * ctx._r_vals)
-    return GridFunction._on_grid(ctx.nodes, f, ctx.model.m)
+    return GridFunction._on_grid(ctx.nodes, f)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +371,7 @@ def fragmentation_gain_matrix(model: ModelDefinition, nodes: np.ndarray) -> Gain
 def apply_fragmentation_gain(model: ModelDefinition, u: GridFunction) -> GridFunction:
     """Fragmentation gain (B u)(x) = int_x^inf a(y) b(x, y) u(y) dy."""
     gain = fragmentation_gain_matrix(model, u.nodes)
-    return GridFunction(u.nodes, gain.matvec(u.values), u.m)
+    return GridFunction(u.nodes, gain.matvec(u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +430,12 @@ def _resolvent_K_details(ctx: ResolventContext, f: GridFunction, tol: float):
     of the exact discrete defect (lam - K) u - f = -B w_last at truncation.
     """
     vals = _check_grid(ctx, f)
-    nodes, m = ctx.nodes, ctx.model.m
+    nodes = ctx.nodes
     # the resolvents are looked up at call time, here and in the adjoint
     # series, so a wrapper installed on this module sees every term
     return _neumann_series(
         vals,
-        lambda g: apply_resolvent_Zbeta(ctx, GridFunction._on_grid(nodes, g, m)).values,
+        lambda g: apply_resolvent_Zbeta(ctx, GridFunction._on_grid(nodes, g)).values,
         ctx.gain.matvec,
         ctx.norm_m,
         tol,
@@ -466,14 +460,14 @@ def apply_resolvent_K(ctx: ResolventContext, f: GridFunction, tol: float = 1e-10
         When tol is not positive or f is not on the context grid.
     """
     total, _n, _defect = _resolvent_K_details(ctx, f, tol)
-    return GridFunction._on_grid(ctx.nodes, total, ctx.model.m)
+    return GridFunction._on_grid(ctx.nodes, total)
 
 
 def apply_shifted_generator_K(ctx: ResolventContext, u: GridFunction) -> GridFunction:
     """Apply (lam - K) discretely: (lam - Zbeta) u - B u."""
     transport = apply_shifted_generator_Zbeta(ctx, u)
     out = transport.values - ctx.gain.matvec(u.values)
-    return GridFunction._on_grid(ctx.nodes, out, ctx.model.m)
+    return GridFunction._on_grid(ctx.nodes, out)
 
 
 # ---------------------------------------------------------------------------

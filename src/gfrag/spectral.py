@@ -45,8 +45,10 @@ from .model import (
     GridFunction,
     ModelDefinition,
     boundary_weight_flux,
+    check_model_grid,
     coefficient_is_zero,
     grid_eval,
+    midpoint_grid,
     pairing,
     quad_weights,
     shift_floor,
@@ -111,18 +113,21 @@ class AEGReport:
 
 
 def apply_generator_direct(model: ModelDefinition, u: GridFunction) -> GridFunction:
-    """Apply the generator by central differences on a uniform grid.
+    """Apply the generator by central differences on the model's grid.
 
-    Transport uses the conservative form with a second-order interior
-    stencil.  At the first node the renewal condition supplies the flux at
-    size zero exactly, and the boundary panel closes with a one-sided
-    stencil built from that flux; the last node falls back to a backward
-    difference, where the eigenfunctions of interest are negligible.
+    ``u`` must live on ``midpoint_grid(model.x_max, n)``
+    (:func:`~gfrag.model.check_model_grid` raises InvalidInputError
+    otherwise): the boundary stencil below relies on the first node
+    sitting half a cell from size zero.  Transport uses the conservative
+    form with a second-order interior stencil.  At the first node the
+    renewal condition supplies the flux at size zero exactly, and the
+    boundary panel closes with a one-sided stencil built from that flux;
+    the last node falls back to a backward difference, where the
+    eigenfunctions of interest are negligible.
     """
     nodes = u.nodes
+    check_model_grid(model, nodes)
     h = nodes[1] - nodes[0]
-    if not np.allclose(np.diff(nodes), h, rtol=1e-9, atol=0.0):
-        raise InvalidInputError("direct generator stencil needs a uniform grid")
     vals = u.values
     flux = grid_eval(model.r, nodes) * vals
     inflow = float(np.sum(quad_weights(nodes) * grid_eval(boundary_weight_flux(model), nodes) * vals))
@@ -141,7 +146,7 @@ def apply_generator_direct(model: ModelDefinition, u: GridFunction) -> GridFunct
 
 def _generator_residual(model: ModelDefinition, s0: float, v: GridFunction) -> float:
     applied = apply_generator_direct(model, v)
-    return xm_norm(v.with_values(applied.values - s0 * v.values)) / xm_norm(v)
+    return xm_norm(v.with_values(applied.values - s0 * v.values), model.m) / xm_norm(v, model.m)
 
 
 def _warn_if_negative(name: str, values: np.ndarray, tol: float) -> None:
@@ -225,7 +230,7 @@ def perron_eigenpair(
     # module see every sweep
     v, mu = _inverse_iteration(
         lambda x: apply_resolvent_K(
-            ctx, GridFunction._on_grid(grid, x, model.m), tol=series_tol
+            ctx, GridFunction._on_grid(grid, x), tol=series_tol
         ).values,
         v, wq, ctx.norm_m, tol,
     )
@@ -238,18 +243,22 @@ def perron_eigenpair(
     _warn_if_negative("right eigenfunction", v, tol)
     _warn_if_negative("left eigenfunction", w, tol)
 
-    v_fn = GridFunction(grid, v, model.m)
-    w_fn = GridFunction(grid, w, model.m)
+    v_fn = GridFunction(grid, v)
+    w_fn = GridFunction(grid, w)
     residual = _generator_residual(model, s0, v_fn)
     return Eigenpair(s0=s0, v=v_fn, w=w_fn, residual=residual)
 
 
-def closed_form_eigenpair(model: ModelDefinition, nodes: np.ndarray) -> Eigenpair:
-    """Sample the analytic eigenpair of the binary family on a grid."""
+def closed_form_eigenpair(model: ModelDefinition, n_cells: int = 2000) -> Eigenpair:
+    """The analytic eigenpair of the binary family, sampled on
+    ``midpoint_grid(model.x_max, n_cells)`` as :func:`perron_eigenpair`'s is.
+
+    ``residual`` is that of the direct generator on the same grid.
+    """
     params = binary_params_from_model(model)
-    nodes = np.asarray(nodes, dtype=float)
-    v_fn = GridFunction(nodes, right_eigenfunction_cf(params)(nodes), model.m)
-    w_fn = GridFunction(nodes, left_eigenfunction_cf(params)(nodes), model.m)
+    nodes = midpoint_grid(model.x_max, n_cells)
+    v_fn = GridFunction(nodes, right_eigenfunction_cf(params)(nodes))
+    w_fn = GridFunction(nodes, left_eigenfunction_cf(params)(nodes))
     residual = _generator_residual(model, params.lambda_plus, v_fn)
     return Eigenpair(s0=params.lambda_plus, v=v_fn, w=w_fn, residual=residual)
 

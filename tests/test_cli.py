@@ -585,8 +585,9 @@ class TestAegCommand:
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
     def test_tabulated_splitting_rate_with_kinks_prints_no_warning(self, tmp_path):
-        # M_Q = Q(7) integrates a/r across the kinks of a at 3, 4 and 6; in a
-        # fresh process, so that a quadrature warning would reach stderr
+        # a has kinks at 3, 4 and 6, past x_max = 1, where no quadrature of
+        # a/r needs to go; in a fresh process, so that a quadrature warning
+        # would reach stderr
         doc = {
             "r": 1.0,
             "a": {"type": "tabulated", "nodes": [0, 3, 4, 6, 7], "values": [2, 1, 1, 2, 0]},

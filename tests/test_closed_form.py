@@ -305,7 +305,7 @@ class TestSolutionFormula:
 
     def test_grid_function_datum(self):
         nodes = midpoint_grid(50.0, 4000)
-        u0 = GridFunction(nodes, reference_datum(nodes), 2.0)
+        u0 = GridFunction(nodes, reference_datum(nodes))
         sol = ClosedFormSolution(reference_params(), u0)
         assert np.abs(sol.evaluate(nodes[:500], 0.0) - u0.values[:500]).max() < 1e-10
 
@@ -420,7 +420,7 @@ class TestNotAKnotSplines:
     @pytest.mark.parametrize("nodes", [[0.5, 1.5], [0.0, 1.5]], ids=["3-knots", "2-knots"])
     def test_two_node_datum(self, nodes):
         # 0 is prepended to a datum whose first node is positive
-        u0 = GridFunction(np.array(nodes), np.array([2.0, 0.5]), 2.0)
+        u0 = GridFunction(np.array(nodes), np.array([2.0, 0.5]))
         sol = ClosedFormSolution(reference_params(), u0)
         x = np.unique(np.concatenate(([0.0], u0.nodes)))
         y = u0(x)
@@ -445,7 +445,7 @@ class TestNotAKnotSplines:
         values = np.exp(-nodes)
         values[7] = np.nan
         with pytest.raises(InvalidInputError):
-            ClosedFormSolution(reference_params(), GridFunction(nodes, values, 2.0))
+            ClosedFormSolution(reference_params(), GridFunction(nodes, values))
 
 
 class TestTailBound:
@@ -561,7 +561,7 @@ class TestEigenpairs:
 class TestAsymptoticProfile:
     def test_reference_coefficient(self):
         nodes = midpoint_grid(50.0, 4000)
-        u0 = GridFunction(nodes, reference_datum(nodes), 2.0)
+        u0 = GridFunction(nodes, reference_datum(nodes))
         prof = asymptotic_profile(reference_params(), u0)
         v = right_eigenfunction_cf(reference_params())(nodes)
         coeff = prof.values[200] / v[200]
@@ -569,7 +569,7 @@ class TestAsymptoticProfile:
 
     def test_second_datum_same_coefficient(self):
         nodes = midpoint_grid(50.0, 4000)
-        u0 = GridFunction(nodes, (2 * nodes**2 + 1) * np.exp(-2 * nodes), 2.0)
+        u0 = GridFunction(nodes, (2 * nodes**2 + 1) * np.exp(-2 * nodes))
         prof = asymptotic_profile(reference_params(), u0)
         v = right_eigenfunction_cf(reference_params())(nodes)
         coeff = prof.values[200] / v[200]
@@ -578,7 +578,7 @@ class TestAsymptoticProfile:
     def test_moment_bracket_equals_quadrature_pairing(self):
         p = reference_params()
         nodes = midpoint_grid(50.0, 4000)
-        u0 = GridFunction(nodes, reference_datum(nodes), 2.0)
+        u0 = GridFunction(nodes, reference_datum(nodes))
         m = moments_from_grid(u0)
         bracket = (p.lambda_plus * m.M0 + p.alpha1 * m.M1) / (p.lambda_plus - p.lambda_minus)
         w = left_eigenfunction_cf(p)
@@ -588,7 +588,7 @@ class TestAsymptoticProfile:
     def test_eigenfunction_datum_reproduces_itself(self):
         p = reference_params()
         nodes = midpoint_grid(50.0, 8000)
-        v = GridFunction(nodes, right_eigenfunction_cf(p)(nodes), 2.0)
+        v = GridFunction(nodes, right_eigenfunction_cf(p)(nodes))
         prof = asymptotic_profile(p, v)
         assert np.abs(prof.values - v.values).max() < 1e-4 * np.abs(v.values).max()
 

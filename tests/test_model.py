@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from gfrag import model as model_module
 from gfrag.errors import DivergentNormError, InvalidInputError, InvalidModelError
@@ -24,12 +25,11 @@ from gfrag.model import (
     boundary_weight_flux,
     compute_RQ,
     daughter_count_bound,
-    dual_norm_beta,
+    dual_norm,
     kernel_atoms,
     kernel_defect,
     kernel_density,
     kernel_moment,
-    linear_growth_bound,
     load_model,
     midpoint_grid,
     model_from_config,
@@ -214,23 +214,23 @@ class TestGridsAndNorms:
     def test_xm_norm_exponential(self):
         # int (1+x^2) e^{-x} dx = 3
         g = midpoint_grid(40.0, 4000)
-        f = GridFunction(g, np.exp(-g), 2.0)
-        assert xm_norm(f) == pytest.approx(3.0, rel=1e-4)
+        f = GridFunction(g, np.exp(-g))
+        assert xm_norm(f, 2.0) == pytest.approx(3.0, rel=1e-4)
 
     def test_pairing(self):
         g = midpoint_grid(40.0, 4000)
-        f = GridFunction(g, np.exp(-g), 2.0)
+        f = GridFunction(g, np.exp(-g))
         # int x e^{-x} = 1
         assert pairing(lambda x: x, f) == pytest.approx(1.0, rel=1e-4)
 
     def test_grid_function_tail_is_zero(self):
-        f = GridFunction([0.5, 1.0], [2.0, 2.0], 2.0)
+        f = GridFunction([0.5, 1.0], [2.0, 2.0])
         assert f(3.0) == 0.0
         assert f(0.1) == 2.0  # constant extension toward the origin
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
-            GridFunction([1.0, 0.5], [1.0, 1.0], 2.0)
+            GridFunction([1.0, 0.5], [1.0, 1.0])
 
     @pytest.mark.parametrize(
         "nodes",
@@ -239,7 +239,7 @@ class TestGridsAndNorms:
     )
     def test_non_finite_nodes_rejected(self, nodes):
         with pytest.raises(InvalidInputError):
-            GridFunction(nodes, np.ones(3), 2.0)
+            GridFunction(nodes, np.ones(3))
 
     @pytest.mark.parametrize("x_max", [np.inf, np.nan, -np.inf])
     def test_midpoint_grid_rejects_non_finite_x_max(self, x_max):
@@ -253,7 +253,6 @@ class TestRQ:
         rq = compute_RQ(make_model())
         assert rq.R(1.0) == pytest.approx(np.log(2.0), rel=1e-14)
         assert rq.Q(1.0) == pytest.approx(1.0 - np.log(2.0), rel=1e-14)
-        assert rq.M_Q == np.inf
 
     def test_constant_rates(self):
         rq = compute_RQ(make_model(r=Constant(2.0), a=Constant(3.0)))
@@ -263,7 +262,26 @@ class TestRQ:
     def test_zero_loss(self):
         rq = compute_RQ(make_model(a=Constant(0.0)))
         assert rq.Q(3.0) == 0.0
-        assert rq.M_Q == 0.0
+
+    @pytest.mark.parametrize(
+        "r, a",
+        [
+            (Constant(1.5), Power(0.8, 2.5)),  # power a over constant r
+            (Power(0.75, 0.0), Power(0.8, 0.5)),  # r = 1.5 by way of p = 0
+            (Power(0.5, 1.0), Power(0.8, 1.0)),  # r = 0.5(1+x), a = 0.8(1+x): p = 1
+            (Power(0.5, 0.0), Power(0.4, 0.0)),  # constant rates, both p = 0
+        ],
+        ids=["power-a", "r-p0", "p1", "p0"],
+    )
+    def test_power_coefficients_take_closed_forms_that_match_quadrature(self, r, a):
+        rq = compute_RQ(make_model(r=r, a=a))
+        assert not isinstance(rq.R, model_module._CumulativeIntegral)
+        assert not isinstance(rq.Q, model_module._CumulativeIntegral)
+        for x in (0.3, 1.0, 2.5, 6.0):
+            want_R = integrate.quad(lambda s: 1.0 / r(s), 0.0, x, epsabs=1e-14, epsrel=1e-13)[0]
+            want_Q = integrate.quad(lambda s: a(s) / r(s), 0.0, x, epsabs=1e-14, epsrel=1e-13)[0]
+            assert rq.R(x) == pytest.approx(want_R, rel=1e-10, abs=1e-10)
+            assert rq.Q(x) == pytest.approx(want_Q, rel=1e-10, abs=1e-10)
 
     def test_numeric_fallback_matches_closed_form(self):
         # tabulated r is exactly 1+x, so the quadrature path must agree
@@ -376,28 +394,29 @@ class TestRQ:
             a=Tabulated([0.0, 1.0, 2.0], [1.0, 1.0, 0.0]),
         )
         rq = compute_RQ(md)
-        assert np.isfinite(rq.M_Q)
-        assert rq.M_Q == pytest.approx(1.5, rel=1e-8)  # int of the hat profile
+        # Q stops growing where a vanishes: its limit is the integral of the hat profile
+        assert rq.Q(2.0) == pytest.approx(1.5, rel=1e-8)
+        assert rq.Q(10.0) == rq.Q(2.0)
 
 
 class TestDualNorm:
     def test_affine_weight(self):
         # sup (1+x)/(2(1+x^2)) attained at x = sqrt(2)-1
-        assert dual_norm_beta(Linear(0.5, 0.5), 2.0) == pytest.approx((1 + np.sqrt(2)) / 4, rel=1e-9)
+        assert dual_norm(Linear(0.5, 0.5), 2.0) == pytest.approx((1 + np.sqrt(2)) / 4, rel=1e-9)
 
     def test_constant_weight(self):
-        assert dual_norm_beta(Constant(3.0), 2.0) == 3.0
+        assert dual_norm(Constant(3.0), 2.0) == 3.0
 
     def test_matching_power(self):
-        assert dual_norm_beta(Power(2.0, 2.0), 2.0) == 2.0
+        assert dual_norm(Power(2.0, 2.0), 2.0) == 2.0
 
     def test_divergent(self):
         with pytest.raises(DivergentNormError):
-            dual_norm_beta(Power(1.0, 3.0), 2.0)
+            dual_norm(Power(1.0, 3.0), 2.0)
 
     def test_tabulated(self):
         b = Tabulated([0.0, 1.0, 2.0], [0.0, 4.0, 0.0])
-        got = dual_norm_beta(b, 2.0)
+        got = dual_norm(b, 2.0)
         # maximize the hat against 1+x^2 on a fine grid
         x = np.linspace(0.0, 2.0, 200001)
         ref = np.max(b(x) / (1.0 + x**2))
@@ -405,31 +424,31 @@ class TestDualNorm:
 
 
 class TestExactSuprema:
-    """dual_norm_beta and linear_growth_bound take the exact supremum, not a sampled one."""
+    """dual_norm takes the exact supremum, not a sampled one."""
 
     def test_tabulated_growth_bound_sees_the_left_extension(self):
         # r = 1 on [0, 1) by constant extension: the bound of Constant(1)
-        assert linear_growth_bound(Tabulated([1.0, 2.0], [1.0, 1.0])) == 1.0
-        assert linear_growth_bound(Constant(1.0)) == 1.0
+        assert dual_norm(Tabulated([1.0, 2.0], [1.0, 1.0]), 1.0) == 1.0
+        assert dual_norm(Constant(1.0), 1.0) == 1.0
 
     def test_tabulated_dual_norm_sees_the_left_extension(self):
-        assert dual_norm_beta(Tabulated([1.0, 3.0], [2.0, 2.0]), 2.0) == 2.0
+        assert dual_norm(Tabulated([1.0, 3.0], [2.0, 2.0]), 2.0) == 2.0
 
     def test_tabulated_dual_norm_finds_the_peak_inside_a_panel(self):
         # (0.1 + x)/(1 + x^2) peaks at x = sqrt(1.01) - 0.1, where it is
         # (0.1 + sqrt(1.01))/2; 33 samples per panel gave 0.55218
-        got = dual_norm_beta(Tabulated([0.0, 10.0], [0.1, 10.1]), 2.0)
+        got = dual_norm(Tabulated([0.0, 10.0], [0.1, 10.1]), 2.0)
         assert got == pytest.approx((0.1 + np.sqrt(1.01)) / 2.0, rel=1e-15)
 
     def test_linear_weight_matches_the_closed_form(self):
         # against 1 + x^2 the peak is (c0 + sqrt(c0^2 + c1^2))/2
         for c0, c1 in ((0.5, 0.5), (0.0, 3.0), (2.0, 0.1), (1e-6, 7.0)):
             expect = (c0 + np.hypot(c0, c1)) / 2.0
-            assert dual_norm_beta(Linear(c0, c1), 2.0) == pytest.approx(expect, rel=1e-15)
+            assert dual_norm(Linear(c0, c1), 2.0) == pytest.approx(expect, rel=1e-15)
 
     def test_power_growth_bound(self):
         # (1 + sqrt(x))/(1 + x) peaks where sqrt(x) + x/2 = 1/2, at x = (sqrt(2) - 1)^2
-        got = linear_growth_bound(Power(2.0, 0.5))
+        got = dual_norm(Power(2.0, 0.5), 1.0)
         assert got == pytest.approx(2.0 * (1.0 + np.sqrt(2.0)) / 2.0, rel=1e-15)
 
     def test_shift_floor_of_a_tabulated_growth_rate(self):
@@ -480,8 +499,8 @@ def _coefficient(draw):
 def test_suprema_bracket_a_dense_scan(spec, m):
     power = spec.p if isinstance(spec, Power) else 0.0
     cases = (
-        (lambda s: dual_norm_beta(s, m), m, power > m and spec.c0 > 0.0),
-        (linear_growth_bound, 1.0, power > 1.0),
+        (lambda s: dual_norm(s, m), m, power > m and spec.c0 > 0.0),
+        (lambda s: dual_norm(s, 1.0), 1.0, power > 1.0 and spec.c0 > 0.0),
     )
     for bound, exponent, diverges in cases:
         if diverges:
@@ -517,6 +536,16 @@ class TestModelDefinition:
         assert conv(0.0) == 1.0 and conv(1.0) == 2.0
         md2 = make_model(beta=Linear(0.5, 0.5), bc_convention="flux")
         assert boundary_weight_flux(md2) is md2.beta
+
+    @pytest.mark.parametrize(
+        "beta", [Power(0.5, 1.5), Tabulated([0.0, 1.0, 3.0], [0.2, 0.9, 0.1])], ids=["power", "tabulated"]
+    )
+    def test_value_convention_scales_power_and_tabulated_weights(self, beta):
+        md = make_model(r=Linear(2.5, 1.0), beta=beta, bc_convention="value")
+        conv = boundary_weight_flux(md)
+        assert type(conv) is type(beta)
+        x = np.linspace(0.0, 5.0, 41)
+        np.testing.assert_allclose(conv(x), 2.5 * beta(x), rtol=1e-10, atol=0.0)
 
 
 class TestValidator:

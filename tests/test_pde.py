@@ -66,7 +66,7 @@ def bump(x):
 
 def grid_datum(fn, model, n_cells):
     nodes = midpoint_grid(model.x_max, n_cells)
-    return GridFunction(nodes, fn(nodes), 2.0)
+    return GridFunction(nodes, fn(nodes))
 
 
 def l1_norm(nodes, values):
@@ -91,7 +91,7 @@ class TestSolveArguments:
         assert nodes[-1] == pytest.approx(9.75)
         spacings = np.diff(nodes)
         assert np.allclose(spacings, 0.5, rtol=0, atol=1e-14)
-        states = solve(advection_model(10.0), GridFunction(nodes, bump(nodes), 2.0), (0.0,))
+        states = solve(advection_model(10.0), GridFunction(nodes, bump(nodes)), (0.0,))
         assert np.array_equal(states[0].u.nodes, nodes)
 
     def test_too_few_cells_rejected(self):
@@ -139,7 +139,7 @@ class TestStep:
         nodes = midpoint_grid(20.0, 64)
         u0 = bump(nodes)
         dt = 0.5 * stable_step(model, 64)
-        state = SolverState(0.0, GridFunction(nodes, u0, 2.0), MomentState(0.0, 0.0))
+        state = SolverState(0.0, GridFunction(nodes, u0), MomentState(0.0, 0.0))
         out = step(model, state, dt)
         dx = 20.0 / 64
         flux = np.concatenate(([0.0], u0))  # inflow 0, face speed 1
@@ -219,7 +219,7 @@ class TestClosedFormAgreement:
     def test_zero_datum_stays_zero(self):
         model = reference_model()
         nodes = midpoint_grid(15.0, 480)
-        states = solve(model, GridFunction(nodes, np.zeros(480), 2.0), (0.5, 1.0))
+        states = solve(model, GridFunction(nodes, np.zeros(480)), (0.5, 1.0))
         assert all(np.all(s.u.values == 0.0) for s in states)
 
     @pytest.mark.parametrize(
@@ -233,7 +233,7 @@ class TestClosedFormAgreement:
     )
     def test_datum_grid_must_match_model(self, nodes):
         model = reference_model()
-        u0 = GridFunction(nodes, reference_datum(nodes), 2.0)
+        u0 = GridFunction(nodes, reference_datum(nodes))
         with pytest.raises(InvalidInputError, match="midpoint grid"):
             solve(model, u0, (1.0,))
         with pytest.raises(InvalidInputError, match="midpoint grid"):
@@ -249,7 +249,7 @@ class TestEigenInvariance:
         v = right_eigenfunction_cf(params)
         s0 = params.lambda_plus
         nodes = midpoint_grid(15.0, 960)
-        u0 = GridFunction(nodes, v(nodes), 2.0)
+        u0 = GridFunction(nodes, v(nodes))
         states = solve(model, u0, (0.5, 1.0, 1.5, 2.0), cfl=0.3)
         devs = [
             l1_norm(nodes, math.exp(-s0 * s.t) * s.u.values - u0.values)

@@ -98,7 +98,7 @@ def runs(draw):
                   _num(0.0, model.x_max)),
         st.lists(_nonnegative, min_size=n_cells, max_size=n_cells).map(np.array),
     ))
-    return model, GridFunction(nodes, datum, model.m), times, cfl
+    return model, GridFunction(nodes, datum), times, cfl
 
 
 @settings(max_examples=25, derandomize=True, deadline=None,

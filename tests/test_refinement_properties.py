@@ -69,7 +69,7 @@ def test_moment_balance_residual_shrinks(family):
     worst = []
     for n in CELLS:
         nodes = midpoint_grid(model.x_max, n)
-        u0 = GridFunction(nodes, np.exp(-nodes), model.m)
+        u0 = GridFunction(nodes, np.exp(-nodes))
         start = SolverState(0.0, u0, moments_from_grid(u0))
         states = solve(model, u0, tuple(0.05 * k for k in range(1, 11)))
         residuals = moment_balance_residual(model, [start] + states, model.m)

@@ -75,7 +75,7 @@ class TestPerronEigenpair:
 
     def test_right_eigenfunction_matches_analytic(self):
         pair = cached_pair(2000)
-        analytic = closed_form_eigenpair(reference_model(), pair.v.nodes)
+        analytic = closed_form_eigenpair(reference_model(), 2000)
         l1 = grid_inner(pair.v.nodes, np.abs(pair.v.values - analytic.v.values), 1.0)
         assert l1 < 1e-2
 
@@ -91,7 +91,7 @@ class TestPerronEigenpair:
     def test_left_eigenfunction_matches_analytic_in_the_bulk(self):
         # domain truncation bends w near x_max; compare where v lives
         pair = cached_pair(2000)
-        analytic = closed_form_eigenpair(reference_model(), pair.v.nodes)
+        analytic = closed_form_eigenpair(reference_model(), 2000)
         mask = pair.v.nodes <= 10.0
         rel = np.abs(pair.w.values[mask] - analytic.w.values[mask]) / analytic.w.values[mask]
         assert np.max(rel) < 1e-2
@@ -184,7 +184,7 @@ class TestFactoredWarmStart:
         ctx = ResolventContext(model, lam, n_cells=200)
         wq = quad_weights(ctx.nodes)
         _v, mu = _inverse_iteration(
-            lambda x: apply_resolvent_K(ctx, GridFunction(ctx.nodes, x, 2.0), tol=tol).values,
+            lambda x: apply_resolvent_K(ctx, GridFunction(ctx.nodes, x), tol=tol).values,
             np.exp(-ctx.nodes), wq, ctx.norm_m, tol,
         )
         pair = perron_eigenpair(model, 200, tol=tol)
@@ -197,7 +197,7 @@ class TestDirectGenerator:
         model = reference_model()
         residuals = []
         for n in (1000, 2000):
-            pair = closed_form_eigenpair(model, midpoint_grid(30.0, n))
+            pair = closed_form_eigenpair(model, n)
             residuals.append(pair.residual)
         assert residuals[0] < 2e-3
         assert residuals[1] < residuals[0] / 2.0
@@ -205,7 +205,7 @@ class TestDirectGenerator:
     def test_nonuniform_grid_rejected(self):
         model = reference_model()
         nodes = np.geomspace(0.01, 30.0, 200)
-        u = GridFunction(nodes, np.exp(-nodes), 2.0)
+        u = GridFunction(nodes, np.exp(-nodes))
         with pytest.raises(InvalidInputError):
             apply_generator_direct(model, u)
 
@@ -213,12 +213,19 @@ class TestDirectGenerator:
         nodes = midpoint_grid(30.0, 200)
         nodes[100] += 1e-6 * (nodes[1] - nodes[0])
         with pytest.raises(InvalidInputError):
-            apply_generator_direct(reference_model(), GridFunction(nodes, np.exp(-nodes), 2.0))
+            apply_generator_direct(reference_model(), GridFunction(nodes, np.exp(-nodes)))
+
+    def test_grid_from_cell_width_rejected(self):
+        # on h*(1..n) the boundary reflection misses the origin by half a
+        # cell, and the exact pair's residual fell only at first order
+        nodes = 30.0 / 400 * np.arange(1, 401)
+        with pytest.raises(InvalidInputError, match="midpoint grid"):
+            apply_generator_direct(reference_model(), GridFunction(nodes, np.exp(-nodes)))
 
     def test_fine_midpoint_grid_accepted(self):
         # midpoint-grid roundoff at 20000 cells is several 1e-12 of the spacing
         nodes = midpoint_grid(30.0, 20000)
-        out = apply_generator_direct(reference_model(), GridFunction(nodes, np.exp(-nodes), 2.0))
+        out = apply_generator_direct(reference_model(), GridFunction(nodes, np.exp(-nodes)))
         assert np.all(np.isfinite(out.values))
 
 
@@ -227,8 +234,8 @@ class TestSpectralProjection:
         # <w, u0> = sigma*(lambda_plus*M0 + alpha1*M1) = 1.2 for this datum
         model = reference_model(x_max=15.0)
         nodes = midpoint_grid(15.0, 4000)
-        pair = closed_form_eigenpair(model, nodes)
-        u0 = GridFunction(nodes, reference_datum(nodes), 2.0)
+        pair = closed_form_eigenpair(model, 4000)
+        u0 = GridFunction(nodes, reference_datum(nodes))
         coeff = grid_inner(nodes, pair.w.values, u0.values)
         assert coeff == pytest.approx(1.2, abs=1e-6)
 
@@ -240,7 +247,7 @@ class TestSpectralProjection:
     def test_idempotence_on_random_data(self):
         pair = cached_pair(1000)
         rng = np.random.default_rng(42)
-        f = GridFunction(pair.v.nodes, rng.uniform(0.0, 1.0, pair.v.nodes.size), 2.0)
+        f = GridFunction(pair.v.nodes, rng.uniform(0.0, 1.0, pair.v.nodes.size))
         once = spectral_projection(pair, f)
         twice = spectral_projection(pair, once)
         np.testing.assert_allclose(twice.values, once.values, rtol=1e-12, atol=1e-15)
@@ -249,15 +256,15 @@ class TestSpectralProjection:
         pair = cached_pair(1000)
         other = midpoint_grid(30.0, 500)
         with pytest.raises(InvalidInputError):
-            spectral_projection(pair, GridFunction(other, np.exp(-other), 2.0))
+            spectral_projection(pair, GridFunction(other, np.exp(-other)))
 
 
 class TestAEGDiagnostics:
     def test_reference_datum_decays_at_gap_rate(self):
         model = reference_model(x_max=15.0)
         nodes = midpoint_grid(15.0, 4000)
-        pair = closed_form_eigenpair(model, nodes)
-        u0 = GridFunction(nodes, reference_datum(nodes), 2.0)
+        pair = closed_form_eigenpair(model, 4000)
+        u0 = GridFunction(nodes, reference_datum(nodes))
         report = aeg_diagnostics(model, pair, u0, [1.0, 2.0, 3.0, 4.0])
         assert report.passed
         assert all(b < a for a, b in zip(report.deviations, report.deviations[1:]))
@@ -268,8 +275,8 @@ class TestAEGDiagnostics:
     def test_second_datum_same_profile(self):
         model = reference_model(x_max=15.0)
         nodes = midpoint_grid(15.0, 4000)
-        pair = closed_form_eigenpair(model, nodes)
-        u0 = GridFunction(nodes, second_datum(nodes), 2.0)
+        pair = closed_form_eigenpair(model, 4000)
+        u0 = GridFunction(nodes, second_datum(nodes))
         report = aeg_diagnostics(model, pair, u0, [1.0, 2.0, 3.0, 4.0])
         assert report.passed
         assert report.fitted_rate == pytest.approx(2.5, abs=0.1)
@@ -277,15 +284,14 @@ class TestAEGDiagnostics:
 
     def test_eigenfunction_datum_has_tiny_deviations(self):
         model = reference_model(x_max=15.0)
-        nodes = midpoint_grid(15.0, 4000)
-        pair = closed_form_eigenpair(model, nodes)
+        pair = closed_form_eigenpair(model, 4000)
         report = aeg_diagnostics(model, pair, pair.v, [0.5, 1.0, 2.0])
         assert max(report.deviations) < 1e-4
 
     def test_numeric_pair_route(self):
         model = reference_model(x_max=15.0)
         pair = perron_eigenpair(model, 2000, tol=1e-9)
-        u0 = GridFunction(pair.v.nodes, reference_datum(pair.v.nodes), 2.0)
+        u0 = GridFunction(pair.v.nodes, reference_datum(pair.v.nodes))
         report = aeg_diagnostics(model, pair, u0, [1.0, 2.0, 3.0, 4.0])
         assert report.passed
 
@@ -310,7 +316,7 @@ class TestAEGDiagnostics:
 
     def test_times_validation(self):
         pair = cached_pair(1000)
-        u0 = GridFunction(pair.v.nodes, reference_datum(pair.v.nodes), 2.0)
+        u0 = GridFunction(pair.v.nodes, reference_datum(pair.v.nodes))
         model = reference_model()
         with pytest.raises(InvalidInputError):
             aeg_diagnostics(model, pair, u0, [])
@@ -326,7 +332,7 @@ class TestTrajectoryInvariance:
         model = reference_model(x_max=15.0)
         params = BinaryModelParams(r=1.0, a=1.0, beta0=0.5, beta1=0.5)
         nodes = midpoint_grid(15.0, 4000)
-        pair = closed_form_eigenpair(model, nodes)
+        pair = closed_form_eigenpair(model, 4000)
         values = []
         for t in (0.0, 0.5, 1.0, 1.5, 2.0):
             u = evaluate_solution(params, reference_datum, nodes, t)
