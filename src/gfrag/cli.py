@@ -5,12 +5,14 @@ Model files are UTF-8 JSON documents.  Keys:
 ``r``
     growth speed; a number or a coefficient object such as
     ``{"type": "linear", "c0": 0.0, "c1": 1.0}`` (types: constant,
-    linear, power, tabulated).
+    linear, power, tabulated; a bare number or ``constant`` is a
+    ``linear`` with c1 = 0).
 ``a``
     splitting rate, same forms as ``r``.
 ``kernel``
     daughter-size distribution, e.g. ``{"type": "uniform_binary"}``
-    (types: uniform_binary, power_law, shrinking_binary, tabulated).
+    (types: uniform_binary, power_law, shrinking_binary, tabulated;
+    ``uniform_binary`` is ``power_law`` with nu = 0).
 ``beta``
     renewal weight, same forms as ``r``.
 ``m``
@@ -30,8 +32,9 @@ Model files are UTF-8 JSON documents.  Keys:
 
 Every command needs only ``--model``; outputs are CSV files (RFC 4180,
 CRLF line ends, floats at 17 significant digits) plus a short stdout
-summary.  Exit codes: 0 success, 1 validation failure or bad input,
-2 numeric failure.
+summary.  Exit codes: 0 success, 1 validation failure or bad input
+(a bad command line included), 2 numeric failure; a failure prints one
+stderr line.
 """
 
 from __future__ import annotations
@@ -275,8 +278,16 @@ def run(cfg: RunConfig) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one stderr line and exit code 1."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gfrag",
         description="Growth-fragmentation dynamics with renewal boundary conditions.",
     )

@@ -33,11 +33,10 @@ from .errors import (
     InvalidModelError,
 )
 from .model import (
-    Constant,
     GridFunction,
     Linear,
     ModelDefinition,
-    UniformBinary,
+    PowerLaw,
 )
 
 __all__ = [
@@ -693,17 +692,16 @@ def asymptotic_profile(params: BinaryModelParams, u0: GridFunction) -> GridFunct
 
 
 def is_binary_model(model: ModelDefinition) -> bool:
-    """True when the model lies in the explicitly solvable binary family:
-    constant growth, splitting rate proportional to size, uniform binary
-    daughters, affine renewal weight."""
-    rate_ok = (isinstance(model.a, Linear) and model.a.c0 == 0.0) or (
-        isinstance(model.a, Constant) and model.a.c == 0.0
-    )
+    """True when the model lies in the explicitly solvable binary family, read
+    off its parameters: constant growth (``r`` linear with c1 = 0), splitting
+    rate proportional to size (``a`` linear with c0 = 0), uniform binary
+    daughters (power law with nu = 0) and an affine renewal weight."""
+    r, a, kernel = model.r, model.a, model.kernel
     return (
-        isinstance(model.r, Constant)
-        and rate_ok
-        and isinstance(model.kernel, UniformBinary)
-        and isinstance(model.beta, (Constant, Linear))
+        isinstance(r, Linear) and r.c1 == 0.0
+        and isinstance(a, Linear) and a.c0 == 0.0
+        and isinstance(kernel, PowerLaw) and kernel.nu == 0.0
+        and isinstance(model.beta, Linear)
     )
 
 
@@ -712,12 +710,8 @@ def binary_params_from_model(model: ModelDefinition) -> BinaryModelParams:
     the boundary-value convention (divide by r(0) when given as a flux)."""
     if not is_binary_model(model):
         raise InvalidInputError("model is outside the closed-form family")
-    if isinstance(model.beta, Constant):
-        b0, b1 = model.beta.c, 0.0
-    else:
-        b0, b1 = model.beta.c0, model.beta.c1
-    r = model.r.c
+    b0, b1 = model.beta.c0, model.beta.c1
+    r = model.r.c0
     if model.bc_convention == "flux":
         b0, b1 = b0 / r, b1 / r
-    slope = model.a.c1 if isinstance(model.a, Linear) else 0.0
-    return BinaryModelParams(r=r, a=slope, beta0=b0, beta1=b1)
+    return BinaryModelParams(r=r, a=model.a.c1, beta0=b0, beta1=b1)

@@ -5,6 +5,10 @@ A model couples four coefficient functions on the size axis (growth rate
 renewal weight ``beta``) with the exponent ``m`` of the weighted space
 in which densities are measured, ``||f||_m = int (1+x^m)|f(x)| dx``.
 
+Coefficients are :class:`Linear`, :class:`Power` or :class:`Tabulated`, and
+kernels :class:`PowerLaw`, :class:`ShrinkingBinary` or :class:`TabulatedKernel`;
+``Constant(c)`` is ``Linear(c, 0.0)`` and ``UniformBinary()`` is ``PowerLaw(0.0)``.
+
 Two renewal-boundary conventions are supported.  Under ``flux`` the influx
 of mass at size zero equals the weighted population integral,
 ``lim_{x->0+} r(x) u(x) = <beta, u>``; under ``value`` the boundary trace
@@ -57,7 +61,6 @@ __all__ = [
     "kernel_defect",
     "kernel_density",
     "kernel_atoms",
-    "is_atomic_kernel",
     "daughter_count_bound",
     "validate_assumptions",
     "boundary_weight_flux",
@@ -68,6 +71,7 @@ __all__ = [
     "pairing",
     "grid_eval",
     "midpoint_grid",
+    "same_grid",
     "check_model_grid",
     "model_from_config",
     "load_model",
@@ -87,34 +91,17 @@ def _match(x, values):
 
 
 @dataclass(frozen=True)
-class Constant:
-    """Coefficient with constant value ``c >= 0``."""
-
-    c: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.c) or self.c < 0:
-            raise InvalidModelError(f"constant coefficient must be finite and >= 0, got {self.c}")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return _match(x, np.full(x.shape, float(self.c)))
-
-    def at(self, s: float) -> float:
-        """Value at one point, without numpy; equal to ``float(self(s))``."""
-        return float(self.c)
-
-
-@dataclass(frozen=True)
 class Linear:
-    """Coefficient ``c0 + c1*x`` with nonnegative c0, c1."""
+    """Coefficient ``c0 + c1*x`` with nonnegative c0, c1; a constant is ``c1 = 0``."""
 
     c0: float
     c1: float
 
     def __post_init__(self):
         if not all(math.isfinite(c) and c >= 0 for c in (self.c0, self.c1)):
-            raise InvalidModelError("linear coefficient needs finite c0, c1 >= 0")
+            raise InvalidModelError(
+                f"linear coefficient needs finite c0, c1 >= 0, got c0={self.c0}, c1={self.c1}"
+            )
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -123,6 +110,11 @@ class Linear:
     def at(self, s: float) -> float:
         """Value at one point, without numpy; equal to ``float(self(s))``."""
         return float(self.c0 + self.c1 * s)
+
+
+def Constant(c: float) -> Linear:
+    """The constant coefficient ``c``: a :class:`Linear` of zero slope."""
+    return Linear(c, 0.0)
 
 
 @dataclass(frozen=True)
@@ -192,12 +184,10 @@ class Tabulated:
         return slope * (s - xs[j]) + ys[j]
 
 
-CoefficientSpec = Union[Constant, Linear, Power, Tabulated]
+CoefficientSpec = Union[Linear, Power, Tabulated]
 
 
 def coefficient_is_zero(spec: CoefficientSpec) -> bool:
-    if isinstance(spec, Constant):
-        return spec.c == 0.0
     if isinstance(spec, Linear):
         return spec.c0 == 0.0 and spec.c1 == 0.0
     if isinstance(spec, Power):
@@ -209,8 +199,6 @@ def scale_coefficient(spec: CoefficientSpec, factor: float) -> CoefficientSpec:
     """Return the coefficient multiplied by a nonnegative scalar."""
     if factor < 0:
         raise InvalidInputError("scale factor must be nonnegative")
-    if isinstance(spec, Constant):
-        return Constant(spec.c * factor)
     if isinstance(spec, Linear):
         return Linear(spec.c0 * factor, spec.c1 * factor)
     if isinstance(spec, Power):
@@ -220,8 +208,6 @@ def scale_coefficient(spec: CoefficientSpec, factor: float) -> CoefficientSpec:
 
 def _as_affine(spec: CoefficientSpec):
     """Coefficients expressible as c0 + c1*x, or None."""
-    if isinstance(spec, Constant):
-        return spec.c, 0.0
     if isinstance(spec, Linear):
         return spec.c0, spec.c1
     if isinstance(spec, Power):
@@ -289,19 +275,19 @@ def _tabulated_sup(spec: Tabulated, m: float) -> float:
 
 
 @dataclass(frozen=True)
-class UniformBinary:
-    """Binary splitting with uniformly distributed daughter size: b(x,y)=2/y."""
-
-
-@dataclass(frozen=True)
 class PowerLaw:
-    """Daughter density b(x,y) = (nu+2) x^nu / y^(nu+1) on 0<x<y, nu > -1."""
+    """Daughter density b(x,y) = (nu+2) x^nu / y^(nu+1) on 0<x<y, nu > -1; nu = 0 is uniform binary."""
 
     nu: float
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > -1):
             raise InvalidModelError("power-law kernel requires a finite nu > -1")
+
+
+def UniformBinary() -> PowerLaw:
+    """Binary splitting with uniformly distributed daughter size: ``PowerLaw(0.0)``."""
+    return PowerLaw(0.0)
 
 
 @dataclass(frozen=True)
@@ -373,11 +359,7 @@ class TabulatedKernel:
         return _match(rho, np.interp(rho, self.ratios, self.densities, left=0.0, right=0.0))
 
 
-KernelSpec = Union[UniformBinary, PowerLaw, ShrinkingBinary, TabulatedKernel]
-
-
-def is_atomic_kernel(kernel: KernelSpec) -> bool:
-    return isinstance(kernel, ShrinkingBinary)
+KernelSpec = Union[PowerLaw, ShrinkingBinary, TabulatedKernel]
 
 
 def _ratio_moment(kernel: TabulatedKernel, m: float) -> float:
@@ -399,9 +381,7 @@ def kernel_moment(kernel: KernelSpec, m: float, y):
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr <= 0):
         raise InvalidInputError("parent size must be positive")
-    if isinstance(kernel, UniformBinary):
-        out = 2.0 * np.power(y_arr, m) / (m + 1.0)
-    elif isinstance(kernel, PowerLaw):
+    if isinstance(kernel, PowerLaw):
         out = (kernel.nu + 2.0) * np.power(y_arr, m) / (m + kernel.nu + 1.0)
     elif isinstance(kernel, ShrinkingBinary):
         eps = np.asarray(kernel.eps_at(y_arr), dtype=float)
@@ -419,15 +399,14 @@ def kernel_defect(kernel: KernelSpec, m: float, y):
     return _match(y, np.power(y_arr, m) - np.asarray(kernel_moment(kernel, m, y_arr)))
 
 
-def separable_density_factors(kernel: Union[UniformBinary, PowerLaw], x):
-    """Factors (p(x), q(x)) of a separable density, b(x, y) = p(x) q(y) on x <= y.
+def separable_density_factors(kernel: PowerLaw, x):
+    """Factors (p(x), q(x)) of the power law's density, b(x, y) = p(x) q(y) on x <= y.
 
-    The power law has p = (nu+2) x^nu and q = y^-(nu+1); uniform binary is
-    the case nu = 0.  x^nu is taken at max(x, 1e-300), so p stays finite at
-    x = 0 for nu < 0, and q vanishes at size zero: a parent of size zero
-    has no daughters.
+    p = (nu+2) x^nu and q = y^-(nu+1).  x^nu is taken at max(x, 1e-300), so
+    p stays finite at x = 0 for nu < 0, and q vanishes at size zero: a
+    parent of size zero has no daughters.
     """
-    nu = kernel.nu if isinstance(kernel, PowerLaw) else 0.0
+    nu = kernel.nu
     x_arr = np.asarray(x, dtype=float)
     p = (nu + 2.0) * np.power(np.maximum(x_arr, 1e-300), nu)
     q = np.where(x_arr > 0, 1.0 / np.power(np.where(x_arr > 0, x_arr, 1.0), nu + 1.0), 0.0)
@@ -441,11 +420,11 @@ def kernel_density(kernel: KernelSpec, x, y):
     quadrature needs on its diagonal.  Atomic kernels have no density; use
     :func:`kernel_atoms` for those.
     """
-    if is_atomic_kernel(kernel):
+    if isinstance(kernel, ShrinkingBinary):
         raise InvalidInputError("atomic kernel has no pointwise density")
     x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     inside = (x_arr <= y_arr) & (y_arr > 0) & (x_arr >= 0)
-    if isinstance(kernel, (UniformBinary, PowerLaw)):
+    if isinstance(kernel, PowerLaw):
         p, _ = separable_density_factors(kernel, x_arr)
         _, q = separable_density_factors(kernel, y_arr)
         out = np.where(inside, p * q, 0.0)
@@ -461,7 +440,7 @@ def kernel_atoms(kernel: KernelSpec, y) -> list[tuple]:
 
     Elementwise for an array of parent sizes ``y``.
     """
-    if not is_atomic_kernel(kernel):
+    if not isinstance(kernel, ShrinkingBinary):
         raise InvalidInputError("kernel is not atomic")
     eps = kernel.eps_at(y)
     return [(eps * y, 1.0), ((1.0 - eps) * y, 1.0)]
@@ -469,7 +448,7 @@ def kernel_atoms(kernel: KernelSpec, y) -> list[tuple]:
 
 def daughter_count_bound(kernel: KernelSpec) -> tuple[float, float]:
     """Smallest (b0, l) with n_0(y) <= b0*(1+y^l); l = 0 for all built-in kernels."""
-    if isinstance(kernel, UniformBinary) or isinstance(kernel, ShrinkingBinary):
+    if isinstance(kernel, ShrinkingBinary):
         return 1.0, 0.0
     if isinstance(kernel, PowerLaw):
         return (kernel.nu + 2.0) / (2.0 * (kernel.nu + 1.0)), 0.0
@@ -564,14 +543,19 @@ def midpoint_grid(x_max: float, n_cells: int) -> np.ndarray:
     return dx * (np.arange(n_cells) + 0.5)
 
 
-def check_model_grid(model: ModelDefinition, nodes: np.ndarray) -> None:
-    """Raise InvalidInputError unless ``nodes`` is ``midpoint_grid(model.x_max, nodes.size)``.
+def same_grid(nodes: np.ndarray, grid: np.ndarray) -> bool:
+    """Whether ``nodes`` is the uniform ``grid``, each node within 1e-9 of a cell of its own.
 
-    Every node may miss its midpoint by 1e-9 of a cell, well above the
-    roundoff of computing the same grid another way.
+    The margin lies well above the roundoff of computing the same grid another way.
     """
-    grid = midpoint_grid(model.x_max, nodes.size)
-    if not np.max(np.abs(nodes - grid)) <= 1e-9 * (model.x_max / nodes.size):
+    cell = grid[1] - grid[0]
+    return nodes.shape == grid.shape and bool(np.max(np.abs(nodes - grid)) <= 1e-9 * cell)
+
+
+def check_model_grid(model: ModelDefinition, nodes: np.ndarray) -> None:
+    """Raise InvalidInputError unless ``nodes`` is ``midpoint_grid(model.x_max, nodes.size)``
+    in the sense of :func:`same_grid`."""
+    if not same_grid(nodes, midpoint_grid(model.x_max, nodes.size)):
         raise InvalidInputError("datum must live on the midpoint grid of the model's domain")
 
 
@@ -602,7 +586,7 @@ class ModelDefinition:
             raise InvalidModelError(f"bc_convention must be one of {_BC_CONVENTIONS}")
         if not (math.isfinite(self.x_max) and self.x_max > 0):
             raise InvalidModelError(f"x_max must be finite and positive, got {self.x_max}")
-        # constant, linear and power growth are smallest at 0; a tabulated
+        # linear and power growth are smallest at 0; a tabulated
         # r is piecewise linear, smallest at a knot or an end of [0, x_max]
         probe = np.array([0.0, self.x_max])
         if isinstance(self.r, Tabulated):
@@ -775,8 +759,6 @@ def dual_norm(spec: CoefficientSpec, m: float) -> float:
         raise DivergentNormError(
             f"coefficient grows faster than x^{m:g}, so its supremum against 1 + x^{m:g} is infinite"
         )
-    if isinstance(spec, Constant):
-        return spec.c
     if isinstance(spec, Linear):
         if m <= 1.0 or spec.c1 == 0.0:
             return max(spec.c0, spec.c1)

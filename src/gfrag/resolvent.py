@@ -47,12 +47,11 @@ from .model import (
     GridFunction,
     ModelDefinition,
     PowerLaw,
-    UniformBinary,
+    ShrinkingBinary,
     boundary_weight_flux,
     check_model_grid,
     compute_RQ,
     grid_eval,
-    is_atomic_kernel,
     kernel_atoms,
     kernel_density,
     midpoint_grid,
@@ -261,7 +260,7 @@ class GainOperator:
 
     G is stored in the cheapest form its kernel allows:
 
-    * separable densities b = p(x) q(y) (uniform binary, power law):
+    * separable densities b = p(x) q(y) (the power law, uniform binary at nu = 0):
       ``G u = p * S(c * u) + d * u`` with S the reverse cumulative sum,
       c = q * (trapezoid weight) * a and d a diagonal correction; O(n) time
       and storage, and ``G^T z = c * cumsum(p * z) + d * z``;
@@ -277,7 +276,7 @@ class GainOperator:
         kernel = model.kernel
         a_vals = grid_eval(model.a, nodes)
         self._matrix = None
-        if is_atomic_kernel(kernel):
+        if isinstance(kernel, ShrinkingBinary):
             self._matrix = _atomic_deposition(kernel, nodes, a_vals)
             held = (self._matrix.data, self._matrix.indices, self._matrix.indptr)
         else:
@@ -286,7 +285,7 @@ class GainOperator:
             w_t[:-1] += 0.5 * d
             w_t[1:] += 0.5 * d
             half = np.concatenate((0.5 * d, [0.0]))
-            if isinstance(kernel, (UniformBinary, PowerLaw)):
+            if isinstance(kernel, PowerLaw):
                 p, q = separable_density_factors(kernel, nodes)
                 c = q * w_t * a_vals
                 # inclusive cumulative sums count p_i c_i once on the diagonal;

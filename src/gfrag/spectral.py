@@ -51,6 +51,7 @@ from .model import (
     midpoint_grid,
     pairing,
     quad_weights,
+    same_grid,
     shift_floor,
     xm_norm,
 )
@@ -264,8 +265,11 @@ def closed_form_eigenpair(model: ModelDefinition, n_cells: int = 2000) -> Eigenp
 
 
 def spectral_projection(pair: Eigenpair, f: GridFunction) -> GridFunction:
-    """Rank-one projection of ``f`` onto the Perron eigenfunction."""
-    if f.nodes.shape != pair.v.nodes.shape or not np.array_equal(f.nodes, pair.v.nodes):
+    """Rank-one projection of ``f`` onto the Perron eigenfunction.
+
+    ``f`` must live on the eigenpair's grid, to within :func:`~gfrag.model.same_grid`'s margin.
+    """
+    if not same_grid(f.nodes, pair.v.nodes):
         raise InvalidInputError("projection needs f on the eigenpair grid")
     coeff = pairing(pair.w.values, f)
     return f.with_values(coeff * pair.v.values)

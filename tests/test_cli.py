@@ -276,6 +276,22 @@ class TestReadmeModelFrozen:
         for name in ("snapshot.csv", "moments.csv", "aeg.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_power_law_at_nu_zero_runs_as_the_uniform_binary_file(self, tmp_path, capsys):
+        # the binary family is recognised by its parameters, whatever the file calls them
+        results = []
+        for name, kernel in (("binary", {"type": "uniform_binary"}),
+                             ("power", {"type": "power_law", "nu": 0.0})):
+            path = write_model(tmp_path, {**README_DOC, "kernel": kernel}, f"{name}.json")
+            out = tmp_path / name
+            printed = []
+            for command in ("solve-closed", "aeg"):
+                assert run(RunConfig(command, path, output_dir=str(out))) == 0
+                captured = capsys.readouterr()
+                printed.append((captured.out.replace(str(out), "<out>"), captured.err))
+            results.append((printed, {f.name: f.read_bytes() for f in out.glob("*.csv")}))
+        assert results[0] == results[1]
+        assert sorted(results[0][1]) == ["aeg.csv", "moments.csv", "snapshot.csv"]
+
 
 class TestSolvePdeFrozen:
     """``solve-pde`` on the README model with one kernel per gain storage form
@@ -772,3 +788,34 @@ class TestMain:
         with pytest.raises(SystemExit) as info:
             main(["eigen", "--model", path, "--cells", "4"])
         assert info.value.code == 1
+
+    # a bad command line is bad input: exit 1 and one stderr line, not
+    # argparse's usage block and exit 2, which means a numeric failure
+    @pytest.mark.parametrize(
+        "argv",
+        [["eigen", "--model", "m.json", "--cells", "abc"], ["eigen", "--model", "m.json", "--bogus"], []],
+        ids=["non-integer-cells", "unknown-flag", "no-command"],
+    )
+    def test_bad_command_line_exits_1_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eigen", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gfrag")
+
+    def test_negative_bare_number_names_the_value(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "--model", binary_model_file(tmp_path, r=-1)])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: linear coefficient needs finite c0, c1 >= 0, got c0=-1.0")
+        assert err.count("\n") == 1

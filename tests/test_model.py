@@ -23,12 +23,14 @@ from gfrag.model import (
     TabulatedKernel,
     UniformBinary,
     boundary_weight_flux,
+    coefficient_from_config,
     compute_RQ,
     daughter_count_bound,
     dual_norm,
     kernel_atoms,
     kernel_defect,
     kernel_density,
+    kernel_from_config,
     kernel_moment,
     load_model,
     midpoint_grid,
@@ -70,7 +72,7 @@ class TestCoefficients:
         assert t(-1.0) == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError, match="got c0=-1.0, c1=0.0"):
             Constant(-1.0)
         with pytest.raises(InvalidModelError):
             Tabulated([0.0, 1.0], [1.0, -1.0])
@@ -596,6 +598,18 @@ class TestConfig:
             {"r": 1.0, "a": 1.0, "kernel": {"type": "uniform_binary"}, "beta": 0.5, "m": 2.0}
         )
         assert md.a(3.0) == 1.0
+
+    @pytest.mark.parametrize("c", [0.0, 1.5, 3])
+    def test_constant_forms_are_one_zero_slope_linear(self, c):
+        forms = [coefficient_from_config(c), coefficient_from_config({"type": "constant", "c": c}),
+                 Constant(c)]
+        for spec in forms:
+            assert type(spec) is Linear
+            assert spec == Linear(c, 0.0)
+            assert spec(np.array([0.0, 2.0, 1e6])).tolist() == [c, c, c]
+
+    def test_uniform_binary_is_the_power_law_at_nu_zero(self):
+        assert kernel_from_config({"type": "uniform_binary"}) == UniformBinary() == PowerLaw(0.0)
 
     def test_shrinking_kernel_config(self):
         md = model_from_config(

@@ -366,9 +366,7 @@ def dense_gain_oracle(model, nodes):
     X, Y = nodes[:, None], nodes[None, :]
     inside = (X <= Y) & (Y > 0)
     safe_y = np.where(Y > 0, Y, 1.0)
-    if isinstance(kernel, UniformBinary):
-        dens = np.where(inside, 2.0 / safe_y, 0.0)
-    elif isinstance(kernel, PowerLaw):
+    if isinstance(kernel, PowerLaw):
         nu = kernel.nu
         vals = (nu + 2.0) * np.power(np.maximum(X, 1e-300), nu) / np.power(safe_y, nu + 1.0)
         dens = np.where(inside, vals, 0.0)
