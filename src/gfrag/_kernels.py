@@ -93,21 +93,22 @@ def advance_upwind(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
     row) + dt*G cur, plus k*<beta_w, cur> on row 0 (the lagged renewal
     inflow), where diag = 1 - k*r_faces[1:] - dt*a_mid and sub =
     k*r_faces[1:-1].  ``gain`` is the :class:`gfrag.resolvent.GainOperator`
-    G of the grid.  diag, sub and the dt-scaled gain are built once per
-    call and every step runs in preallocated buffers.  A separable gain
+    G of the grid.  diag and sub are built once per call and every step
+    runs in preallocated buffers.  The power law's one full-window piece
     folds dt*d into diag and runs on reversed copies, so its reverse
     cumulative sum is a forward ``np.add.accumulate`` over contiguous
-    memory; a CSR or dense gain costs one matvec per step.
+    memory; any other gain costs one ``matvec`` per step.
     """
     k = dt / dx
     diag = 1.0 - k * r_faces[1:] - dt * a_mid
     sub = k * r_faces[1:-1]
     cur = np.array(u, dtype=np.float64)
-    if gain._matrix is None:
+    if len(gain._pieces) == 1 and gain._pieces[0][2] is None:
         # reversed order: row 0 is last, and the subdiagonal feeds row i
         # from row i + 1
+        p, c, _ = gain._pieces[0]
         diag, sub = (diag + dt * gain._d)[::-1].copy(), sub[::-1].copy()
-        c, p, beta = (v[::-1].copy() for v in (gain._c, dt * gain._p, beta_w))
+        c, p, beta = (v[::-1].copy() for v in (c, dt * p, beta_w))
         cur, nxt, tmp = cur[::-1].copy(), np.empty_like(cur), np.empty_like(cur)
         head = tmp[:-1]
         for _ in range(n_steps):
@@ -121,10 +122,10 @@ def advance_upwind(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
             nxt[-1] += k * (beta @ cur)
             cur, nxt = nxt, cur
         return cur[::-1].copy()
-    G, tmp = gain._matrix, np.empty_like(cur)
+    tmp = np.empty_like(cur)
     tail = tmp[1:]
     for _ in range(n_steps):
-        nxt = G @ cur
+        nxt = gain.matvec(cur)
         nxt *= dt
         np.multiply(diag, cur, out=tmp)
         nxt += tmp

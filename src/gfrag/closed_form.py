@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,10 +75,10 @@ class BinaryModelParams:
     a: float
     beta0: float
     beta1: float
-    alpha0: float = None
-    alpha1: float = None
-    lambda_plus: float = None
-    lambda_minus: float = None
+    alpha0: float = field(init=False)
+    alpha1: float = field(init=False)
+    lambda_plus: float = field(init=False)
+    lambda_minus: float = field(init=False)
 
     def __post_init__(self):
         if self.r <= 0 or self.a < 0:

@@ -24,6 +24,7 @@ resolvent, the kernel moment functionals, and the assumption validator.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
 import math
 import numbers
@@ -59,7 +60,7 @@ __all__ = [
     "dual_norm",
     "kernel_moment",
     "kernel_defect",
-    "kernel_density",
+    "density_pieces",
     "kernel_atoms",
     "daughter_count_bound",
     "validate_assumptions",
@@ -399,40 +400,34 @@ def kernel_defect(kernel: KernelSpec, m: float, y):
     return _match(y, np.power(y_arr, m) - np.asarray(kernel_moment(kernel, m, y_arr)))
 
 
-def separable_density_factors(kernel: PowerLaw, x):
-    """Factors (p(x), q(x)) of the power law's density, b(x, y) = p(x) q(y) on x <= y.
+def density_pieces(kernel: KernelSpec, x) -> list[tuple]:
+    """The daughter density as separable pieces [(lo, hi, p, q), ...], sampled at ``x``.
 
-    p = (nu+2) x^nu and q = y^-(nu+1).  x^nu is taken at max(x, 1e-300), so
-    p stays finite at x = 0 for nu < 0, and q vanishes at size zero: a
-    parent of size zero has no daughters.
+    b(x, y) sums p(x) q(y) over the pieces whose ratio window (lo, hi] holds
+    the float quotient x/y; the first window is closed, as ``np.interp`` treats
+    the end ratios (its lo is the float below).  The power law is one piece on
+    [0, 1], p = (nu+2) max(x, 1e-300)^nu and q = y^-(nu+1); each linear piece
+    alpha + beta*rho of a tabulated h gives alpha/y and beta*x/y^2, if nonzero.
+    q vanishes at size zero.  Atomic kernels have none (see :func:`kernel_atoms`).
     """
-    nu = kernel.nu
-    x_arr = np.asarray(x, dtype=float)
-    p = (nu + 2.0) * np.power(np.maximum(x_arr, 1e-300), nu)
-    q = np.where(x_arr > 0, 1.0 / np.power(np.where(x_arr > 0, x_arr, 1.0), nu + 1.0), 0.0)
-    return p, q
+    x = np.asarray(x, dtype=float)
 
+    def inverse_power(e):
+        return np.where(x > 0, 1.0 / np.power(np.where(x > 0, x, 1.0), e), 0.0)
 
-def kernel_density(kernel: KernelSpec, x, y):
-    """Pointwise daughter density b(x, y); zero for x > y.
-
-    At x = y it takes the one-sided limit b(y-, y), the value the gain
-    quadrature needs on its diagonal.  Atomic kernels have no density; use
-    :func:`kernel_atoms` for those.
-    """
-    if isinstance(kernel, ShrinkingBinary):
-        raise InvalidInputError("atomic kernel has no pointwise density")
-    x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    inside = (x_arr <= y_arr) & (y_arr > 0) & (x_arr >= 0)
     if isinstance(kernel, PowerLaw):
-        p, _ = separable_density_factors(kernel, x_arr)
-        _, q = separable_density_factors(kernel, y_arr)
-        out = np.where(inside, p * q, 0.0)
-    else:
-        safe_y = np.where(y_arr > 0, y_arr, 1.0)
-        rho = np.where(inside, x_arr / safe_y, 0.0)
-        out = np.where(inside, np.asarray(kernel.shape_fn(rho)) / safe_y, 0.0)
-    return _match(x if np.ndim(x) >= np.ndim(y) else y, out)
+        p = (kernel.nu + 2.0) * np.power(np.maximum(x, 1e-300), kernel.nu)
+        return [(np.nextafter(0.0, -1.0), 1.0, p, inverse_power(kernel.nu + 1.0))]
+    if not isinstance(kernel, TabulatedKernel):
+        raise InvalidInputError("atomic kernel has no pointwise density")
+    rho, h = kernel.ratios, kernel.densities
+    slopes = np.diff(h) / np.diff(rho)
+    starts = np.concatenate(([np.nextafter(rho[0], -1.0)], rho[1:-1]))
+    pieces = []
+    for lo, hi, alpha, beta in zip(starts, rho[1:], h[:-1] - slopes * rho[:-1], slopes):
+        pieces += [(lo, hi, np.full(x.shape, alpha), inverse_power(1.0))] if alpha else []
+        pieces += [(lo, hi, beta * x, inverse_power(2.0))] if beta else []
+    return pieces
 
 
 def kernel_atoms(kernel: KernelSpec, y) -> list[tuple]:
@@ -870,24 +865,24 @@ def validate_assumptions(model: ModelDefinition) -> AssumptionReport:
 
 
 def _as_float(value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidModelError(f"expected a number, got {value!r}") from None
+    # numbers only: Python reads true as 1, and "30" is a string
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise InvalidModelError(f"expected a number, got {value!r}")
 
 
 def _as_floats(values) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidModelError(f"expected a list of numbers, got {values!r}") from None
+    if not isinstance(values, list):
+        raise InvalidModelError(f"expected a list of numbers, got {values!r}")
+    return np.array([_as_float(v) for v in values], dtype=float)
 
 
 def coefficient_from_config(obj) -> CoefficientSpec:
     """Build a coefficient from its JSON object form (or a bare number)."""
-    if isinstance(obj, (int, float)):
-        return Constant(float(obj))
-    if not isinstance(obj, dict) or "type" not in obj:
+    if not isinstance(obj, dict):
+        return Constant(_as_float(obj))
+    if "type" not in obj:
         raise InvalidModelError(f"coefficient config must be a number or an object with 'type': {obj!r}")
     kind = obj["type"]
     try:

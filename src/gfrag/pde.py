@@ -8,11 +8,10 @@ stability margin.  Growth is strictly positive, so x = 0 is an inflow
 boundary; the inflow flux is the renewal pairing r(0) u(0,t) = <beta, u>
 in the flux convention, lagged one step to keep the update linear and
 explicit.  The fragmentation gain is the shared quadrature operator of
-:func:`gfrag.resolvent.fragmentation_gain_matrix`, applied once per step:
-O(n) for separable and atomic kernels, one dense n x n matvec for a
-tabulated kernel.  :func:`gfrag._kernels.advance_upwind` builds the step's
-diagonal, subdiagonal and dt-scaled gain once per call and runs the steps
-between two outputs in preallocated buffers.  The outflow face at x_max
+:func:`gfrag.resolvent.fragmentation_gain_matrix`, applied once per step
+at O(n) cost for every kernel.  :func:`gfrag._kernels.advance_upwind`
+builds the step's diagonal and subdiagonal once per call and runs the
+steps between two outputs in preallocated buffers.  The outflow face at x_max
 extrapolates with zero gradient.  The scheme is monotone under the
 time-step bound dt * (max r / dx + max a) <= 1, which preserves
 nonnegativity of the iterates.  :func:`moment_balance_residual` computes

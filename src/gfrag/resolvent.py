@@ -18,8 +18,8 @@ resolvent defects measure only series truncation, not quadrature error.
 Each scan is a banded triangular solve (:mod:`gfrag._kernels`) with the
 bidiagonal matrices L and C that a :class:`ResolventContext` builds once
 from its panel weights.  B is a :class:`GainOperator` built once per
-context: O(n) cumulative sums for separable densities, a sparse deposition
-matrix for atomic kernels, and a dense matrix only for tabulated kernels.
+context, O(n) for every kernel: cumulative sums over the ratio windows of
+a density's separable pieces, or a sparse matrix for atomic kernels.
 
 One Neumann-series routine serves both directions: the forward series in
 the X_m norm, and the adjoint series sum_n R_beta* (B* R_beta*)^n, which
@@ -46,17 +46,15 @@ from .errors import (
 from .model import (
     GridFunction,
     ModelDefinition,
-    PowerLaw,
     ShrinkingBinary,
     boundary_weight_flux,
     check_model_grid,
     compute_RQ,
+    density_pieces,
     grid_eval,
     kernel_atoms,
-    kernel_density,
     midpoint_grid,
     quad_weights,
-    separable_density_factors,
     shift_floor,
 )
 
@@ -258,16 +256,15 @@ class GainOperator:
     that daughters falling below the first node are clamped onto it (keeping
     G nonnegative at the price of a grid-sized moment error there).
 
-    G is stored in the cheapest form its kernel allows:
+    G is stored in one of two O(n) forms, and ``nbytes`` is the storage held:
 
-    * separable densities b = p(x) q(y) (the power law, uniform binary at nu = 0):
-      ``G u = p * S(c * u) + d * u`` with S the reverse cumulative sum,
-      c = q * (trapezoid weight) * a and d a diagonal correction; O(n) time
-      and storage, and ``G^T z = c * cumsum(p * z) + d * z``;
-    * atomic kernels: CSR with at most four entries per column;
-    * tabulated kernels: a dense n x n array.
-
-    ``nbytes`` is the storage held.
+    * continuous kernels: the pieces p(x) q(y) of :func:`~gfrag.model.density_pieces`,
+      ``G u = d * u + sum p * (S[lo] - S[hi])`` with [lo_i, hi_i) the columns
+      of row i in the piece's ratio window, S the inclusive reverse cumsum
+      of c * u, c = q * (trapezoid weight) * a, and d a diagonal correction.
+      A window from the row to the last node (the power law's) holds no
+      indices: ``G u = p * S + d * u``, ``G^T z = c * cumsum(p * z) + d * z``;
+    * atomic kernels: CSR with at most four entries per column.
     """
 
     def __init__(self, model: ModelDefinition, nodes: np.ndarray):
@@ -275,9 +272,10 @@ class GainOperator:
         n = nodes.size
         kernel = model.kernel
         a_vals = grid_eval(model.a, nodes)
-        self._matrix = None
+        self._matrix, self._pieces = None, []
         if isinstance(kernel, ShrinkingBinary):
             self._matrix = _atomic_deposition(kernel, nodes, a_vals)
+            self._transpose = self._matrix.T
             held = (self._matrix.data, self._matrix.indices, self._matrix.indptr)
         else:
             d = np.diff(nodes)
@@ -285,22 +283,18 @@ class GainOperator:
             w_t[:-1] += 0.5 * d
             w_t[1:] += 0.5 * d
             half = np.concatenate((0.5 * d, [0.0]))
-            if isinstance(kernel, PowerLaw):
-                p, q = separable_density_factors(kernel, nodes)
+            self._d = np.zeros(n)
+            for lo, hi, p, q in density_pieces(kernel, nodes):
                 c = q * w_t * a_vals
-                # inclusive cumulative sums count p_i c_i once on the diagonal;
-                # d swaps that for the half-panel diagonal entry
-                self._p, self._c, self._d = p, c, p * q * half * a_vals - p * c
-                held = (self._p, self._c, self._d)
-            else:
-                pattern = np.triu(np.broadcast_to(w_t, (n, n)), k=1)
-                np.fill_diagonal(pattern, half)
-                dens = kernel_density(kernel, nodes[:, None], nodes[None, :])
-                self._matrix = dens * pattern * a_vals[None, :]
-                held = (self._matrix,)
+                if hi >= 1.0:
+                    # inclusive sums count p_i c_i once on the diagonal; d
+                    # swaps that for the half-panel diagonal entry
+                    self._d = self._d + (p * q * half * a_vals - p * c)
+                full = lo < 0.0 and hi >= 1.0  # from the row to the last node
+                window = None if full else (_quotient_edge(nodes, hi), _quotient_edge(nodes, lo))
+                self._pieces.append((p, c, window))
+            held = [self._d] + [a for p, c, w in self._pieces for a in (p, c, *(w or ()))]
         self.nbytes = sum(arr.nbytes for arr in held)
-        if self._matrix is not None:
-            self._transpose = self._matrix.T
 
     # np.add.accumulate is the cumulative sum behind np.cumsum, minus its
     # wrapper; the gain is applied once per series term and per PDE step
@@ -309,13 +303,46 @@ class GainOperator:
         """G u."""
         if self._matrix is not None:
             return self._matrix @ u
-        return self._p * np.add.accumulate((self._c * u)[::-1])[::-1] + self._d * u
+        out = self._d * u
+        for p, c, window in self._pieces:
+            s = np.add.accumulate((c * u)[::-1])[::-1]
+            if window is not None:
+                s = np.append(s, 0.0)  # S past the last node is zero
+                s = s[window[0]] - s[window[1]]
+            out += p * s
+        return out
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         """G^T z."""
         if self._matrix is not None:
             return self._transpose @ z
-        return self._c * np.add.accumulate(self._p * z) + self._d * z
+        out = self._d * z
+        for p, c, window in self._pieces:
+            t = p * z
+            if window is not None:
+                # row i adds t_i to the columns [lo_i, hi_i)
+                t = np.bincount(window[0], t, z.size + 1) - np.bincount(window[1], t, z.size + 1)
+                t = t[:-1]
+            out += c * np.add.accumulate(t)
+        return out
+
+
+def _quotient_edge(nodes: np.ndarray, rho: float) -> np.ndarray:
+    """Per row i, the first column j >= i with nodes[i] / nodes[j] <= rho, or n.
+
+    The float quotients fall as j grows from the diagonal's 1, so a
+    vectorised bisection over the columns past the diagonal finds the edge.
+    """
+    n = nodes.size
+    if rho >= 1.0:
+        return np.arange(n)
+    lo, hi = np.arange(1, n + 1), np.full(n, n)
+    while rho >= 0.0 and np.any(lo < hi):
+        mid = (lo + hi) // 2
+        above = nodes / nodes[np.minimum(mid, n - 1)] > rho
+        lo = np.where(above & (lo < hi), mid + 1, lo)
+        hi = np.where(above, hi, mid)
+    return hi
 
 
 def _atomic_deposition(kernel, nodes: np.ndarray, a_vals: np.ndarray):
@@ -480,34 +507,37 @@ def _shifted_generator_system(ctx: ResolventContext, shift: float):
     n, gain, C = ctx.nodes.size, ctx.gain, ctx._C
     # the bands scaled column by column: L D_r + shift C
     transport = ctx._L * ctx._r_vals + shift * C
-    i, j = np.arange(n), np.arange(n - 1)
-    if isinstance(gain._matrix, np.ndarray):
-        # tabulated kernels: -C G is dense, and so is the system
-        dense = -C[0, :, None] * gain._matrix
-        dense[1:] -= C[1, :-1, None] * gain._matrix[:-1]
-        dense[i, i] += transport[0]
-        dense[j + 1, j] += transport[1, :-1]
-        return sparse.csc_array(dense)
-    if gain._matrix is None:
-        # C diag(d) joins the bands; the second unknown is p * y, so the
-        # coupling blocks are -C and -diag(p c), not the steep p and c
-        transport = transport - C * gain._d
-        p, size = gain._p, 2 * n
-        coupling = (
-            (i, n + i, -C[0]), (j + 1, n + j, -C[1, :-1]), (n + i, i, -p * gain._c),
-            (n + i, n + i, np.ones(n)), (n + j, n + j + 1, -p[:-1] / p[1:]),
-        )
+    i, j, size = np.arange(n), np.arange(n - 1), n
+
+    def times_c(rows, cols, vals):
+        # an entry of G enters -C G in its row, times C's diagonal, and in
+        # the next row, times C's subdiagonal
+        inner = rows < n - 1
+        return [(rows, cols, -C[0, rows] * vals),
+                (rows[inner] + 1, cols[inner], -C[1, rows[inner]] * vals[inner])]
+
+    if gain._matrix is not None:
+        g = gain._matrix.tocoo()
+        coupling = times_c(g.row, g.col, g.data)
     else:
-        # atomic kernels: each entry of G enters -C G in its row, times C's
-        # diagonal, and in the next row, times C's subdiagonal
-        g, size = gain._matrix.tocoo(), n
-        inner = g.row < n - 1
-        coupling = (
-            (g.row, g.col, -C[0, g.row] * g.data),
-            (g.row[inner] + 1, g.col[inner], -C[1, g.row[inner]] * g.data[inner]),
-        )
+        # C diag(d) joins the bands; piece k adds the unknown y = s * S at
+        # offset n (k + 1), s = p where p is nonzero, so G holds p / s where
+        # a row's window starts and -p / s where it ends before the last node
+        transport, coupling = transport - C * gain._d, []
+        for p, c, window in gain._pieces:
+            s = np.where(p != 0.0, p, 1.0)
+            first, last = (i, np.full(n, n)) if window is None else window
+            rows = np.flatnonzero(first < last)
+            ends = rows[last[rows] < n]
+            coupling += times_c(
+                np.concatenate((rows, ends)),
+                size + np.concatenate((first[rows], last[ends])),
+                np.concatenate((p[rows] / s[first[rows]], -p[ends] / s[last[ends]])),
+            ) + [(size + i, i, -s * c), (size + i, size + i, np.ones(n)),
+                 (size + j, size + j + 1, -s[:-1] / s[1:])]
+            size += n
     # (rows, columns, values) band by band; duplicate entries are summed
-    entries = ((i, i, transport[0]), (j + 1, j, transport[1, :-1])) + coupling
+    entries = [(i, i, transport[0]), (j + 1, j, transport[1, :-1])] + coupling
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     return sparse.csc_array((vals, (rows, cols)), shape=(size, size))
 
@@ -527,12 +557,12 @@ class DirectResolvent:
     times the scan band C; e is the boundary mode and b the quadrature-
     weighted renewal weight.  Without the rank-one renewal term it is
     factored once by SuperLU, and that term is a Sherman-Morrison update.
-    A separable gain G = diag(d) + diag(p) U diag(c), U the inclusive
-    upper-triangular ones matrix, enters through a second unknown
-    p * U (c u), which solves a bidiagonal system because U = (I - J)^-1
-    for the superdiagonal shift J, so the factored system is sparse of size
-    2n; an atomic gain enters as the sparse product C G and a tabulated one
-    as a dense matrix.
+    Each separable piece of the gain, diag(p) (S[lo] - S[hi]) with S = U (c u)
+    and U the inclusive upper-triangular ones matrix, enters through one
+    more unknown s * S, s = p where p is nonzero, which solves a bidiagonal
+    system because U = (I - J)^-1 for the superdiagonal shift J; a power law
+    (one piece) factors a sparse system of size 2n.  An atomic gain enters
+    as the sparse product C G.
 
     ``solve`` is the discrete resolvent the Neumann series of
     :func:`apply_resolvent_K` converges to; ``solve_transpose`` is its

@@ -746,6 +746,13 @@ class TestWrongValueTypes:
             {"a": {"type": "linear", "c0": [0.0], "c1": 1.0}},
             {"r": {"type": "tabulated", "nodes": [0.0, [1.0]], "values": [1.0, 1.0]}},
             {"kernel": {"type": "power_law", "nu": "one"}},
+            # JSON numbers only: no booleans, no numeric strings
+            {"r": True},
+            {"x_max": "30"},
+            {"kernel": {"type": "shrinking_binary", "eps": "0.3"}},
+            {"kernel": {"type": "power_law", "nu": True}},
+            {"r": {"type": "tabulated", "nodes": [0.0, 30.0], "values": [1.0, True]}},
+            {"m": 10**400},
         ],
     )
     def test_exits_1_with_one_line(self, tmp_path, capsys, overrides):

@@ -89,6 +89,8 @@ _BAD_VALUES = st.sampled_from([
     {"type": "power", "c0": 1.0}, {"type": "tabulated", "nodes": [0.0, 1.0], "values": [1.0]},
     {"type": "power_law", "nu": "one"}, {"type": "shrinking_binary", "eps": 0.75},
     {"type": "shrinking_binary", "eps": {"type": "inverse", "scale": "s"}},
+    True, "30", {"type": "shrinking_binary", "eps": "0.3"}, {"type": "power_law", "nu": True},
+    {"type": "tabulated", "nodes": [0.0, 1.0], "values": [1.0, True]},
 ])
 
 

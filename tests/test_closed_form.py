@@ -80,6 +80,13 @@ class TestParams:
         with pytest.raises(DegenerateModelError):
             BinaryModelParams(r=1.0, a=0.0, beta0=0.0, beta1=0.0)
 
+    @pytest.mark.parametrize("derived", ["alpha0", "alpha1", "lambda_plus", "lambda_minus"])
+    def test_derived_fields_are_not_parameters(self, derived):
+        # __post_init__ computes them; a passed value would be overwritten
+        with pytest.raises(TypeError):
+            BinaryModelParams(1.0, 1.0, 0.5, 0.5, **{derived: 99.0})
+        assert BinaryModelParams(1.0, 1.0, 0.5, 0.5).lambda_plus == 1.5
+
     def test_invalid_raises(self):
         with pytest.raises(InvalidModelError):
             BinaryModelParams(r=-1.0, a=1.0, beta0=0.5, beta1=0.5)

@@ -253,12 +253,19 @@ def upwind_args(request):
 
 
 class TestAdvanceTwins:
-    """The fused loop of each gain storage form (separable, CSR and dense)
-    against the cell-by-cell oracle on the gain's matrix."""
+    """Both loops of the upwind step, over both gain storage forms (pieces
+    and CSR), against the cell-by-cell oracle on the gain's matrix."""
 
     def test_storage_forms_covered(self):
-        forms = {type(grid_gain(kernel)._matrix).__name__ for kernel in GAIN_KERNELS.values()}
-        assert forms == {"NoneType", "csr_array", "ndarray"}
+        # one piece whose window runs to the last node takes the fused loop;
+        # CSR and windowed pieces take the matvec loop
+        forms = {
+            "csr" if gain._matrix is not None
+            else "fused" if [window for *_, window in gain._pieces] == [None]
+            else "windowed"
+            for gain in map(grid_gain, GAIN_KERNELS.values())
+        }
+        assert forms == {"csr", "fused", "windowed"}
 
     def test_twin_loops_agree(self, upwind_args):
         u0, dt, dx, r_faces, a_mid, gain, beta_w = upwind_args

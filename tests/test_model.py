@@ -26,10 +26,10 @@ from gfrag.model import (
     coefficient_from_config,
     compute_RQ,
     daughter_count_bound,
+    density_pieces,
     dual_norm,
     kernel_atoms,
     kernel_defect,
-    kernel_density,
     kernel_from_config,
     kernel_moment,
     load_model,
@@ -157,6 +157,16 @@ class TestKernelMoments:
         assert kernel_defect(UniformBinary(), 2, 3.0) == pytest.approx(3.0, rel=1e-14)
         assert kernel_defect(PowerLaw(1.0), 2, 2.0) == pytest.approx(1.0, rel=1e-14)
 
+    @staticmethod
+    def density(kernel, x, y):
+        # b(x, y) summed over the pieces whose ratio window holds x / y
+        pieces = density_pieces(kernel, np.append(x, y))
+        ratio = x / y
+        return sum(
+            np.where((lo < ratio) & (ratio <= hi), p[:-1] * q[-1], 0.0)
+            for lo, hi, p, q in pieces
+        )
+
     def test_density_consistency(self):
         # numeric moment of the density matches the closed form; midpoint rule
         # because the density jumps to zero exactly at x = y
@@ -164,13 +174,22 @@ class TestKernelMoments:
         x = 0.5 * (edges[:-1] + edges[1:])
         dx = edges[1] - edges[0]
         for kern in (UniformBinary(), PowerLaw(1.0), TabulatedKernel([0.0, 1.0], [2.0, 2.0])):
-            dens = kernel_density(kern, x, 4.0)
-            n2 = np.sum(x**2 * dens) * dx
+            n2 = np.sum(x**2 * self.density(kern, x, 4.0)) * dx
             assert n2 == pytest.approx(kernel_moment(kern, 2, 4.0), rel=1e-6)
+
+    def test_pieces_sum_to_the_tabulated_density(self):
+        # ratios on the ends and the knots included: the first window is
+        # closed, as np.interp treats the end ratios, and h is zero outside
+        kern = TabulatedKernel([0.2, 1.0 / 3.0, 0.5, 0.9], [1.5, 4.0, 0.0, 2.5])
+        y = 3.0
+        ratio = np.concatenate((kern.ratios, np.random.default_rng(3).uniform(0.0, 1.0, 400)))
+        x = ratio * y
+        expect = kern.shape_fn(x / y) / y
+        np.testing.assert_allclose(self.density(kern, x, y), expect, rtol=0, atol=1e-14)
 
     def test_density_rejected_for_atomic(self):
         with pytest.raises(InvalidInputError):
-            kernel_density(ShrinkingBinary(0.25), 1.0, 2.0)
+            density_pieces(ShrinkingBinary(0.25), np.array([1.0, 2.0]))
 
     def test_count_bound(self):
         assert daughter_count_bound(UniformBinary()) == (1.0, 0.0)

@@ -421,13 +421,48 @@ class TestGainOperator:
         e0[0] = 1.0
         assert np.all(GainOperator(md, nodes).matvec(e0) == 0.0)
 
+    @pytest.mark.parametrize("start", ["midpoint", "zero"])
+    def test_random_tabulated_kernels_match_dense_oracle(self, start):
+        # ratios on 1/3 and 2/3, where node quotients such as 0.5/1.5 land
+        # on the parsed ratio, inside and at the ends; first ratios above 0
+        # and last below 1 with nonzero end densities, where h jumps to zero
+        n = 300
+        nodes = midpoint_grid(20.0, n) if start == "midpoint" else np.linspace(0.0, 20.0, n)
+        rng = np.random.default_rng(19)
+        for _ in range(16):
+            ends = [rng.choice([0.0, 1.0 / 3.0, rng.uniform(0.0, 0.1)]),
+                    rng.choice([1.0, 2.0 / 3.0, rng.uniform(0.9, 1.0)])]
+            inner = [r for r in (1.0 / 3.0, 0.5, 2.0 / 3.0, *rng.uniform(0.1, 0.9, 3))
+                     if ends[0] < r < ends[1]]
+            inner = rng.choice(inner, size=rng.integers(0, len(inner) + 1), replace=False)
+            ratios = np.unique(np.concatenate((inner, ends)))
+            kernel = TabulatedKernel(ratios, rng.uniform(0.0, 5.0, ratios.size))
+            md = binary_model(a=Linear(0.5, 1.0), kernel=kernel, x_max=20.0)
+            dense = dense_gain_oracle(md, nodes)
+            gain = GainOperator(md, nodes)
+            u = rng.standard_normal(n)
+            for got, expect in ((gain.matvec(u), dense @ u), (gain.rmatvec(u), dense.T @ u)):
+                np.testing.assert_allclose(
+                    got, expect, rtol=0, atol=1e-13 * np.max(np.abs(expect))
+                )
+
     @pytest.mark.parametrize(
-        "kernel", [UniformBinary(), PowerLaw(0.3), ShrinkingBinary(0.25)], ids=repr
+        "kernel",
+        [
+            UniformBinary(),
+            PowerLaw(0.3),
+            ShrinkingBinary(0.25),
+            TabulatedKernel(np.array([0.0, 1.0]), np.array([2.0, 2.0])),
+            TabulatedKernel(np.array([0.0, 0.5, 1.0]), np.array([0.0, 4.0, 0.0])),
+            TabulatedKernel(np.array([0.25, 0.5, 0.75]), np.array([3.0, 5.0, 3.0])),
+        ],
+        ids=repr,
     )
     def test_storage_is_linear_in_the_grid(self, kernel):
+        # at most eight arrays of n entries per separable piece
         n = 20000
         gain = GainOperator(binary_model(kernel=kernel), midpoint_grid(50.0, n))
-        assert gain.nbytes <= 8 * 8 * n
+        assert gain.nbytes <= 8 * 8 * n * max(1, len(gain._pieces))
 
     def test_context_holds_the_memoised_operator(self):
         md = binary_model()
@@ -621,6 +656,9 @@ DIRECT_KERNELS = [
     TabulatedKernel(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0, 1.0])),
 ]
 
+# windows that end before the last node and rows whose window is empty
+INNER_WINDOW_KERNEL = TabulatedKernel(np.array([0.25, 0.5, 0.75]), np.array([3.0, 5.0, 3.0]))
+
 
 def _rel_max(got, expect):
     return float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
@@ -649,7 +687,7 @@ class TestDirectResolvent:
             expect = _resolvent_K_transpose(ctx, g, 1e-14)
             assert _rel_max(direct.solve_transpose(g), expect) <= 1e-12
 
-    @pytest.mark.parametrize("kernel", DIRECT_KERNELS, ids=repr)
+    @pytest.mark.parametrize("kernel", DIRECT_KERNELS + [INNER_WINDOW_KERNEL], ids=repr)
     @pytest.mark.parametrize("sigma", [None, 5.0, 9.0])
     def test_inverts_the_shifted_generator(self, kernel, sigma):
         ctx = ResolventContext(binary_model(kernel=kernel), lam=7.0, n_cells=400)
@@ -660,14 +698,15 @@ class TestDirectResolvent:
         assert _rel_max(direct.solve(applied + shift * u), u) <= 1e-12
 
     def test_adjoint_is_the_weighted_transpose(self):
-        ctx = ResolventContext(binary_model(kernel=PowerLaw(1.9)), lam=7.0, n_cells=200)
-        direct = DirectResolvent(ctx, 3.0)
-        rng = np.random.default_rng(4)
-        f, g = rng.standard_normal((2, 200))
-        wq = quad_weights(ctx.nodes)
-        left = float(np.sum(wq * g * direct.solve(f)))
-        right = float(np.sum(wq * direct.solve_transpose(g) * f))
-        assert left == pytest.approx(right, rel=1e-12)
+        for kernel in (PowerLaw(1.9), INNER_WINDOW_KERNEL):
+            ctx = ResolventContext(binary_model(kernel=kernel), lam=7.0, n_cells=200)
+            direct = DirectResolvent(ctx, 3.0)
+            rng = np.random.default_rng(4)
+            f, g = rng.standard_normal((2, 200))
+            wq = quad_weights(ctx.nodes)
+            left = float(np.sum(wq * g * direct.solve(f)))
+            right = float(np.sum(wq * direct.solve_transpose(g) * f))
+            assert left == pytest.approx(right, rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [5.0, 9.0])
     def test_other_shift_matches_the_series_of_a_context_there(self, sigma):

@@ -1,5 +1,6 @@
 """Tests for the inverse-iteration eigensolver and growth diagnostics."""
 
+import dataclasses
 import functools
 import warnings
 
@@ -20,6 +21,7 @@ from gfrag.model import (
     Linear,
     ModelDefinition,
     PowerLaw,
+    TabulatedKernel,
     UniformBinary,
     midpoint_grid,
     quad_weights,
@@ -214,6 +216,16 @@ class TestFactoredWarmStart:
         )
         pair = perron_eigenpair(model, 200, tol=tol)
         assert abs(pair.s0 - (lam - 1.0 / mu)) <= 1e-9
+
+
+class TestTabulatedKernel:
+    @pytest.mark.parametrize("n_cells", [2000, 20000])
+    def test_constant_h_reproduces_uniform_binary(self, n_cells):
+        # h = 2 on [0, 1] is the uniform binary density 2/y
+        flat = TabulatedKernel(np.array([0.0, 1.0]), np.array([2.0, 2.0]))
+        s0 = perron_eigenpair(reference_model(), n_cells).s0
+        tab = perron_eigenpair(dataclasses.replace(reference_model(), kernel=flat), n_cells).s0
+        assert tab == pytest.approx(s0, rel=0, abs=1e-12)
 
 
 class TestDirectGenerator:
