@@ -27,6 +27,7 @@ from .errors import (
     MissingTailError,
     SupportConsistencyError,
 )
+from .model import _as_float
 
 __all__ = [
     "CbarResult",
@@ -416,30 +417,37 @@ def reachability_oracle(s: SupportModel) -> IrreducibilityDecision:
     )
 
 
+def _support_number(value, unbounded: bool = False) -> float:
+    # JSON numbers only, as in the model file; "inf" marks an unbounded end
+    return math.inf if unbounded and value == "inf" else _as_float(value)
+
+
 def support_model_from_config(obj: dict) -> SupportModel:
-    """Build a SupportModel from its configuration mapping."""
+    """Build a SupportModel from its configuration mapping.
+
+    Every value is a JSON number; the string ``"inf"`` is also accepted as
+    an interval's right end and as ``beta_sup``.
+    """
     if not isinstance(obj, dict):
         raise InvalidInputError("support entry must be a mapping")
     try:
         intervals = tuple(
-            (float(l), math.inf if r in ("inf", None) else float(r))
-            for l, r in obj["supp_a"]
+            (_support_number(l), _support_number(r, unbounded=True)) for l, r in obj["supp_a"]
         )
         segments = tuple(
             EnvelopeSegment(
-                left=float(e["left"]),
-                right=float(e["right"]),
-                value_left=float(e["value_left"]),
-                value_right=float(e["value_right"]),
+                left=_support_number(e["left"]),
+                right=_support_number(e["right"]),
+                value_left=_support_number(e["value_left"]),
+                value_right=_support_number(e["value_right"]),
             )
             for e in obj["envelope"]
         )
-        raw_sup = obj["beta_sup"]
-        beta_sup = math.inf if raw_sup == "inf" else float(raw_sup)
+        beta_sup = _support_number(obj["beta_sup"], unbounded=True)
         tail = None
         if obj.get("tail") is not None:
             t = obj["tail"]
-            tail = TailRule(kind=str(t["kind"]), value=float(t.get("value", 0.0)))
+            tail = TailRule(kind=str(t["kind"]), value=_support_number(t.get("value", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad support configuration: {exc}") from exc
     return SupportModel(

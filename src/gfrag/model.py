@@ -481,13 +481,6 @@ class GridFunction:
         self.nodes = nodes
         self.values = values
 
-    @classmethod
-    def _on_grid(cls, nodes: np.ndarray, values: np.ndarray) -> "GridFunction":
-        """Float samples on a grid the caller has already validated; no checks run."""
-        f = object.__new__(cls)
-        f.nodes, f.values = nodes, values
-        return f
-
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.nodes, np.asarray(values, dtype=float))
 

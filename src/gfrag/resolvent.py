@@ -30,6 +30,11 @@ The discrete operator the series converge to is known exactly, so
 :class:`DirectResolvent` also solves it directly, at any shift sigma, with
 one sparse LU factorisation of C (sigma - K) and a rank-one update for the
 renewal term; the series are its oracle.
+
+Every operator here takes and returns 1-D float samples on ``ctx.nodes``,
+the context grid; a wrong-length or 2-D input raises InvalidInputError.
+Both Neumann series, :func:`apply_resolvent_K` and its adjoint, return
+``(values, n_terms, defect)``.
 """
 
 from __future__ import annotations
@@ -44,11 +49,9 @@ from .errors import (
     SeriesDivergenceError,
 )
 from .model import (
-    GridFunction,
     ModelDefinition,
     ShrinkingBinary,
     boundary_weight_flux,
-    check_model_grid,
     compute_RQ,
     density_pieces,
     grid_eval,
@@ -64,7 +67,6 @@ __all__ = [
     "apply_resolvent_Z0",
     "apply_E_lambda",
     "apply_resolvent_Zbeta",
-    "apply_fragmentation_gain",
     "apply_resolvent_K",
     "apply_shifted_generator_Zbeta",
     "apply_shifted_generator_K",
@@ -79,6 +81,8 @@ class ResolventContext:
 
     The model fixes the grid and the weight exponent: ``nodes`` is
     ``midpoint_grid(model.x_max, n_cells)`` and the norms use ``model.m``.
+    The resolvent operators take and return samples on ``nodes``, and the
+    pairing and norms below take such samples too.
 
     Attributes
     ----------
@@ -89,7 +93,7 @@ class ResolventContext:
         The context grid.
     rq : RQFunctions
         Antiderivatives of 1/r and a/r, from :func:`~gfrag.model.compute_RQ`.
-    e_lambda : GridFunction
+    e_lambda : numpy.ndarray
         Homogeneous boundary mode exp(-lam*R - Q)/r sampled on the grid.
     beta_pairing : float
         <beta, e_lambda>, guaranteed inside [0, 1).
@@ -152,8 +156,7 @@ class ResolventContext:
         self._dual_w = 1.0 + nodes**model.m
         self._norm_w = self._wq * self._dual_w
 
-        e_vals = np.exp(-exponent) / self._r_vals
-        self.e_lambda = GridFunction(nodes, e_vals)
+        self.e_lambda = e_vals = np.exp(-exponent) / self._r_vals
         self._beta_vals = grid_eval(boundary_weight_flux(model), nodes)
         # products every series term reuses, formed in the order the
         # pairings multiply them so each pairing keeps its rounding
@@ -183,14 +186,14 @@ class ResolventContext:
         return float(np.maximum.reduce(np.abs(values) / self._dual_w))
 
 
-def _check_grid(ctx: ResolventContext, f: GridFunction) -> np.ndarray:
-    # the context grid is the model's midpoint grid, so samples carrying
-    # that very array skip the element-wise comparison
-    if f.values.shape != ctx.nodes.shape:
-        raise InvalidInputError("input grid does not match the context grid")
-    if f.nodes is not ctx.nodes:
-        check_model_grid(ctx.model, f.nodes)
-    return np.ascontiguousarray(f.values, dtype=float)
+def _samples(ctx: ResolventContext, values) -> np.ndarray:
+    """``values`` as contiguous floats, after checking they are samples on ``ctx.nodes``."""
+    values = np.ascontiguousarray(values, dtype=float)
+    if values.shape != ctx.nodes.shape:
+        raise InvalidInputError(
+            f"expected {ctx.nodes.size} samples on the context grid, got shape {values.shape}"
+        )
+    return values
 
 
 def e_lambda_fn(ctx: ResolventContext, x):
@@ -201,43 +204,37 @@ def e_lambda_fn(ctx: ResolventContext, x):
     return out if np.ndim(x) else float(out)
 
 
-def apply_resolvent_Z0(ctx: ResolventContext, f: GridFunction) -> GridFunction:
+def apply_resolvent_Z0(ctx: ResolventContext, f: np.ndarray) -> np.ndarray:
     """Resolvent of the zero-flux transport generator.
 
     Evaluates x -> exp(-lam*R(x)-Q(x))/r(x) * int_0^x f(y) exp(lam*R(y)+Q(y)) dy
     on the context grid with one stable prefix scan.
     """
-    vals = _check_grid(ctx, f)
-    scan = _kernels.prefix_transport_scan(ctx._L, ctx._C, vals)
-    return GridFunction._on_grid(ctx.nodes, scan / ctx._r_vals)
+    scan = _kernels.prefix_transport_scan(ctx._L, ctx._C, _samples(ctx, f))
+    return scan / ctx._r_vals
 
 
-def apply_E_lambda(ctx: ResolventContext, f: GridFunction) -> GridFunction:
+def apply_E_lambda(ctx: ResolventContext, f: np.ndarray) -> np.ndarray:
     """Rank-one boundary correction e_lam * <beta, f> / (1 - <beta, e_lam>)."""
-    vals = _check_grid(ctx, f)
-    c = ctx.pair_beta(vals) / ctx._renewal_gap
-    return GridFunction._on_grid(ctx.nodes, c * ctx.e_lambda.values)
+    c = ctx.pair_beta(_samples(ctx, f)) / ctx._renewal_gap
+    return c * ctx.e_lambda
 
 
-def apply_resolvent_Zbeta(ctx: ResolventContext, f: GridFunction) -> GridFunction:
+def apply_resolvent_Zbeta(ctx: ResolventContext, f: np.ndarray) -> np.ndarray:
     """Resolvent of the renewal-boundary transport generator, (I+E) R(lam,Z0)."""
-    # the prefix scan of apply_resolvent_Z0, inline: this runs once per series term
-    vals = _check_grid(ctx, f)
-    g = _kernels.prefix_transport_scan(ctx._L, ctx._C, vals) / ctx._r_vals
-    c = ctx.pair_beta(g) / ctx._renewal_gap
-    return GridFunction._on_grid(ctx.nodes, g + c * ctx.e_lambda.values)
+    g = apply_resolvent_Z0(ctx, f)
+    return g + apply_E_lambda(ctx, g)
 
 
-def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: GridFunction) -> GridFunction:
+def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: np.ndarray) -> np.ndarray:
     """Apply (lam - Zbeta) discretely; exact inverse of apply_resolvent_Zbeta.
 
     Uses the factorization (lam - Zbeta) = (lam - Z0)(I - e_lam <beta, .>),
     where (lam - Z0) is inverted panel by panel from the prefix scan.
     """
-    vals = _check_grid(ctx, u)
-    g = vals - ctx.pair_beta(vals) * ctx.e_lambda.values
-    f = _kernels.inverse_transport_scan(ctx._L, ctx._C, g * ctx._r_vals)
-    return GridFunction._on_grid(ctx.nodes, f)
+    u = _samples(ctx, u)
+    g = u - ctx.pair_beta(u) * ctx.e_lambda
+    return _kernels.inverse_transport_scan(ctx._L, ctx._C, g * ctx._r_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +391,6 @@ def fragmentation_gain_matrix(model: ModelDefinition, nodes: np.ndarray) -> Gain
     return gain
 
 
-def apply_fragmentation_gain(model: ModelDefinition, u: GridFunction) -> GridFunction:
-    """Fragmentation gain (B u)(x) = int_x^inf a(y) b(x, y) u(y) dy."""
-    gain = fragmentation_gain_matrix(model, u.nodes)
-    return GridFunction(u.nodes, gain.matvec(u.values))
-
-
 # ---------------------------------------------------------------------------
 # full-generator resolvent by Neumann series
 
@@ -449,32 +440,14 @@ def _neumann_series(first, apply_R, apply_B, norm, tol):
     return total, n_terms, defect
 
 
-def _resolvent_K_details(ctx: ResolventContext, f: GridFunction, tol: float):
-    """Neumann series for (lam - K)^{-1} f.
-
-    Returns (values, n_terms, defect_norm) where defect_norm is the X_m norm
-    of the exact discrete defect (lam - K) u - f = -B w_last at truncation.
-    """
-    vals = _check_grid(ctx, f)
-    nodes = ctx.nodes
-    # the resolvents are looked up at call time, here and in the adjoint
-    # series, so a wrapper installed on this module sees every term
-    return _neumann_series(
-        vals,
-        lambda g: apply_resolvent_Zbeta(ctx, GridFunction._on_grid(nodes, g)).values,
-        ctx.gain.matvec,
-        ctx.norm_m,
-        tol,
-    )
-
-
-def apply_resolvent_K(ctx: ResolventContext, f: GridFunction, tol: float = 1e-10) -> GridFunction:
+def apply_resolvent_K(ctx: ResolventContext, f: np.ndarray, tol: float = 1e-10):
     """Resolvent of the full generator K = Zbeta + B.
 
     Sums R_beta (B R_beta)^n f and stops after the first term whose X_m
     norm and that of its gain image B R_beta (B R_beta)^n f are both below
     tol; the gain image's norm is the exact discrete defect
-    ||(lam - K) u - f||_m of the truncated sum.
+    ||(lam - K) u - f||_m of the truncated sum.  Returns
+    (values, n_terms, defect).
 
     Raises
     ------
@@ -483,17 +456,23 @@ def apply_resolvent_K(ctx: ResolventContext, f: GridFunction, tol: float = 1e-10
         one before it and >= tol, or when _MAX_TERMS + 1 = 201 terms leave a
         defect >= tol; lam is too small for the series.
     InvalidInputError
-        When tol is not positive or f is not on the context grid.
+        When tol is not positive or f is not samples on the context grid.
     """
-    total, _n, _defect = _resolvent_K_details(ctx, f, tol)
-    return GridFunction._on_grid(ctx.nodes, total)
+    # the resolvents are looked up at call time, here and in the adjoint
+    # series, so a wrapper installed on this module sees every term
+    return _neumann_series(
+        _samples(ctx, f),
+        lambda g: apply_resolvent_Zbeta(ctx, g),
+        ctx.gain.matvec,
+        ctx.norm_m,
+        tol,
+    )
 
 
-def apply_shifted_generator_K(ctx: ResolventContext, u: GridFunction) -> GridFunction:
+def apply_shifted_generator_K(ctx: ResolventContext, u: np.ndarray) -> np.ndarray:
     """Apply (lam - K) discretely: (lam - Zbeta) u - B u."""
-    transport = apply_shifted_generator_Zbeta(ctx, u)
-    out = transport.values - ctx.gain.matvec(u.values)
-    return GridFunction._on_grid(ctx.nodes, out)
+    u = _samples(ctx, u)
+    return apply_shifted_generator_Zbeta(ctx, u) - ctx.gain.matvec(u)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +567,7 @@ class DirectResolvent:
             ) from None
         self._pad = np.zeros(system.shape[0] - n)
         # Sherman-Morrison pieces of the renewal term l b^T, l = L D_r e
-        self._l = _kernels._times(ctx._L, ctx._r_vals * ctx.e_lambda.values)
+        self._l = _kernels._times(ctx._L, ctx._r_vals * ctx.e_lambda)
         self._l_image = self._lu.solve(np.concatenate((self._l, self._pad)))[:n]
         self._b_image = self._lu.solve(np.concatenate((ctx._wq_beta, self._pad)), trans="T")[:n]
         self._gap = 1.0 - float(ctx._wq_beta @ self._l_image)
@@ -624,17 +603,17 @@ def _apply_resolvent_Zbeta_transpose(ctx: ResolventContext, g_vals: np.ndarray) 
     return _apply_resolvent_Z0_transpose(ctx, g_vals + c * ctx._beta_vals)
 
 
-def _resolvent_K_transpose(ctx: ResolventContext, g_vals: np.ndarray, tol: float) -> np.ndarray:
-    """Adjoint Neumann series sum_n R_beta* (B* R_beta*)^n g.
+def _resolvent_K_transpose(ctx: ResolventContext, g_vals: np.ndarray, tol: float):
+    """Adjoint Neumann series sum_n R_beta* (B* R_beta*)^n g; returns (values, n_terms, defect).
 
     Runs the forward series routine with the adjoint operators, measured in
     the dual norm of X_m, max |z|/(1 + x^m), where they contract; the plain
     max norm can grow for a few terms on a series that converges.
     """
     return _neumann_series(
-        g_vals,
+        _samples(ctx, g_vals),
         lambda z: _apply_resolvent_Zbeta_transpose(ctx, z),
         lambda z: ctx.gain.rmatvec(ctx._wq * z) / ctx._wq,
         ctx.dual_norm,
         tol,
-    )[0]
+    )

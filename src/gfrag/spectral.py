@@ -230,15 +230,11 @@ def perron_eigenpair(
     # resolvents are looked up at call time, so wrappers installed on this
     # module see every sweep
     v, mu = _inverse_iteration(
-        lambda x: apply_resolvent_K(
-            ctx, GridFunction._on_grid(grid, x), tol=series_tol
-        ).values,
-        v, wq, ctx.norm_m, tol,
+        lambda x: apply_resolvent_K(ctx, x, tol=series_tol)[0], v, wq, ctx.norm_m, tol
     )
     s0 = lambda_shift - 1.0 / mu
     w, _mu = _inverse_iteration(
-        lambda x: _resolvent_K_transpose(ctx, x, series_tol),
-        w, wq * v, ctx.dual_norm, tol,
+        lambda x: _resolvent_K_transpose(ctx, x, series_tol)[0], w, wq * v, ctx.dual_norm, tol
     )
 
     _warn_if_negative("right eigenfunction", v, tol)
@@ -295,11 +291,18 @@ def aeg_diagnostics(
     Solves with the closed form when the model belongs to the binary
     family and with the finite-volume scheme otherwise, then records the
     weighted norm of e^(-s0 t) u(t) minus the projection of the datum and
-    fits a log-linear decay rate through the samples.
+    fits a log-linear decay rate through the samples.  ConvergenceError is
+    raised when the squares of the times fall below the normal floats, and
+    when the fit fails or comes out non-finite.
     """
     times = [float(t) for t in times]
     if not times or times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise InvalidInputError("times must be positive and strictly increasing")
+    if times[0] ** 2 < np.finfo(float).tiny:
+        raise ConvergenceError(
+            f"time samples from {times[0]:.6g} have squares below the normal floats, "
+            "too small for the log-linear fit; lengthen the horizon"
+        )
     projected = spectral_projection(pair, u0).values
 
     deviations = []
@@ -308,10 +311,18 @@ def aeg_diagnostics(
         deviations.append(xm_norm(u0.with_values(diff), model.m))
 
     logs = np.log(np.maximum(deviations, 1e-300))
-    slope, intercept = np.polyfit(times, logs, 1)
+    try:
+        slope, intercept = np.polyfit(times, logs, 1)
+        rate, constant = float(-slope), math.exp(intercept)
+    except (np.linalg.LinAlgError, OverflowError):
+        rate = constant = math.nan
+    if not (math.isfinite(rate) and math.isfinite(constant)):
+        raise ConvergenceError(
+            f"log-linear fit of the deviations over t in [{times[0]:.6g}, {times[-1]:.6g}] failed"
+        )
     return AEGReport(
         times=tuple(times),
         deviations=tuple(deviations),
-        fitted_rate=float(-slope),
-        fitted_constant=float(math.exp(intercept)),
+        fitted_rate=rate,
+        fitted_constant=constant,
     )

@@ -632,6 +632,18 @@ class TestAegCommand:
         assert run(cfg) == 0
         assert "deviations decreasing" in capsys.readouterr().out
 
+    def test_tiny_horizon_exits_2_with_one_line_and_no_csv(self, tmp_path, capsys):
+        # the squares of the time samples underflow, so no log-linear fit exists
+        path = binary_model_file(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["aeg", "--model", path, "--out", str(out), "--t-end", "1e-300"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:")
+        assert err.count("\n") == 1
+        assert list(out.glob("*.csv")) == []
+
 
 class TestErrorPaths:
     def test_parse_error_reports_line(self, tmp_path, capsys):
@@ -762,6 +774,28 @@ class TestWrongValueTypes:
         assert info.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: expected a")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"beta_sup": True},
+            {"beta_sup": "0.4"},
+            {"beta_sup": "Infinity"},
+            {"supp_a": [["2", "inf"]]},
+            {"supp_a": [[2.0, "Infinity"]]},
+            {"envelope": [{"left": 2.0, "right": "4", "value_left": 1.0, "value_right": 2.0}]},
+            {"tail": {"kind": "constant_floor", "value": True}},
+        ],
+    )
+    def test_support_value_exits_1_with_one_line(self, tmp_path, capsys, overrides):
+        # support values are JSON numbers too; "inf" only as a right end or beta_sup
+        path = binary_model_file(tmp_path, support={**GAP_SUPPORT, **overrides})
+        with pytest.raises(SystemExit) as info:
+            main(["irreducible", "--model", path, "--out", str(tmp_path)])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad support configuration: expected a number, got ")
         assert err.count("\n") == 1
 
 

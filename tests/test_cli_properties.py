@@ -73,12 +73,18 @@ _GAP_SUPPORT = {
     "beta_sup": 0.5,
     "tail": {"kind": "envelope_extends"},
 }
-# json writes and reads a bare NaN: geometry the reader must refuse
-_NON_FINITE_SUPPORTS = (
+# geometry the reader must refuse: json writes and reads a bare NaN, and
+# support values are JSON numbers, with "inf" only as a right end or beta_sup
+_BAD_SUPPORTS = (
     {**_GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": 2.0},
      "envelope": [{"left": 2.0, "right": 4.0, "value_left": float("nan"), "value_right": 2.0}]},
     {**_GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": float("nan")}},
     {**_GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": float("inf")}},
+    {**_GAP_SUPPORT, "beta_sup": True},
+    {**_GAP_SUPPORT, "beta_sup": "0.4"},
+    {**_GAP_SUPPORT, "beta_sup": "Infinity"},
+    {**_GAP_SUPPORT, "supp_a": [["2", "inf"]]},
+    {**_GAP_SUPPORT, "tail": {"kind": "constant_floor", "value": True}},
 )
 
 _DROP = object()
@@ -111,7 +117,7 @@ def model_docs(draw):
         "m": draw(_num(1.1, 4.0)),
         "bc_convention": draw(st.sampled_from(["flux", "value"])),
         "x_max": x_max,
-        "support": draw(st.sampled_from([None, _SUPPORT, _GAP_SUPPORT, *_NON_FINITE_SUPPORTS])),
+        "support": draw(st.sampled_from([None, _SUPPORT, _GAP_SUPPORT, *_BAD_SUPPORTS])),
         "initial": draw(st.one_of(st.none(), _coefficient(_nonnegative))),
     }
     if draw(st.integers(0, 3)) == 0:
@@ -150,7 +156,7 @@ def test_cli_exits_0_1_or_2_with_one_line_on_failure(doc, command, cells, t_end)
             raise AssertionError("main returned without exiting")
     event(f"exit {code}")
     assert code in (0, 1, 2)
-    if any(doc.get("support") is bad for bad in _NON_FINITE_SUPPORTS):
+    if any(doc.get("support") is bad for bad in _BAD_SUPPORTS):
         assert code == 1
     assert "Traceback" not in err.getvalue()
     if code != 0:

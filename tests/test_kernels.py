@@ -18,7 +18,6 @@ from gfrag import _kernels as K
 from gfrag import resolvent
 from gfrag.model import (
     Constant,
-    GridFunction,
     Linear,
     ModelDefinition,
     PowerLaw,
@@ -339,7 +338,7 @@ class TestModuleBinding:
             beta=Linear(0.5, 0.5), m=2.0, bc_convention="value", x_max=30.0,
         )
         ctx = resolvent.ResolventContext(model, 6.0, n_cells=50)
-        resolvent.apply_resolvent_Z0(ctx, GridFunction(ctx.nodes, np.ones(50)))
+        resolvent.apply_resolvent_Z0(ctx, np.ones(50))
         resolvent._apply_resolvent_Z0_transpose(ctx, np.ones(50))
         assert [c[0] for c in calls] == ["prefix_transport_scan", "adjoint_transport_scan"]
         assert all(c[1] is ctx._L and c[2] is ctx._C and c[3] == 50 for c in calls)

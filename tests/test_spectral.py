@@ -211,7 +211,7 @@ class TestFactoredWarmStart:
         ctx = ResolventContext(model, lam, n_cells=200)
         wq = quad_weights(ctx.nodes)
         _v, mu = _inverse_iteration(
-            lambda x: apply_resolvent_K(ctx, GridFunction(ctx.nodes, x), tol=tol).values,
+            lambda x: apply_resolvent_K(ctx, x, tol=tol)[0],
             np.exp(-ctx.nodes), wq, ctx.norm_m, tol,
         )
         pair = perron_eigenpair(model, 200, tol=tol)
@@ -379,6 +379,30 @@ class TestAEGDiagnostics:
             aeg_diagnostics(model, pair, u0, [0.0, 1.0])
         with pytest.raises(InvalidInputError):
             aeg_diagnostics(model, pair, u0, [2.0, 1.0])
+
+    def test_times_with_underflowing_squares_refused(self):
+        pair = cached_pair(1000)
+        u0 = GridFunction(pair.v.nodes, reference_datum(pair.v.nodes))
+        with pytest.raises(ConvergenceError, match="normal floats"):
+            aeg_diagnostics(reference_model(), pair, u0, [2.5e-301, 5e-301, 1e-300])
+
+    @pytest.mark.parametrize(
+        "fit",
+        [np.linalg.LinAlgError("SVD did not converge"), (np.nan, 0.0), (-1.0, 1e3)],
+        ids=["fails", "nan-slope", "constant-overflows"],
+    )
+    def test_failed_or_non_finite_fit_raises(self, monkeypatch, fit):
+        pair = cached_pair(1000)
+        u0 = GridFunction(pair.v.nodes, reference_datum(pair.v.nodes))
+
+        def polyfit(*args, **kwargs):
+            if isinstance(fit, Exception):
+                raise fit
+            return np.array(fit)
+
+        monkeypatch.setattr(spectral.np, "polyfit", polyfit)
+        with pytest.raises(ConvergenceError, match="log-linear fit"):
+            aeg_diagnostics(reference_model(), pair, u0, [1.0, 2.0])
 
 
 class TestTrajectoryInvariance:
