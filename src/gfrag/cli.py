@@ -257,12 +257,19 @@ COMMANDS = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+    """Execute one command; returns the process exit code.
+
+    The command runs with numpy's floating-point errors raised: an
+    overflow, an invalid operation or a division by zero that no library
+    routine expects ends the run with exit code 2 and one line, where numpy
+    would otherwise print a warning and carry on with infinities or NaN.
+    """
     try:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        doc, model = _load(cfg)
-        return COMMANDS[cfg.command][0](cfg, doc, model, out)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            doc, model = _load(cfg)
+            return COMMANDS[cfg.command][0](cfg, doc, model, out)
     except (
         OSError,
         InvalidInputError,
@@ -275,6 +282,10 @@ def run(cfg: RunConfig) -> int:
         return 1
     except GfragError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # numpy's raised floating-point errors, Python's float overflow
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -47,13 +47,10 @@ __all__ = [
     "moment_propagator",
     "propagate_moments",
     "moments_from_grid",
-    "boundary_extension_psi",
     "ClosedFormSolution",
     "evaluate_solution",
-    "tail_bound_check",
     "right_eigenfunction_cf",
     "left_eigenfunction_cf",
-    "asymptotic_profile",
     "binary_params_from_model",
     "is_binary_model",
 ]
@@ -114,14 +111,21 @@ class MomentState:
             raise InvalidInputError("moments of nonnegative data must be nonnegative")
 
 
-def moment_propagator(params: BinaryModelParams, t: float) -> np.ndarray:
-    """Propagator K(t) with (M0, M1)(t) = K(t) (M0, M1)(0); entrywise >= 0."""
-    if t < 0:
+def moment_propagator(params: BinaryModelParams, t) -> np.ndarray:
+    """Propagator K(t) with (M0, M1)(t) = K(t) (M0, M1)(0); entrywise >= 0.
+
+    ``t`` may be an array of times; K then has shape (2, 2) + t.shape.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise InvalidInputError("time must be nonnegative")
     lp, lm = params.lambda_plus, params.lambda_minus
     if abs(lp - lm) < 1e-14 * max(1.0, abs(lp)):
         raise DegenerateModelError("coincident moment eigenvalues")
-    ep, em = math.exp(lp * t), math.exp(lm * t)
+    # one time goes through math.exp (libm), an array through np.exp; the two
+    # can differ in the last bit
+    exp = np.exp if t.ndim else math.exp
+    ep, em = exp(lp * t), exp(lm * t)
     gap = lp - lm
     return np.array(
         [
@@ -147,15 +151,12 @@ def moments_from_grid(u0: GridFunction) -> MomentState:
 
 
 class ForcingF:
-    """Forcing of the boundary-extension equation, with two derivatives.
+    """Forcing of the boundary-extension equation,
 
     F(t) = exp(-a r t^2/2) [beta0 M0(t) + beta1 M1(t)]
-           - (2 a t + r a^2 t^3) M0(0) - a^2 t^2 M1(0).
+           - (2 a t + r a^2 t^3) M0(0) - a^2 t^2 M1(0),
 
-    F' and F'' are produced by closed-form differentiation: the weighted
-    moment G(t) = beta0 M0(t) + beta1 M1(t) differentiates through the
-    moment ODE, G^(k) = (beta0, beta1) A^k M(t), so no numeric
-    differentiation enters.
+    with the moments propagated by :func:`moment_propagator`.
     """
 
     def __init__(self, params: BinaryModelParams, initial: MomentState):
@@ -164,22 +165,11 @@ class ForcingF:
 
     def _weighted_moment(self, t):
         """(G, M0, M1) at t, G = beta0 M0 + beta1 M1."""
-        p = self.params
-        lp, lm, gap = p.lambda_plus, p.lambda_minus, p.lambda_plus - p.lambda_minus
-        ep, em = np.exp(lp * t), np.exp(lm * t)
-        m0 = ((lp * ep - lm * em) * self.initial.M0 - lp * lm * (ep - em) / p.r * self.initial.M1) / gap
-        m1 = (p.r * (ep - em) * self.initial.M0 + (lp * em - lm * ep) * self.initial.M1) / gap
+        p, m = self.params, self.initial
+        k = moment_propagator(p, t)
+        m0 = k[0, 0] * m.M0 + k[0, 1] * m.M1
+        m1 = k[1, 0] * m.M0 + k[1, 1] * m.M1
         return p.beta0 * m0 + p.beta1 * m1, m0, m1
-
-    def _weighted_moments(self, t):
-        """(G, G', G'') at t."""
-        p = self.params
-        g0, m0, m1 = self._weighted_moment(t)
-        g1 = p.beta0 * (p.alpha0 * m0 + p.alpha1 * m1) + p.beta1 * p.r * m0
-        g2 = p.beta0 * (p.alpha0 * (p.alpha0 * m0 + p.alpha1 * m1) + p.alpha1 * p.r * m0) + (
-            p.beta1 * p.r * (p.alpha0 * m0 + p.alpha1 * m1)
-        )
-        return g0, g1, g2
 
     def value(self, t):
         p, m = self.params, self.initial
@@ -189,72 +179,10 @@ class ForcingF:
         out = damp * g0 - (2 * p.a * t + p.r * p.a**2 * t**3) * m.M0 - p.a**2 * t**2 * m.M1
         return out if out.ndim else float(out)
 
-    def d1(self, t):
-        p, m = self.params, self.initial
-        t = np.asarray(t, dtype=float)
-        g0, g1, _ = self._weighted_moments(t)
-        damp = np.exp(-0.5 * p.a * p.r * t**2)
-        art = p.a * p.r * t
-        out = damp * (g1 - art * g0) - (2 * p.a + 3 * p.r * p.a**2 * t**2) * m.M0 - 2 * p.a**2 * t * m.M1
-        return out if out.ndim else float(out)
 
-    def d2(self, t):
-        p, m = self.params, self.initial
-        t = np.asarray(t, dtype=float)
-        g0, g1, g2 = self._weighted_moments(t)
-        damp = np.exp(-0.5 * p.a * p.r * t**2)
-        art = p.a * p.r * t
-        out = (
-            damp * (g2 - 2 * art * g1 + (art**2 - p.a * p.r) * g0)
-            - 6 * p.r * p.a**2 * t * m.M0
-            - 2 * p.a**2 * m.M1
-        )
-        return out if out.ndim else float(out)
-
-
-def boundary_extension_psi(f: ForcingF, xi: float) -> float:
-    """Extension of the initial datum to negative characteristic offsets.
-
-    Resolves the Volterra relation tying the extension to the forcing F by
-    the explicit double-derivative formula: with q = sqrt(a/r),
-
-        psi(xi) = [cosh(q xi) - 2 q xi sinh(q xi)] e^{-a xi^2/(2r)} F(0)
-                  - sinh(q xi) e^{-a xi^2/(2r)} F'(0) / sqrt(ar)
-                  - sqrt(r/a) * int_xi^0 sinh(q s) e^{a s(s-2 xi)/(2r)}
-                    [ (a s / r)^2 F(tau) + (2 a s / r^2) F'(tau)
-                      + F''(tau)/r^2 ] ds,      tau = (s - xi)/r,
-
-    the integrand's second derivative having been expanded analytically
-    through F, F', F''.  The integral is evaluated by adaptive quadrature.
-    """
-    if xi > 0:
-        raise InvalidInputError("the extension lives on nonpositive offsets")
-    p = f.params
-    if p.a == 0.0:
-        # no fragmentation: the extension degenerates to the forcing value
-        return float(f.value(-xi / p.r))
-    if xi == 0.0:
-        return float(f.value(0.0))
-    a, r = p.a, p.r
-    q = math.sqrt(a / r)
-    damp = math.exp(-0.5 * a * xi * xi / r)
-    head = (math.cosh(q * xi) - 2.0 * q * xi * math.sinh(q * xi)) * damp * f.value(0.0)
-    head -= math.sinh(q * xi) * damp * f.d1(0.0) / math.sqrt(a * r)
-
-    def integrand(s):
-        tau = (s - xi) / r
-        return (
-            math.sinh(q * s)
-            * math.exp(0.5 * a * s * (s - 2.0 * xi) / r)
-            * ((a * s / r) ** 2 * f.value(tau) + (2 * a * s / r**2) * f.d1(tau) + f.d2(tau) / r**2)
-        )
-
-    from scipy import integrate
-
-    val, err = integrate.quad(integrand, xi, 0.0, epsabs=1e-12, epsrel=1e-10, limit=300)
-    if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-        raise ConvergenceError(f"extension quadrature did not converge at xi={xi}")
-    return head - math.sqrt(r / a) * val
+# the most Gauss-Legendre panels one extension table may take, 2**18: about
+# 17 MB for each array of panel values
+_MAX_PANELS = 2**18
 
 
 @functools.cache
@@ -408,8 +336,11 @@ def _psi_samples(f: ForcingF, xi) -> np.ndarray:
     e^{-a r (t_k^2 - t_{k-1}^2)/2 +- w h_k} and gains one 8-point
     Gauss-Legendre panel integral, so a table costs O(n) work.  Every
     carried factor is a value of e^{(t-s)(+-w - a r (t+s)/2)} <= e^{1/2},
-    so nothing overflows however long the horizon.  Agreement with
-    :func:`boundary_extension_psi` is enforced by the test suite.
+    so nothing overflows however long the horizon.  A table that would
+    need more than _MAX_PANELS panels raises ConvergenceError.  The test
+    suite checks
+    the table against adaptive quadrature of the double-derivative
+    resolution of the same Volterra equation.
     """
     xi = np.asarray(xi, dtype=float)
     if np.any(xi > 0):
@@ -425,7 +356,13 @@ def _psi_samples(f: ForcingF, xi) -> np.ndarray:
     # no panel wider than the integrand's shortest e-fold: sparse inputs
     # get evenly spaced interior nodes, a 2048-point table none
     rate = max(w, p.lambda_plus, -p.lambda_minus)
-    pieces = np.ceil(np.diff(nodes) * rate).astype(int)
+    pieces = np.ceil(np.diff(nodes) * rate)
+    if not np.sum(pieces) <= _MAX_PANELS:
+        raise ConvergenceError(
+            f"the boundary extension to t = {nodes[-1]:g} needs {np.sum(pieces):.3g} "
+            f"quadrature panels, more than {_MAX_PANELS}; use a shorter horizon"
+        )
+    pieces = pieces.astype(int)
     if np.any(pieces > 1):
         pieces = np.maximum(pieces, 1)
         ends = np.cumsum(pieces)
@@ -598,39 +535,6 @@ def evaluate_solution(params: BinaryModelParams, u0, x, t: float):
     return ClosedFormSolution(params, u0, t_max=max(float(t), 4.0)).evaluate(x, t)
 
 
-# the time at which tail_bound_check calibrates its constant
-_TAIL_T_REF = 2.0
-
-
-def tail_bound_check(params: BinaryModelParams, u0, m: float, t: float) -> tuple[float, float]:
-    """Weighted mass beyond the characteristic front versus its decay bound.
-
-    measured = int_{rt}^inf (1+x^m) u(x,t) dx; bound = c t^{m+1}
-    e^{-a r t^2/2} ||u0||_m with the constant c calibrated once at
-    _TAIL_T_REF = 2 and held fixed.
-    """
-    if m <= 1:
-        raise InvalidInputError("weight exponent must exceed 1")
-    from scipy import integrate
-
-    sol = ClosedFormSolution(params, u0, t_max=max(t, _TAIL_T_REF, 4.0))
-
-    def front_mass(tt: float) -> float:
-        # substitute x = r tt + s: smooth integrand on the datum's support
-        s = np.linspace(0.0, sol.x_max, 4001)
-        vals = sol.evaluate(params.r * tt + s, tt) * (1.0 + (params.r * tt + s) ** m)
-        return float(integrate.simpson(vals, x=s))
-
-    s = np.linspace(0.0, sol.x_max, 4001)
-    u0_vals = sol._u0(s)
-    norm0 = float(integrate.simpson((1.0 + s**m) * np.abs(u0_vals), x=s))
-    if norm0 == 0.0:
-        return 0.0, 0.0
-    shape = lambda tt: tt ** (m + 1) * math.exp(-0.5 * params.a * params.r * tt * tt)
-    c = front_mass(_TAIL_T_REF) / (shape(_TAIL_T_REF) * norm0)
-    return front_mass(t), c * shape(t) * norm0
-
-
 # ---------------------------------------------------------------------------
 # dominant eigenpair, closed form
 
@@ -671,20 +575,6 @@ def left_eigenfunction_cf(params: BinaryModelParams):
         return out if out.ndim else float(out)
 
     return w
-
-
-def asymptotic_profile(params: BinaryModelParams, u0: GridFunction) -> GridFunction:
-    """Large-time profile <w, u0> * v on the datum's grid.
-
-    The coefficient is evaluated from the initial moments:
-    <w, u0> = [lambda_plus M0(0) + alpha1 M1(0)]/(lambda_plus - lambda_minus),
-    which agrees with the quadrature pairing of the dual eigenfunction.
-    """
-    m = moments_from_grid(u0)
-    sigma = 1.0 / (params.lambda_plus - params.lambda_minus)
-    coeff = sigma * (params.lambda_plus * m.M0 + params.alpha1 * m.M1)
-    v = right_eigenfunction_cf(params)(u0.nodes)
-    return GridFunction(u0.nodes, coeff * v)
 
 
 # ---------------------------------------------------------------------------

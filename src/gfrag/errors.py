@@ -37,10 +37,6 @@ class MissingTailError(GfragError, ValueError):
     """Support metadata leaves behaviour at infinity undeclared."""
 
 
-class SupportConsistencyError(GfragError, RuntimeError):
-    """Internal consistency check of the support calculus failed."""
-
-
 class StepSizeError(GfragError, ValueError):
     """Requested time stepping violates the stability constraint."""
 

@@ -9,9 +9,7 @@ an unbounded support one unbounded piece past their end taken from the
 declared tail rule.  The tail infimum c(z) = inf over y >= z of the
 envelope is exact on that representation, and the floor c_bar its
 iteration settles on is read off the envelope's breakpoints and compared
-against the renewal reach.  A reachability check on the digraph of cells
-between consecutive breakpoints is an independent oracle for the same
-decision.
+against the renewal reach.
 """
 
 from __future__ import annotations
@@ -19,13 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     InvalidInputError,
     InvalidModelError,
     MissingTailError,
-    SupportConsistencyError,
 )
 from .model import _as_float
 
@@ -38,9 +33,6 @@ __all__ = [
     "TailRule",
     "compute_c_bar",
     "decide_irreducibility",
-    "envelope_value",
-    "iterate_c",
-    "reachability_oracle",
     "support_model_from_config",
     "tail_infimum_c",
 ]
@@ -222,19 +214,6 @@ class SupportModel:
         return sorted(p for p in pts if p > 0.0 and math.isfinite(p))
 
 
-def envelope_value(s: SupportModel, y: float) -> float:
-    """Pointwise lower envelope, extended by the identity off the support."""
-    if y <= 0.0:
-        raise InvalidInputError("parent size must be positive")
-    if s.supp_a.locate(y) is None:
-        return y
-    for p in s._pieces:
-        if p.left <= y <= p.right:
-            return p.at(y)
-    # inside the unbounded interval beyond the described envelope
-    raise MissingTailError("unbounded support needs a declared tail rule")
-
-
 def _require_tail(s: SupportModel) -> None:
     """An unbounded support needs a tail rule past the described envelope."""
     if s.supp_a.unbounded and s.tail is None:
@@ -260,33 +239,6 @@ def tail_infimum_c(s: SupportModel, z: float) -> float:
         raise InvalidInputError("tail infimum needs z > 0")
     ends = [seg.value_right for seg in s.envelope if seg.right == z]
     return min([_infimum_above(s, z)] + ends)
-
-
-_ITER_TOL = 1e-12
-_ITER_CAP = 10**6
-
-
-def iterate_c(s: SupportModel, z0: float):
-    """Iterate the tail infimum from z0 to its limit.
-
-    Returns (c_inf, steps).  The iteration stops when a step moves less
-    than _ITER_TOL = 1e-12 or after _ITER_CAP = 10**6 steps, returning
-    the value reached.  The sequence is checked to be nonincreasing at
-    every step; zero is absorbing because the infimum is monotone.
-    """
-    if z0 <= 0.0:
-        raise InvalidInputError("iteration start must be positive")
-    z = float(z0)
-    for step in range(1, _ITER_CAP + 1):
-        c = tail_infimum_c(s, z)
-        if c > z * (1.0 + 1e-14) + 1e-300:
-            raise SupportConsistencyError(
-                f"tail infimum increased: c({z}) = {c}"
-            )
-        if c == 0.0 or z - c < _ITER_TOL:
-            return c, step
-        z = c
-    return z, _ITER_CAP
 
 
 @dataclass(frozen=True)
@@ -349,71 +301,6 @@ def decide_irreducibility(s: SupportModel, result: CbarResult) -> Irreducibility
             f"c_bar = {c_bar:g} > 0: sizes below it are never created by splitting",
             f"sup supp beta = {s.beta_sup:g} <= c_bar: renewal cannot bridge the gap",
         ),
-    )
-
-
-def _cell_splitting_floor(s: SupportModel, lo: float, hi: float) -> float:
-    """Infimum of the envelope over the open cell (lo, hi).
-
-    The cell lies between consecutive breakpoints, so at most one piece
-    meets it, and that piece covers it; where the cell reaches the
-    piece's end the piece's stated end value is used.  Off the support
-    nothing splits and the floor is inf; past an identity cutoff the
-    floor is lo, so the cell reaches only itself.
-    """
-    best = math.inf
-    for p in s._pieces:
-        if p.left < hi and lo < p.right:
-            a = p.value_left if lo <= p.left else p.at(lo)
-            b = p.value_right if hi >= p.right else p.at(hi)
-            best = min(best, a, b)
-    return best
-
-
-def reachability_oracle(s: SupportModel) -> IrreducibilityDecision:
-    """Positivity-spreading check on the cells between breakpoints.
-
-    The cells are the open intervals between consecutive points of
-    0, the breakpoints and 2 * max(breakpoints, 1); none straddles a
-    breakpoint, so the envelope is one affine piece on each cell, or the
-    identity, and the digraph is exact.  Growth moves one cell up,
-    fragmentation jumps from a cell down to any cell overlapping
-    [floor, top) where floor is the envelope infimum over the source
-    cell, and renewal sends any cell meeting the renewal support back to
-    the first cell.  Past an identity cutoff fragmentation gives a cell
-    only a self-loop.  Declares irreducible exactly when the digraph is
-    strongly connected.  Like :func:`compute_c_bar`, raises
-    MissingTailError on an unbounded support with no tail rule.
-    """
-    _require_tail(s)
-    pts = s.breakpoints()
-    edges = np.array([0.0] + pts + [2.0 * max(pts + [1.0])])
-    lowers, uppers = edges[:-1], edges[1:]
-    n_cells = len(lowers)
-
-    rows, cols = list(range(n_cells - 1)), list(range(1, n_cells))
-    for i in range(n_cells):
-        floor = _cell_splitting_floor(s, lowers[i], uppers[i])
-        if math.isinf(floor):
-            continue
-        targets = np.flatnonzero((uppers > floor) & (lowers < uppers[i]))
-        rows.extend([i] * len(targets))
-        cols.extend(targets)
-    renewing = np.flatnonzero(lowers < s.beta_sup)
-    rows.extend(renewing)
-    cols.extend([0] * len(renewing))
-
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n_cells, n_cells)
-    )
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    if n_comp == 1:
-        return IrreducibilityDecision(True, (f"all {n_cells} cells mutually reachable",))
-    return IrreducibilityDecision(
-        False, (f"cell digraph splits into {n_comp} strongly connected components",)
     )
 
 

@@ -34,6 +34,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DivergentNormError,
     InvalidInputError,
     InvalidModelError,
@@ -62,7 +63,6 @@ __all__ = [
     "kernel_defect",
     "density_pieces",
     "kernel_atoms",
-    "daughter_count_bound",
     "validate_assumptions",
     "boundary_weight_flux",
     "scale_coefficient",
@@ -441,15 +441,6 @@ def kernel_atoms(kernel: KernelSpec, y) -> list[tuple]:
     return [(eps * y, 1.0), ((1.0 - eps) * y, 1.0)]
 
 
-def daughter_count_bound(kernel: KernelSpec) -> tuple[float, float]:
-    """Smallest (b0, l) with n_0(y) <= b0*(1+y^l); l = 0 for all built-in kernels."""
-    if isinstance(kernel, ShrinkingBinary):
-        return 1.0, 0.0
-    if isinstance(kernel, PowerLaw):
-        return (kernel.nu + 2.0) / (2.0 * (kernel.nu + 1.0)), 0.0
-    return _ratio_moment(kernel, 0.0) / 2.0, 0.0
-
-
 # ---------------------------------------------------------------------------
 # grids and weighted norms
 
@@ -629,7 +620,8 @@ class _CumulativeIntegral:
     """Adaptive cumulative antiderivative F(x) = int_0^x g, cached at visited knots.
 
     No single ``quad`` crosses a break point: an integration that would
-    first visits each break on its way, and the break becomes a knot.
+    first visits each break on its way, and the break becomes a knot.  A
+    ``quad`` that reports no convergence raises ConvergenceError.
     """
 
     def __init__(self, integrand: Callable, breaks: list):
@@ -645,7 +637,14 @@ class _CumulativeIntegral:
             return val
         crossed = self._breaks[bisect.bisect_right(self._breaks, x0) : bisect.bisect_left(self._breaks, x)]
         for end in crossed + [x]:
-            inc, _ = integrate.quad(self._g, x0, end, epsabs=_RQ_TOL, epsrel=1e-12, limit=200)
+            inc, _, _, *failure = integrate.quad(
+                self._g, x0, end, epsabs=_RQ_TOL, epsrel=1e-12, limit=200, full_output=1
+            )
+            if failure:
+                raise ConvergenceError(
+                    f"adaptive quadrature on [{x0:g}, {end:g}] did not converge: "
+                    + failure[0].split("\n")[0]
+                )
             val += inc
             # knots[i] < end < knots[i + 1], so both lists take end at i + 1
             i += 1

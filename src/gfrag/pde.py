@@ -14,8 +14,10 @@ builds the step's diagonal and subdiagonal once per call and runs the
 steps between two outputs in preallocated buffers.  The outflow face at x_max
 extrapolates with zero gradient.  The scheme is monotone under the
 time-step bound dt * (max r / dx + max a) <= 1, which preserves
-nonnegativity of the iterates.  :func:`moment_balance_residual` computes
-the mass-size balance residual of a run from its states.
+nonnegativity of the iterates.  A run whose work, its steps times (cells
++ _STEP_OVERHEAD), exceeds _MAX_STEP_CELLS raises StepSizeError before the
+first step.  :func:`moment_balance_residual` computes the mass-size balance
+residual of a run from its states.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ __all__ = [
     "solve",
     "moment_balance_residual",
 ]
+
+# the most work one run of solve may take, counted as steps times (cells +
+# _STEP_OVERHEAD): on a 2-vCPU VM a step costs about 7 ns per cell plus a
+# fixed 9-12 us, the cost of about a thousand cells, so the budget is about
+# two seconds of marching on any grid
+_STEP_OVERHEAD = 1000
+_MAX_STEP_CELLS = 2e8
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,10 @@ def solve(
 
     Returns one state per output time, each interval split into the fewest
     equal steps of at most ``cfl`` times :func:`stable_step`; the run ends
-    at the last output time.  :func:`moment_balance_residual` of the
+    at the last output time.  A run of more than _MAX_STEP_CELLS = 2e8
+    steps times (cells + _STEP_OVERHEAD), _STEP_OVERHEAD = 1000, raises
+    StepSizeError before it starts.
+    :func:`moment_balance_residual` of the
     initial state followed by these states gives the balance residual of
     each output interval (the states already start with it when the first
     output time is 0).
@@ -137,9 +149,18 @@ def solve(
         u = u0.with_values(vals)
         states.append(SolverState(0.0, u, moments_from_grid(u)))
         targets = targets[1:]
-    for t_out in targets:
+    spans = np.diff((0.0,) + targets)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        counts = np.maximum(1.0, np.ceil(spans / dt_cap - 1e-12))
+    total = float(np.sum(counts))
+    if not total * (vals.size + _STEP_OVERHEAD) <= _MAX_STEP_CELLS:  # NaN fails this too
+        raise StepSizeError(
+            f"the run needs {total:.3g} steps of at most dt = {dt_cap:.3g} on {vals.size} "
+            f"cells, above the budget of {_MAX_STEP_CELLS:.3g} steps times "
+            f"(cells + {_STEP_OVERHEAD}); shorten the horizon or use fewer cells"
+        )
+    for t_out, n_steps in zip(targets, counts.astype(int).tolist()):
         span = t_out - t
-        n_steps = max(1, int(np.ceil(span / dt_cap - 1e-12)))
         dt = span / n_steps
         vals = advance_upwind(vals, n_steps, dt, *operators)
         t = t_out

@@ -63,7 +63,6 @@ from .model import (
 
 __all__ = [
     "ResolventContext",
-    "e_lambda_fn",
     "apply_resolvent_Z0",
     "apply_E_lambda",
     "apply_resolvent_Zbeta",
@@ -194,14 +193,6 @@ def _samples(ctx: ResolventContext, values) -> np.ndarray:
             f"expected {ctx.nodes.size} samples on the context grid, got shape {values.shape}"
         )
     return values
-
-
-def e_lambda_fn(ctx: ResolventContext, x):
-    """Homogeneous boundary mode exp(-lam*R(x) - Q(x))/r(x), vectorized."""
-    x_arr = np.asarray(x, dtype=float)
-    expo = ctx.lam * np.asarray(ctx.rq.R(x_arr)) + np.asarray(ctx.rq.Q(x_arr))
-    out = np.exp(-expo) / np.asarray(ctx.model.r(x_arr))
-    return out if np.ndim(x) else float(out)
 
 
 def apply_resolvent_Z0(ctx: ResolventContext, f: np.ndarray) -> np.ndarray:

@@ -81,6 +81,10 @@ _ROUGH_TOL = 1e-3
 _SHIFT_OFFSET = 1e-3
 # sweeps each inverse iteration may take before it raises ConvergenceError
 _MAX_ITERS = 200
+# aeg_diagnostics fits only deviations that spread by more than this many
+# machine epsilons of the largest: rounding of about one epsilon then moves
+# the fitted rate by about a thousandth
+_ROUNDING_SPREAD = 1024
 
 
 @dataclass(frozen=True)
@@ -292,8 +296,10 @@ def aeg_diagnostics(
     family and with the finite-volume scheme otherwise, then records the
     weighted norm of e^(-s0 t) u(t) minus the projection of the datum and
     fits a log-linear decay rate through the samples.  ConvergenceError is
-    raised when the squares of the times fall below the normal floats, and
-    when the fit fails or comes out non-finite.
+    raised when the squares of the times fall below the normal floats, when
+    the deviations spread by no more than _ROUNDING_SPREAD = 1024 machine
+    epsilons of the largest, and when the fit fails or comes out
+    non-finite.
     """
     times = [float(t) for t in times]
     if not times or times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
@@ -309,6 +315,12 @@ def aeg_diagnostics(
     for t, vals in zip(times, _trajectory_values(model, u0, times)):
         diff = math.exp(-pair.s0 * t) * vals - projected
         deviations.append(xm_norm(u0.with_values(diff), model.m))
+    top = max(deviations)
+    if top - min(deviations) <= _ROUNDING_SPREAD * np.finfo(float).eps * top:
+        raise ConvergenceError(
+            f"the deviations over t in [{times[0]:.6g}, {times[-1]:.6g}] differ only by "
+            f"rounding of their size {top:.6g}; lengthen the horizon"
+        )
 
     logs = np.log(np.maximum(deviations, 1e-300))
     try:

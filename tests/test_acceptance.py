@@ -20,13 +20,8 @@ from gfrag.closed_form import (
     left_eigenfunction_cf,
     propagate_moments,
     right_eigenfunction_cf,
-    tail_bound_check,
 )
-from gfrag.irreducibility import (
-    compute_c_bar,
-    decide_irreducibility,
-    reachability_oracle,
-)
+from gfrag.irreducibility import compute_c_bar, decide_irreducibility
 from gfrag.model import (
     Constant,
     GridFunction,
@@ -50,6 +45,7 @@ from gfrag.resolvent import (
 )
 from gfrag.spectral import perron_eigenpair
 
+from oracles import reachability_oracle, tail_bound_check
 from test_irreducibility import gap_model, random_support_model, uniform_binary_support
 
 REFERENCE_PARAMS = BinaryModelParams(r=1.0, a=1.0, beta0=0.5, beta1=0.5)

@@ -2,19 +2,23 @@
 
 Deleting or renaming a public function breaks its importers, and deleting a
 name that ``gfbench/tracing.py`` wraps breaks the benchmark; both show here.
+An exported name that nothing uses fails here too.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import gfrag
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(f"gfrag.{info.name}" for info in pkgutil.iter_modules(gfrag.__path__))
-TRACING = Path(__file__).resolve().parents[1] / "gfbench" / "tracing.py"
+TRACING = ROOT / "gfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("name", ["gfrag"] + MODULES)
@@ -45,3 +49,40 @@ def test_benchmark_tracer_installs_and_removes_cleanly():
         changed = [k for k, v in vars(module).items() if saved.get(k, object()) is not v]
         assert not changed, f"{module.__name__} still patched: {changed}"
     assert gfrag.closed_form.ClosedFormSolution.evaluate is evaluate
+
+
+def _names_read_by_the_library() -> set:
+    """Every name that code in src/gfrag reads: loaded variables and attributes.
+
+    A definition and an ``__all__`` entry (a string) read nothing, and a
+    re-export in ``gfrag/__init__.py`` is an import, not a read.
+    """
+    names = set()
+    for path in Path(gfrag.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _mentions(text: str, name: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
+
+
+def test_every_export_is_used_by_the_library_the_benchmark_or_the_readme():
+    used = _names_read_by_the_library()
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "gfbench").glob("*.py")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unused = [
+        f"{name}.{attr}"
+        for name in ["gfrag"] + MODULES
+        for attr in getattr(importlib.import_module(name), "__all__", ())
+        # dunder names such as __version__ are conventions, not API
+        if not attr.startswith("__")
+        and attr not in used
+        and not _mentions(bench, attr)
+        and not _mentions(readme, attr)
+    ]
+    assert not unused, f"exported, but no library code, benchmark or README uses: {unused}"

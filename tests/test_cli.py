@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ import pytest
 from gfrag import cli, resolvent
 from gfrag.cli import RunConfig, emit_csv, main, run
 from gfrag.errors import InvalidInputError, NonFiniteOutputError
-from gfrag.irreducibility import reachability_oracle, support_model_from_config
+from gfrag.irreducibility import support_model_from_config
 from gfrag.model import model_from_config
 from gfrag.spectral import perron_eigenpair
+from oracles import reachability_oracle
+from test_cli_properties import wall_clock_budget
 
 BINARY_DOC = {
     "r": 1.0,
@@ -641,6 +644,45 @@ class TestAegCommand:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:")
+        assert err.count("\n") == 1
+        assert list(out.glob("*.csv")) == []
+
+
+class TestRunsAtTheEdgeOfTheFloatRange:
+    """README-model runs at the ends of the float range: each exits 2 with
+    one line, no warning and no CSV, well before a 10 s alarm."""
+
+    @pytest.mark.parametrize(
+        "command, overrides, flags, message",
+        [
+            # a cell width of 5e-204 needs about 1e204 explicit steps
+            ("solve-pde", {"x_max": 1e-200}, [], "steps"),
+            # a = x^50 on [0, 30] needs about 1e74 explicit steps
+            ("solve-pde", {"a": {"type": "power", "c0": 1.0, "p": 50.0}}, [], "steps"),
+            # the weight 1 + x^400 overflows on [0, 30]
+            ("eigen", {"m": 400.0}, [], "overflow"),
+            # Q = x^2/2 overflows on [0, 1e200]
+            ("eigen", {"x_max": 1e200}, [], "overflow"),
+            # the four deviations agree to the last bit
+            ("aeg", {}, ["--cells", "200", "--t-end", "1e-30"], "rounding"),
+            ("aeg", {}, ["--cells", "200", "--t-end", "1e-100"], "rounding"),
+        ],
+        ids=["pde-tiny-domain", "pde-steep-splitting", "eigen-m400", "eigen-huge-domain",
+             "aeg-horizon-1e-30", "aeg-horizon-1e-100"],
+    )
+    def test_exits_2_with_one_line_and_no_csv(self, tmp_path, capsys, command, overrides,
+                                              flags, message):
+        path = write_model(tmp_path, {**README_DOC, **overrides})
+        out = tmp_path / "out"
+
+        with wall_clock_budget(10, command), warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(SystemExit) as info:
+            warnings.simplefilter("always")
+            main([command, "--model", path, "--out", str(out), *flags])
+        assert info.value.code == 2
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and message in err
         assert err.count("\n") == 1
         assert list(out.glob("*.csv")) == []
 

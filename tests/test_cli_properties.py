@@ -1,13 +1,19 @@
-"""Property test of the CLI contract on random, valid and invalid, model files.
+"""Property tests of the CLI contract on random, valid and invalid, model files.
 
 Whatever the model file holds, ``gfrag`` exits 0, 1 or 2, never with a
-traceback, and every nonzero exit prints exactly one line on stderr.
+traceback, and every nonzero exit prints exactly one line on stderr.  The
+second test draws magnitudes across the float range and also asks that no
+warning is raised, that a run ending in 0 wrote only finite values, and
+that every run ends within a wall-clock budget.
 """
 
 import io
 import json
+import math
+import signal
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+import warnings
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -160,5 +166,128 @@ def test_cli_exits_0_1_or_2_with_one_line_on_failure(doc, command, cells, t_end)
         assert code == 1
     assert "Traceback" not in err.getvalue()
     if code != 0:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().startswith(("error:", "numeric failure:"))
+
+
+# ---------------------------------------------------------------------------
+# magnitudes across the float range
+#
+# The same contract holds for sizes, rates and horizons anywhere from 1e-300
+# to 1e300, where grids underflow, coefficients overflow and explicit steps
+# shrink below any useful size.  Each run also has a wall-clock budget: it
+# must end, by a result or by a refusal, before the alarm fires.
+
+# seconds a run may take before the alarm fails it
+_ALARM_S = 30
+
+
+class Overrun(BaseException):
+    """Raised by the alarm; no handler in the CLI catches a BaseException."""
+
+
+@contextmanager
+def wall_clock_budget(seconds: int, what: str):
+    """Fail what runs inside with Overrun once ``seconds`` have passed."""
+
+    def overrun(signum, frame):
+        raise Overrun(f"{what} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _magnitude(lo, hi):
+    """Log-uniform on [10**lo, 10**hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+_size = _magnitude(-300.0, 300.0)
+_size_or_zero = st.one_of(st.just(0.0), _size)
+
+
+def _coefficient_at_scale(level):
+    return st.one_of(
+        level,
+        st.fixed_dictionaries({"type": st.just("linear"), "c0": level, "c1": _size_or_zero}),
+        st.fixed_dictionaries({"type": st.just("power"), "c0": level, "p": _num(0.0, 60.0)}),
+        st.lists(_size_or_zero, min_size=2, max_size=4).flatmap(
+            lambda values: st.fixed_dictionaries({
+                "type": st.just("tabulated"),
+                "nodes": st.lists(_size, min_size=len(values), max_size=len(values),
+                                  unique=True).map(sorted),
+                "values": st.just(values),
+            })
+        ),
+    )
+
+
+_kernel_at_scale = st.one_of(
+    st.just({"type": "uniform_binary"}),
+    st.fixed_dictionaries({"type": st.just("power_law"), "nu": _num(-0.9, 60.0)}),
+    st.fixed_dictionaries({"type": st.just("shrinking_binary"), "eps": _num(0.05, 0.5)}),
+)
+
+
+@st.composite
+def extreme_model_docs(draw):
+    doc = {
+        "r": draw(_coefficient_at_scale(_size)),
+        "a": draw(_coefficient_at_scale(_size_or_zero)),
+        "kernel": draw(_kernel_at_scale),
+        "beta": draw(_coefficient_at_scale(_size_or_zero)),
+        "m": draw(_magnitude(math.log10(1.1), math.log10(500.0))),
+        "bc_convention": draw(st.sampled_from(["flux", "value"])),
+        "x_max": draw(_size),
+        "support": draw(st.sampled_from([None, _SUPPORT, _GAP_SUPPORT])),
+        "initial": draw(st.one_of(st.none(), _coefficient_at_scale(_size_or_zero))),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        # the binary family, which solve-closed needs
+        doc.update(r=draw(_size), kernel={"type": "uniform_binary"},
+                   a={"type": "linear", "c0": 0.0, "c1": draw(_size)},
+                   beta={"type": "linear", "c0": draw(_size_or_zero), "c1": draw(_size_or_zero)})
+    return doc
+
+
+def _csv_values(path):
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return [float(v) for line in lines for v in line.split(",")]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=extreme_model_docs(), cells=st.integers(16, 64), t_end=_magnitude(-300.0, 3.0))
+def test_cli_at_extreme_magnitudes_ends_within_its_contract(doc, command, cells, t_end):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--model", str(path), "--out", tmp, "--cells", str(cells),
+                "--t-end", repr(t_end)]
+        err = io.StringIO()
+        try:
+            with wall_clock_budget(_ALARM_S, command), \
+                    warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(io.StringIO()), redirect_stderr(err):
+                warnings.simplefilter("always")
+                main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            raise AssertionError("main returned without exiting")
+        values = [v for csv_path in Path(tmp).glob("*.csv") for v in _csv_values(csv_path)]
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 0:
+        assert all(math.isfinite(v) for v in values)
+    else:
         assert err.getvalue().count("\n") == 1, err.getvalue()
         assert err.getvalue().startswith(("error:", "numeric failure:"))

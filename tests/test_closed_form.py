@@ -10,9 +10,7 @@ from gfrag.closed_form import (
     ClosedFormSolution,
     ForcingF,
     MomentState,
-    asymptotic_profile,
     binary_params_from_model,
-    boundary_extension_psi,
     evaluate_solution,
     is_binary_model,
     lambda_pm,
@@ -21,9 +19,9 @@ from gfrag.closed_form import (
     moments_from_grid,
     propagate_moments,
     right_eigenfunction_cf,
-    tail_bound_check,
 )
 from gfrag.errors import (
+    ConvergenceError,
     DegenerateModelError,
     InvalidInputError,
     InvalidModelError,
@@ -38,11 +36,23 @@ from gfrag.model import (
     midpoint_grid,
     quad_weights,
 )
+from gfrag.spectral import closed_form_eigenpair, spectral_projection
+from oracles import boundary_extension_psi, forcing_derivatives, tail_bound_check
 
 
 def reference_params():
     # r = a = 1, boundary value u(0,t) = (M0(t) + M1(t))/2
     return BinaryModelParams(r=1.0, a=1.0, beta0=0.5, beta1=0.5)
+
+
+def asymptotic_profile(u0: GridFunction) -> GridFunction:
+    # what aeg runs: <w, u0> v from the analytic pair of the reference
+    # parameters, on u0's grid midpoint_grid(50.0, n)
+    model = ModelDefinition(
+        r=Constant(1.0), a=Linear(0.0, 1.0), kernel=UniformBinary(), beta=Linear(0.5, 0.5),
+        m=2.0, bc_convention="value", x_max=50.0,
+    )
+    return spectral_projection(closed_form_eigenpair(model, u0.nodes.size), u0)
 
 
 def reference_datum(x):
@@ -131,23 +141,36 @@ class TestMomentPropagator:
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidInputError):
             moment_propagator(reference_params(), -0.5)
+        with pytest.raises(InvalidInputError):
+            moment_propagator(reference_params(), np.array([0.5, -0.5]))
+
+    def test_array_of_times_matches_each_time(self):
+        # an array goes through np.exp, one time through math.exp
+        p = BinaryModelParams(r=2.0, a=0.3, beta0=0.1, beta1=0.7)
+        ts = np.linspace(0.0, 3.0, 7).reshape(7, 1)
+        K = moment_propagator(p, ts)
+        assert K.shape == (2, 2, 7, 1)
+        for i, t in enumerate(ts[:, 0]):
+            np.testing.assert_allclose(K[:, :, i, 0], moment_propagator(p, t), rtol=1e-14, atol=0)
 
 
 class TestForcing:
     def test_reference_values_at_zero(self):
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
         assert f.value(0.0) == pytest.approx(1.0, abs=1e-14)
-        assert f.d1(0.0) == pytest.approx(-0.75, abs=1e-14)
-        assert f.d2(0.0) == pytest.approx(-0.5, abs=1e-14)
+        d1, d2 = forcing_derivatives(f, 0.0)
+        assert d1 == pytest.approx(-0.75, abs=1e-14)
+        assert d2 == pytest.approx(-0.5, abs=1e-14)
 
     @pytest.mark.parametrize("t", [0.2, 0.8, 1.5])
     def test_derivatives_match_difference_quotients(self, t):
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
         h = 1e-5
         fd1 = (f.value(t + h) - f.value(t - h)) / (2 * h)
-        fd2 = (f.d1(t + h) - f.d1(t - h)) / (2 * h)
-        assert f.d1(t) == pytest.approx(fd1, abs=1e-8)
-        assert f.d2(t) == pytest.approx(fd2, abs=1e-8)
+        fd2 = (forcing_derivatives(f, t + h)[0] - forcing_derivatives(f, t - h)[0]) / (2 * h)
+        d1, d2 = forcing_derivatives(f, t)
+        assert d1 == pytest.approx(fd1, abs=1e-8)
+        assert d2 == pytest.approx(fd2, abs=1e-8)
 
 
 def volterra_extension(f, xi_stop, h):
@@ -270,6 +293,14 @@ class TestBoundaryExtension:
         p = BinaryModelParams(r=2.0, a=0.0, beta0=0.5, beta1=0.5)
         f = ForcingF(p, MomentState(1.0, 1.0))
         assert boundary_extension_psi(f, -1.0) == pytest.approx(f.value(0.5), abs=1e-12)
+
+
+class TestExtensionPanels:
+    def test_fast_splitting_refused_before_allocating_the_table(self):
+        # sqrt(a r) = 1e15 asks for about 4e15 panels on [0, 4]
+        p = BinaryModelParams(r=1.0, a=1e30, beta0=0.0, beta1=1.0)
+        with pytest.raises(ConvergenceError, match="panels"):
+            ClosedFormSolution(p, reference_datum)
 
 
 class TestSolutionFormula:
@@ -569,7 +600,7 @@ class TestAsymptoticProfile:
     def test_reference_coefficient(self):
         nodes = midpoint_grid(50.0, 4000)
         u0 = GridFunction(nodes, reference_datum(nodes))
-        prof = asymptotic_profile(reference_params(), u0)
+        prof = asymptotic_profile(u0)
         v = right_eigenfunction_cf(reference_params())(nodes)
         coeff = prof.values[200] / v[200]
         assert coeff == pytest.approx(1.2, rel=1e-4)
@@ -577,7 +608,7 @@ class TestAsymptoticProfile:
     def test_second_datum_same_coefficient(self):
         nodes = midpoint_grid(50.0, 4000)
         u0 = GridFunction(nodes, (2 * nodes**2 + 1) * np.exp(-2 * nodes))
-        prof = asymptotic_profile(reference_params(), u0)
+        prof = asymptotic_profile(u0)
         v = right_eigenfunction_cf(reference_params())(nodes)
         coeff = prof.values[200] / v[200]
         assert coeff == pytest.approx(1.2, rel=1e-4)
@@ -596,7 +627,7 @@ class TestAsymptoticProfile:
         p = reference_params()
         nodes = midpoint_grid(50.0, 8000)
         v = GridFunction(nodes, right_eigenfunction_cf(p)(nodes))
-        prof = asymptotic_profile(p, v)
+        prof = asymptotic_profile(v)
         assert np.abs(prof.values - v.values).max() < 1e-4 * np.abs(v.values).max()
 
 

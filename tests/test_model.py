@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from gfrag import model as model_module
-from gfrag.errors import DivergentNormError, InvalidInputError, InvalidModelError
+from gfrag.errors import ConvergenceError, DivergentNormError, InvalidInputError, InvalidModelError
 from gfrag.model import (
     Constant,
     GridFunction,
@@ -25,7 +25,6 @@ from gfrag.model import (
     boundary_weight_flux,
     coefficient_from_config,
     compute_RQ,
-    daughter_count_bound,
     density_pieces,
     dual_norm,
     kernel_atoms,
@@ -192,8 +191,12 @@ class TestKernelMoments:
             density_pieces(ShrinkingBinary(0.25), np.array([1.0, 2.0]))
 
     def test_count_bound(self):
-        assert daughter_count_bound(UniformBinary()) == (1.0, 0.0)
-        b0, l = daughter_count_bound(PowerLaw(2.0))
+        def fitted(kernel):
+            report = validate_assumptions(make_model(kernel=kernel))
+            return report.b0_fitted, report.l_fitted
+
+        assert fitted(UniformBinary()) == (1.0, 0.0)
+        b0, l = fitted(PowerLaw(2.0))
         assert l == 0.0 and b0 == pytest.approx(4.0 / 6.0, rel=1e-14)
 
     def test_invalid_inputs(self):
@@ -408,6 +411,12 @@ class TestRQ:
             for x, (r_want, q_want) in zip(xs[::7], want[::7]):
                 assert abs(rq.R(float(x)) - r_want) <= 1e-10
                 assert abs(rq.Q(float(x)) - q_want) <= 1e-10
+
+    def test_quadrature_that_does_not_converge_raises(self):
+        # 1/r rises to 1e300 at the origin: quad exhausts its 200 subdivisions
+        rq = compute_RQ(make_model(r=Tabulated([0.0, 1.0, 2.0], [1e-300, 1.0, 1.0])))
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            rq.R(1.5)
 
     def test_compact_loss_has_finite_exponent_limit(self):
         md = make_model(

@@ -5,13 +5,39 @@ import io
 import re
 from pathlib import Path
 
+import gfrag
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_block():
+def library_section():
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Library", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return text.split("## Library", 1)[1].split("\n## ", 1)[0]
+
+
+def library_block():
+    return re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
+
+
+def library_names():
+    """The names the Library section lists: the example's imports from gfrag,
+    and each code span of the prose that is a bare name or a call."""
+    section = library_section()
+    imported = re.search(r"from gfrag import \((.*?)\)", library_block(), re.S).group(1)
+    names = {name.strip() for name in imported.split(",") if name.strip()}
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        match = re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", span, re.S)
+        if match:
+            names.add(match.group(1))
+    return sorted(names)
+
+
+def test_every_name_the_library_section_lists_imports_from_gfrag():
+    names = library_names()
+    assert {"TabulatedKernel", "apply_generator_direct", "stable_step", "step"} <= set(names)
+    missing = [name for name in names if name not in gfrag.__all__ or not hasattr(gfrag, name)]
+    assert not missing, f"named in the README's Library section but not exported by gfrag: {missing}"
 
 
 def test_library_example_runs_and_prints_its_comments():

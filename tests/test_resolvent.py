@@ -30,7 +30,6 @@ from gfrag.resolvent import (
     apply_resolvent_Zbeta,
     apply_shifted_generator_K,
     apply_shifted_generator_Zbeta,
-    e_lambda_fn,
     fragmentation_gain_matrix,
     _resolvent_K_transpose,
 )
@@ -66,16 +65,19 @@ def binary_model(**kw):
 
 
 class TestELambda:
+    # r=1, a(x)=x: R=x, Q=x^2/2, so e_2(x) = exp(-2x - x^2/2)
+
     def test_at_origin(self):
         md = transport_model(a=Linear(0.0, 1.0))
         ctx = ResolventContext(md, lam=2.0, strict=False)
-        assert e_lambda_fn(ctx, 0.0) == pytest.approx(1.0, abs=1e-14)
+        x0 = ctx.nodes[0]
+        assert ctx.e_lambda[0] == pytest.approx(np.exp(-2.0 * x0 - 0.5 * x0**2), abs=1e-14)
 
     def test_closed_form_value(self):
-        # r=1, a(x)=x: R=x, Q=x^2/2, so e_2(1) = e^{-2.5}
         md = transport_model(a=Linear(0.0, 1.0))
         ctx = ResolventContext(md, lam=2.0, strict=False)
-        assert e_lambda_fn(ctx, 1.0) == pytest.approx(np.exp(-2.5), rel=1e-12)
+        x = ctx.nodes
+        np.testing.assert_allclose(ctx.e_lambda, np.exp(-2.0 * x - 0.5 * x**2), rtol=1e-12, atol=0)
 
     def test_norm_bound(self):
         # ||e_lam||_m <= 1/(lam - omega_r)
