@@ -114,21 +114,23 @@ def _fmt(value) -> str:
 def emit_csv(path, header, rows) -> None:
     """Write rows as RFC 4180 CSV with a header and 17-digit floats.
 
-    All rows are formatted before the file is opened, so a NaN or an
+    ``rows`` is a 2-D float array or any iterable of equal-length rows.
+    Every value is checked before the file is opened, so a NaN or an
     infinity raises NonFiniteOutputError and leaves no file behind.
-    Formatted numbers never need quoting, so rows are joined directly.
+    Formatted numbers never need quoting, so the whole body is one ``%``
+    against a repeated row template and one write.
     """
-    lines = []
-    for row in rows:
-        values = tuple(row)
-        line = ",".join(["%.17g"] * len(values)) % values
-        # a finite float formats without the letter n; nan and inf have it
-        if "n" in line:
-            raise NonFiniteOutputError(f"non-finite value in row {len(lines) + 1} of {path}")
-        lines.append(line + "\r\n")
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    if table.size == 0:
+        table = table.reshape(0, 0)
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise NonFiniteOutputError(f"non-finite value in row {np.argmax(bad) + 1} of {path}")
+    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    body = (line * table.shape[0]) % tuple(table.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\r\n").writerow(header)
-        fh.writelines(lines)
+        fh.write(body)
 
 
 def _load(cfg: RunConfig) -> tuple[dict, ModelDefinition]:
@@ -151,7 +153,7 @@ def _initial_datum(doc: dict, nodes: np.ndarray) -> GridFunction:
 def _snapshot_rows(nodes: np.ndarray, values: np.ndarray):
     mass = float(np.sum(quad_weights(nodes) * values))
     scale = 1.0 / mass if mass > 0.0 else 0.0
-    return [(x, u, u * scale) for x, u in zip(nodes, values)]
+    return np.column_stack((nodes, values, values * scale))
 
 
 def _cmd_validate(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
@@ -209,7 +211,7 @@ def _cmd_eigen(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> 
     emit_csv(
         out / "eigen.csv",
         ("x", "v", "w"),
-        zip(pair.v.nodes, pair.v.values, pair.w.values),
+        np.column_stack((pair.v.nodes, pair.v.values, pair.w.values)),
     )
     print(f"s0 = {_fmt(pair.s0)}")
     print(f"residual = {_fmt(pair.residual)}")

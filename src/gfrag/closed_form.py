@@ -20,7 +20,6 @@ cross-check for general coefficients.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,6 +110,20 @@ class MomentState:
             raise InvalidInputError("moments of nonnegative data must be nonnegative")
 
 
+def _propagator(params: BinaryModelParams, ep, em) -> np.ndarray:
+    """K with e^{lambda_plus t} and e^{lambda_minus t} replaced by ep and em:
+    the two halves K+ = _propagator(params, 1, 0) and K- = _propagator(params,
+    0, 1) give K(t) = K+ e^{lambda_plus t} + K- e^{lambda_minus t}."""
+    lp, lm = params.lambda_plus, params.lambda_minus
+    gap = lp - lm
+    return np.array(
+        [
+            [(lp * ep - lm * em) / gap, lp * lm * (ep - em) / (params.r * (-gap))],
+            [params.r * (ep - em) / gap, (lp * em - lm * ep) / gap],
+        ]
+    )
+
+
 def moment_propagator(params: BinaryModelParams, t) -> np.ndarray:
     """Propagator K(t) with (M0, M1)(t) = K(t) (M0, M1)(0); entrywise >= 0.
 
@@ -125,14 +138,7 @@ def moment_propagator(params: BinaryModelParams, t) -> np.ndarray:
     # one time goes through math.exp (libm), an array through np.exp; the two
     # can differ in the last bit
     exp = np.exp if t.ndim else math.exp
-    ep, em = exp(lp * t), exp(lm * t)
-    gap = lp - lm
-    return np.array(
-        [
-            [(lp * ep - lm * em) / gap, lp * lm * (ep - em) / (params.r * (-gap))],
-            [params.r * (ep - em) / gap, (lp * em - lm * ep) / gap],
-        ]
-    )
+    return _propagator(params, exp(lp * t), exp(lm * t))
 
 
 def propagate_moments(params: BinaryModelParams, initial: MomentState, t: float) -> MomentState:
@@ -165,8 +171,11 @@ class ForcingF:
 
     def _weighted_moment(self, t):
         """(G, M0, M1) at t, G = beta0 M0 + beta1 M1."""
+        return self._weighted(moment_propagator(self.params, t))
+
+    def _weighted(self, k):
+        """(G, M0, M1) for the propagator k; see :func:`_propagator`."""
         p, m = self.params, self.initial
-        k = moment_propagator(p, t)
         m0 = k[0, 0] * m.M0 + k[0, 1] * m.M1
         m1 = k[1, 0] * m.M0 + k[1, 1] * m.M1
         return p.beta0 * m0 + p.beta1 * m1, m0, m1
@@ -178,20 +187,6 @@ class ForcingF:
         damp = np.exp(-0.5 * p.a * p.r * t**2)
         out = damp * g0 - (2 * p.a * t + p.r * p.a**2 * t**3) * m.M0 - p.a**2 * t**2 * m.M1
         return out if out.ndim else float(out)
-
-
-# the most Gauss-Legendre panels one extension table may take, 2**18: about
-# 17 MB for each array of panel values
-_MAX_PANELS = 2**18
-
-
-@functools.cache
-def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    """8-point Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    gx, gw = np.polynomial.legendre.leggauss(8)
-    nodes, weights = 0.5 * (gx + 1.0), 0.5 * gw
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 def _affine_scan(c: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -305,8 +300,13 @@ def _not_a_knot_splines(x: np.ndarray, ys: np.ndarray) -> list[_PiecewisePoly]:
     return [_PiecewisePoly(x, c) for c in coeffs]
 
 
+def _phi(y: np.ndarray) -> np.ndarray:
+    """(1 - e^{-y}) / y for y >= 0, with its limit 1 at y = 0."""
+    return np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
+
+
 def _psi_samples(f: ForcingF, xi) -> np.ndarray:
-    """Extension values at nonpositive offsets ``xi`` (any order, 0 allowed).
+    """Extension values at nonpositive offsets ``xi`` (any shape, 0 allowed).
 
     Variation of constants gives, at xi = -r t,
 
@@ -325,22 +325,25 @@ def _psi_samples(f: ForcingF, xi) -> np.ndarray:
 
         psi_P(-r t) = e^{-a r t^2/2} [ (a r t)^2 Z - 2 a r t Z' ].
 
-    Integrating P numerically instead would leave a value that decays
-    like e^{-a r t^2/2} as the difference of terms growing like t^4, and
-    lose every digit of psi at long horizons.
+    Integrating P instead would leave a value that decays like
+    e^{-a r t^2/2} as the difference of terms growing like t^4, and lose
+    every digit of psi at long horizons.
 
-    The renewal part goes through the integral.  Splitting sinh and cosh
-    into e^{+-w(t-s)}/2 leaves A (Qg - Qd)/2 + B (Qg + Qd)/2 with the
-    running integrals Q(t) = e^{-a r t^2/2} int_0^t e^{+-w (t-s)} G(s) ds.
-    Between consecutive sorted times each Q is multiplied by
-    e^{-a r (t_k^2 - t_{k-1}^2)/2 +- w h_k} and gains one 8-point
-    Gauss-Legendre panel integral, so a table costs O(n) work.  Every
-    carried factor is a value of e^{(t-s)(+-w - a r (t+s)/2)} <= e^{1/2},
-    so nothing overflows however long the horizon.  A table that would
-    need more than _MAX_PANELS panels raises ConvergenceError.  The test
-    suite checks
-    the table against adaptive quadrature of the double-derivative
-    resolution of the same Volterra equation.
+    The renewal part is exact too.  The propagator is a sum of two
+    exponentials, so G(s) = g+ e^{lambda_plus s} + g- e^{lambda_minus s}
+    with g+- = (beta0, beta1) K+- M(0), K+- the halves of
+    :func:`_propagator`.  Splitting sinh and cosh into e^{+-w(t-s)}/2
+    leaves A (Qg - Qd)/2 + B (Qg + Qd)/2 with the running integrals
+
+        Q(t) = e^{-a r t^2/2} int_0^t e^{+-w (t-s)} G(s) ds
+             = sum_lambda g_lambda t e^{max(lambda t, +-w t) - a r t^2/2}
+               phi(|lambda -+ w| t),   phi(y) = (1 - e^{-y})/y,
+
+    and the terms of e^{-a r t^2/2} G carry the Gaussian in their
+    exponents too.  Each offset costs O(1) work on its own.  No exponent
+    exceeds lambda_plus t (lambda_plus >= w), and phi lies in (0, 1], so
+    no exponential overflows before the moments do, and nothing divides
+    by zero.
     """
     xi = np.asarray(xi, dtype=float)
     if np.any(xi > 0):
@@ -350,48 +353,27 @@ def _psi_samples(f: ForcingF, xi) -> np.ndarray:
     t = -xi / r
     if a == 0.0:
         return np.asarray(f.value(t), dtype=float)
-    # sorted distinct times from 0; where[1:] maps each input to its node
-    nodes, where = np.unique(np.concatenate(([0.0], t.ravel())), return_inverse=True)
     w = math.sqrt(a * r)
-    # no panel wider than the integrand's shortest e-fold: sparse inputs
-    # get evenly spaced interior nodes, a 2048-point table none
-    rate = max(w, p.lambda_plus, -p.lambda_minus)
-    pieces = np.ceil(np.diff(nodes) * rate)
-    if not np.sum(pieces) <= _MAX_PANELS:
-        raise ConvergenceError(
-            f"the boundary extension to t = {nodes[-1]:g} needs {np.sum(pieces):.3g} "
-            f"quadrature panels, more than {_MAX_PANELS}; use a shorter horizon"
-        )
-    pieces = pieces.astype(int)
-    if np.any(pieces > 1):
-        pieces = np.maximum(pieces, 1)
-        ends = np.cumsum(pieces)
-        step = np.repeat(np.diff(nodes) / pieces, pieces)
-        k = np.arange(ends[-1]) - np.repeat(ends - pieces, pieces)
-        nodes = np.append(np.repeat(nodes[:-1], pieces) + k * step, nodes[-1])
-        where = np.append(0, ends)[where]
-    art = a * r * nodes
-    gauss = np.exp(-0.5 * art * nodes)
+    art = a * r * t
+    half = 0.5 * art * t
+    lp, lm = p.lambda_plus, p.lambda_minus
+    gauss_g = f._weighted(_propagator(p, np.exp(lp * t - half), np.exp(lm * t - half)))[0]
+    halves = ((f._weighted(_propagator(p, 1.0, 0.0))[0], lp),
+              (f._weighted(_propagator(p, 0.0, 1.0))[0], lm))
 
-    gx, gw = _panel_rule()
-    t0, t1 = nodes[:-1, None], nodes[1:, None]
-    h = t1 - t0
-    s = t0 + h * gx
-    lag = np.exp(w * (t1 - s))
-    weighted = (h * gw) * f._weighted_moment(s)[0]
-    panels = gauss[1:] * np.stack((np.sum(lag * weighted, axis=1), np.sum(weighted / lag, axis=1)))
-    mean = 0.5 * a * r * (t0 + t1)[:, 0]
-    carry = np.exp(np.stack((h[:, 0] * (w - mean), -h[:, 0] * (w + mean))))
-    q_grow, q_decay = _affine_scan(carry, panels)
+    def running(rate):
+        """e^{-a r t^2/2} int_0^t e^{rate (t-s)} G(s) ds."""
+        return sum(g * t * np.exp(np.maximum(lam, rate) * t - half) * _phi(abs(lam - rate) * t)
+                   for g, lam in halves)
 
-    grow = np.exp(w * nodes - 0.5 * art * nodes)
-    decay = np.exp(-w * nodes - 0.5 * art * nodes)
+    q_grow, q_decay = running(w), running(-w)
+
+    grow = np.exp(w * t - half)
+    decay = np.exp(-w * t - half)
     z = 0.5 * (m.M1 / r**2 * (grow + decay) + m.M0 / (r * w) * (grow - decay))
     dz = 0.5 * (m.M1 * w / r**2 * (grow - decay) + m.M0 / r * (grow + decay))
-    psi = gauss * f._weighted_moment(nodes)[0] + art * (art * z - 2.0 * dz)
-    art = art[1:]
-    psi[1:] += 0.5 * art**2 / w * (q_grow - q_decay) - art * (q_grow + q_decay)
-    return psi[where[1:]].reshape(xi.shape)
+    return (gauss_g + art * (art * z - 2.0 * dz)
+            + 0.5 * art**2 / w * (q_grow - q_decay) - art * (q_grow + q_decay))
 
 
 # largest ratio of the summed term sizes to the solution that evaluate accepts
@@ -401,6 +383,8 @@ MAX_CANCELLATION = 1e6
 _DATUM_X_MAX = 50.0
 _DATUM_SAMPLES = 8000
 _TABLE_POINTS = 2048
+# e^x overflows a double for x above this
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class ClosedFormSolution:
@@ -412,22 +396,30 @@ class ClosedFormSolution:
     is the last sample, beyond which the datum counts as zero.  Its suffix
     integrals are stored as cubic-spline antiderivatives.  The boundary
     extension is tabulated once on _TABLE_POINTS = 2048 characteristic
-    offsets covering [0, t_max] (one O(n) pass of :func:`_psi_samples`) and
-    splined together with its own running integrals, so point evaluation
-    costs O(1) quadrature-free work.  The splines are the not-a-knot cubics
-    of scipy's ``CubicSpline``, built in numpy by
-    :func:`_not_a_knot_splines`: the datum and x times the datum share one
-    set of elimination pivots, the extension and xi times the extension
-    another, and values and antiderivatives are found by ``searchsorted``
-    and Horner's rule.  A non-finite datum sample raises InvalidInputError,
-    an extension table that overflows before t_max ConvergenceError, and
-    :meth:`evaluate` refuses times at which the formula's terms cancel
-    beyond MAX_CANCELLATION.
+    offsets covering [0, t_max] (exact, O(1) work each in
+    :func:`_psi_samples`) and splined together with its own running
+    integrals, so point evaluation costs O(1) quadrature-free work.  The
+    splines are the not-a-knot cubics of scipy's ``CubicSpline``, built in
+    numpy by :func:`_not_a_knot_splines`: the datum and x times the datum
+    share one set of elimination pivots, the extension and xi times the
+    extension another, and values and antiderivatives are found by
+    ``searchsorted`` and Horner's rule.  A non-finite datum sample raises
+    InvalidInputError.  Moments that overflow before t_max (e^{lambda_plus
+    t_max} beyond the float range) raise ConvergenceError before anything
+    is sampled; below that no exponent in the table exceeds lambda_plus t,
+    so only moments near the float range can make it overflow, which
+    raises ConvergenceError too.  :meth:`evaluate` refuses times at which
+    the formula's terms cancel beyond MAX_CANCELLATION.
     """
 
     def __init__(self, params: BinaryModelParams, u0, t_max: float = 4.0):
         self.params = params
         self.t_max = float(t_max)
+        if params.lambda_plus * self.t_max > _LOG_FLOAT_MAX:
+            raise ConvergenceError(
+                f"the closed form's moments overflow before t = {self.t_max:g}; "
+                "use a shorter horizon"
+            )
         if isinstance(u0, GridFunction):
             inner = u0.nodes[u0.nodes > 0]
             x = np.concatenate(([0.0], inner))

@@ -105,6 +105,53 @@ class TestEmitCsv:
             emit_csv(path, ("a", "b"), [(1.0, 2.0), (3.0, bad)])
         assert not path.exists()
 
+    @staticmethod
+    def wide_range_table():
+        # 1e-300 to 1e300 with both signs, -0.0, subnormals and 5e-324
+        mags = np.logspace(-300.0, 300.0, 61)
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
+                    1.7976931348623157e308, math.pi, -1.0 / 3.0, 1.0]
+        flat = np.concatenate((mags, -mags[::-1], specials))
+        flat = np.concatenate((flat, np.zeros(-flat.size % 3)))
+        return flat.reshape(-1, 3)
+
+    def test_array_list_and_generator_write_the_same_bytes(self, tmp_path):
+        table = self.wide_range_table()
+        inputs = {
+            "array": table,
+            "tuples": [tuple(float(v) for v in row) for row in table],
+            "generator": (tuple(row) for row in table),
+        }
+        written = {}
+        for name, rows in inputs.items():
+            emit_csv(tmp_path / f"{name}.csv", ("a", "b", "c"), rows)
+            written[name] = (tmp_path / f"{name}.csv").read_bytes()
+        expected = "a,b,c\r\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in table.tolist()
+        )
+        assert written["array"] == written["tuples"] == written["generator"]
+        assert written["array"] == expected.encode("utf-8")
+        fields = written["array"].decode("utf-8").replace("\r\n", ",").split(",")
+        assert "-0" in fields and "4.9406564584124654e-324" in fields
+        _, rows, _ = read_csv(tmp_path / "array.csv")
+        assert np.array_equal(np.array(rows), table)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_array_with_non_finite_row_names_it(self, tmp_path, bad, k):
+        table = self.wide_range_table()[:20].copy()
+        table[k - 1, 1] = bad
+        path = tmp_path / "x.csv"
+        with pytest.raises(NonFiniteOutputError, match=f"row {k} of"):
+            emit_csv(path, ("a", "b", "c"), table)
+        assert not path.exists()
+
+    def test_row_of_wrong_width_raises(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError):
+            emit_csv(path, ("a", "b"), [(1.0, 2.0), (3.0,), (4.0, 5.0)])
+        assert not path.exists()
+
 
 class TestValidateCommand:
     def test_reference_model_passes(self, tmp_path, capsys):
@@ -191,8 +238,8 @@ class TestSolveClosedCommand:
 
     # r = 1.2, a = 1.5 x, beta = 0.5 + 0.5 x as a flux: at t = 6 the terms
     # of the formula exceed the solution 1e12-fold, at t = 30 the
-    # prefactor e^{a r t^2/2} overflows, and at t = 1000 so do the moments
-    # in the boundary-extension table
+    # prefactor e^{a r t^2/2} overflows, and at t = 1000 so do the moments,
+    # which ClosedFormSolution refuses before it samples anything
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t_end", ["6", "30", "1000"])
     def test_cancelling_horizon_exits_2_without_csv(self, tmp_path, capsys, t_end):

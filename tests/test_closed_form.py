@@ -1,10 +1,13 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 
+from gfrag.cli import main
 from gfrag.closed_form import (
     BinaryModelParams,
     ClosedFormSolution,
@@ -38,6 +41,7 @@ from gfrag.model import (
 )
 from gfrag.spectral import closed_form_eigenpair, spectral_projection
 from oracles import boundary_extension_psi, forcing_derivatives, tail_bound_check
+from test_cli import BINARY_DOC, write_model
 
 
 def reference_params():
@@ -242,7 +246,7 @@ class TestBoundaryExtension:
 
         f = ForcingF(BinaryModelParams(r=r, a=a, beta0=beta0, beta1=beta1), REFERENCE_MOMENTS)
         xi = np.linspace(-r * t_max, 0.0, 2048)
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             psi = _psi_samples(f, xi)
         assert np.all(np.isfinite(psi))
         idx = np.r_[0:2048:31, 2047]
@@ -259,10 +263,38 @@ class TestBoundaryExtension:
         assert np.array_equal(_psi_samples(f, xi[perm]), psi[perm])
         doubled = np.concatenate((xi[::-1], xi[:5]))
         assert np.array_equal(_psi_samples(f, doubled), np.concatenate((psi[::-1], psi[:5])))
-        # a subset builds its own panels: same values to roundoff
+        # each offset is evaluated on its own: a subset gives the same bits
         sub = xi[[2047, 100, 1500, 7]]
-        assert np.abs(_psi_samples(f, sub) - psi[[2047, 100, 1500, 7]]).max() < 1e-13
+        assert np.array_equal(_psi_samples(f, sub), psi[[2047, 100, 1500, 7]])
         assert _psi_samples(f, np.array([0.0, -0.0]))[1] == f.value(0.0)
+
+    @pytest.mark.parametrize("t_max", [4.0, 12.0, 30.0])
+    def test_running_integral_limit(self, t_max):
+        # the reference parameters give lambda_minus = -sqrt(a r) = -w
+        # exactly, where phi(|lambda_minus + w| t) takes its limit branch
+        # phi(0) = 1 (its weight g- vanishes there, so the branch must
+        # above all form no 0/0); beta1 = beta0 w (1 +- 1e-9) puts
+        # lambda_minus 2e-10 to either side
+        from gfrag.closed_form import _psi_samples
+
+        xi = np.linspace(-t_max, 0.0, 2048)
+        idx = np.r_[0:2048:127, 2047]
+        exact = reference_params()
+        assert exact.lambda_minus == -math.sqrt(exact.a * exact.r)
+        tables = []
+        for scale in (1.0, 1.0 + 1e-9, 1.0 - 1e-9):
+            p = BinaryModelParams(r=1.0, a=1.0, beta0=0.5, beta1=0.5 * scale)
+            f = ForcingF(p, REFERENCE_MOMENTS)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                psi = _psi_samples(f, xi)
+            direct = np.array([boundary_extension_psi(f, x) for x in xi[idx]])
+            assert np.abs(psi[idx] - direct).max() <= 1e-11 * np.abs(psi).max()
+            tables.append(psi)
+        # the two draws move psi by about 4e-10 of its size, in opposite
+        # directions; their mean is the limit table to second order, so a
+        # jump at the limit branch would show here
+        limit, above, below = tables
+        assert np.abs(0.5 * (above + below) - limit).max() <= 1e-12 * np.abs(limit).max()
 
     def test_volterra_collocation_oracle(self):
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
@@ -296,11 +328,28 @@ class TestBoundaryExtension:
 
 
 class TestExtensionPanels:
-    def test_fast_splitting_refused_before_allocating_the_table(self):
-        # sqrt(a r) = 1e15 asks for about 4e15 panels on [0, 4]
+    def test_fast_splitting_refused_before_allocating_the_table(self, tmp_path, capsys):
+        # lambda_plus = sqrt(a r) = 1e15: the moments overflow long before
+        # t = 4, and the refusal comes before the datum is even sampled
         p = BinaryModelParams(r=1.0, a=1e30, beta0=0.0, beta1=1.0)
-        with pytest.raises(ConvergenceError, match="panels"):
-            ClosedFormSolution(p, reference_datum)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="moments overflow"):
+                ClosedFormSolution(p, reference_datum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+        doc = {**BINARY_DOC, "a": {"type": "linear", "c0": 0.0, "c1": 1e30},
+               "beta": {"type": "linear", "c0": 0.0, "c1": 1.0}}
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(["solve-closed", "--model", write_model(tmp_path, doc),
+                  "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert info.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestSolutionFormula:
