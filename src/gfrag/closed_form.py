@@ -9,13 +9,14 @@ beta1*M1(t), the dynamics reduce to explicitly solvable pieces:
 * along characteristics the solution is a double antiderivative of the
   (extended) initial datum; the extension psi to negative arguments is
   determined by a Volterra equation whose forcing F involves only the
-  moments, and has an explicit resolution,
+  moments, and has an explicit resolution, as have its running integrals,
 * the dominant eigenpair is a Gaussian-times-quadratic profile with an
   affine dual eigenfunction, both with analytic normalizations.
 
-Everything here is analytic or one quadrature away from analytic; the
-time-domain solver in :mod:`gfrag.pde` provides the independent
-cross-check for general coefficients.
+Everything here is analytic but the datum's suffix integrals, which are
+those of its cubic-spline interpolant; the time-domain solver in
+:mod:`gfrag.pde` provides the independent cross-check for general
+coefficients.
 """
 
 from __future__ import annotations
@@ -263,7 +264,8 @@ def _thomas_pivots(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.nda
 
 
 def _not_a_knot_splines(x: np.ndarray, ys: np.ndarray) -> list[_PiecewisePoly]:
-    """Cubic interpolants of each row of ``ys`` at the knots ``x``.
+    """Cubic interpolants of each row of ``ys`` at the knots ``x``; they
+    carry :class:`ClosedFormSolution`'s datum and x times the datum.
 
     Knots, end conditions and coefficients are those of scipy's
     ``CubicSpline(x, y)``: not-a-knot ends, a line through two knots and
@@ -305,45 +307,52 @@ def _phi(y: np.ndarray) -> np.ndarray:
     return np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
 
 
-def _psi_samples(f: ForcingF, xi) -> np.ndarray:
-    """Extension values at nonpositive offsets ``xi`` (any shape, 0 allowed).
+def _extension(f: ForcingF, xi):
+    """Boundary extension psi and its running integrals at nonpositive
+    offsets ``xi`` (any shape, 0 allowed): the triple (psi(xi),
+    int_xi^0 psi(s) ds, int_xi^0 s psi(s) ds).
 
-    Variation of constants gives, at xi = -r t,
+    At xi = -r t, psi(-r t) = Y''(t) for the Y with Y(0) = Y'(0) = 0 and
+    Y'' + 2 a r t Y' + (a r t)^2 Y = F, so the integrals are r Y'(t) and
+    -r^2 (t Y'(t) - Y(t)).  With Y = e^{-a r t^2/2} V the equation reads
+    V'' - w^2 V = e^{a r t^2/2} F, w = sqrt(ar), and variation of constants
+    solves it with no derivatives of F.  F is the renewal part
+    e^{-a r t^2/2} G(t), G = beta0 M0 + beta1 M1, plus the cubic
+    P(t) = -(2 a t + r a^2 t^3) M0(0) - a^2 t^2 M1(0).
 
-        psi(-r t) = F(t) + int_0^t e^{a r (s^2 - t^2)/2}
-                    [ A sinh(w (t-s)) + B cosh(w (t-s)) ] F(s) ds,
-        A = a^2 t^2 r^2 / w,  B = -2 a t r,  w = sqrt(ar),
-
-    which needs no derivatives of F.  Equivalently psi(-r t) = Y''(t) for
-    the Y with Y(0) = Y'(0) = 0 and Y'' + 2 a r t Y' + (a r t)^2 Y = F.
-    F is the renewal part e^{-a r t^2/2} G(t), G = beta0 M0 + beta1 M1,
-    plus the cubic P(t) = -(2 a t + r a^2 t^3) M0(0) - a^2 t^2 M1(0), and the
-    response to P is exact: -M0(0) t/r - M1(0)/r^2 solves the equation with
-    P and has no second derivative, which leaves the homogeneous solution
-    e^{-a r t^2/2} Z with the opposite initial data,
-    Z = M1(0) cosh(w t)/r^2 + M0(0) sinh(w t)/(r w), so that
-
-        psi_P(-r t) = e^{-a r t^2/2} [ (a r t)^2 Z - 2 a r t Z' ].
-
+    The response to P is exact: -M0(0) t/r - M1(0)/r^2 solves the equation
+    with P, and the homogeneous solution z = e^{-a r t^2/2} Z with the
+    opposite initial data, Z = M1(0) cosh(w t)/r^2 + M0(0) sinh(w t)/(r w),
+    completes it.  In psi = F - 2 a r t Y' - (a r t)^2 Y the terms of
+    -M0(0) t/r - M1(0)/r^2 cancel P by hand, leaving
+    e^{-a r t^2/2} G - 2 a r t y' - (a r t)^2 y for the rest y of Y, and in
+    the integrals they leave -M0(0) and -M1(0).
     Integrating P instead would leave a value that decays like
     e^{-a r t^2/2} as the difference of terms growing like t^4, and lose
     every digit of psi at long horizons.
 
-    The renewal part is exact too.  The propagator is a sum of two
-    exponentials, so G(s) = g+ e^{lambda_plus s} + g- e^{lambda_minus s}
-    with g+- = (beta0, beta1) K+- M(0), K+- the halves of
-    :func:`_propagator`.  Splitting sinh and cosh into e^{+-w(t-s)}/2
-    leaves A (Qg - Qd)/2 + B (Qg + Qd)/2 with the running integrals
+    The response to the renewal part is exact too: (Qg - Qd)/(2w) with the
+    running integrals
 
         Q(t) = e^{-a r t^2/2} int_0^t e^{+-w (t-s)} G(s) ds
              = sum_lambda g_lambda t e^{max(lambda t, +-w t) - a r t^2/2}
                phi(|lambda -+ w| t),   phi(y) = (1 - e^{-y})/y,
 
-    and the terms of e^{-a r t^2/2} G carry the Gaussian in their
-    exponents too.  Each offset costs O(1) work on its own.  No exponent
-    exceeds lambda_plus t (lambda_plus >= w), and phi lies in (0, 1], so
-    no exponential overflows before the moments do, and nothing divides
-    by zero.
+    because the propagator is a sum of two exponentials: G(s) =
+    g+ e^{lambda_plus s} + g- e^{lambda_minus s} with g+- = (beta0, beta1)
+    K+- M(0), K+- the halves of :func:`_propagator`.  The terms of
+    e^{-a r t^2/2} G carry the Gaussian in their exponents too.  Each offset
+    costs O(1) work on its own.  No exponent exceeds lambda_plus t
+    (lambda_plus >= w), and phi lies in (0, 1], so no exponential
+    overflows before the moments do, and nothing divides by zero.
+
+    The integrals lose digits to themselves where t or w t is small, as
+    their O(1) terms cancel and Qg - Qd and sinh(w t)/w lose theirs: at
+    t = 0.01, int s psi is 6e-11 off quadrature relatively at a = 1e-3,
+    1e-8 at a = 1e-8 and 2e-6 at a = 1e-12.  They enter the solution
+    multiplied by a t and (a t)^2, so its error stays at roundoff.  Without
+    splitting (a = 0) they do not enter it at all: psi is F, and the
+    integrals come back as None.
     """
     xi = np.asarray(xi, dtype=float)
     if np.any(xi > 0):
@@ -352,7 +361,7 @@ def _psi_samples(f: ForcingF, xi) -> np.ndarray:
     a, r = p.a, p.r
     t = -xi / r
     if a == 0.0:
-        return np.asarray(f.value(t), dtype=float)
+        return np.asarray(f.value(t), dtype=float), None, None
     w = math.sqrt(a * r)
     art = a * r * t
     half = 0.5 * art * t
@@ -372,17 +381,18 @@ def _psi_samples(f: ForcingF, xi) -> np.ndarray:
     decay = np.exp(-w * t - half)
     z = 0.5 * (m.M1 / r**2 * (grow + decay) + m.M0 / (r * w) * (grow - decay))
     dz = 0.5 * (m.M1 * w / r**2 * (grow - decay) + m.M0 / r * (grow + decay))
-    return (gauss_g + art * (art * z - 2.0 * dz)
-            + 0.5 * art**2 / w * (q_grow - q_decay) - art * (q_grow + q_decay))
+    # y and y', Y and Y' without the terms of -M0(0) t/r - M1(0)/r^2
+    y = 0.5 / w * (q_grow - q_decay) + z
+    dy = 0.5 * (q_grow + q_decay) - art * y + dz
+    psi = gauss_g - art * (art * y + 2.0 * dy)
+    return psi, r * dy - m.M0, r**2 * (y - t * dy) - m.M1
 
 
 # largest ratio of the summed term sizes to the solution that evaluate accepts
 MAX_CANCELLATION = 1e6
-# a callable datum is sampled at _DATUM_SAMPLES points on [0, _DATUM_X_MAX];
-# the boundary extension is tabulated at _TABLE_POINTS offsets
+# a callable datum is sampled at _DATUM_SAMPLES points on [0, _DATUM_X_MAX]
 _DATUM_X_MAX = 50.0
 _DATUM_SAMPLES = 8000
-_TABLE_POINTS = 2048
 # e^x overflows a double for x above this
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -394,32 +404,19 @@ class ClosedFormSolution:
     the value at zero prepended, or a callable, sampled at _DATUM_SAMPLES =
     8000 points on [0, _DATUM_X_MAX] = [0, 50].  The ``x_max`` attribute
     is the last sample, beyond which the datum counts as zero.  Its suffix
-    integrals are stored as cubic-spline antiderivatives.  The boundary
-    extension is tabulated once on _TABLE_POINTS = 2048 characteristic
-    offsets covering [0, t_max] (exact, O(1) work each in
-    :func:`_psi_samples`) and splined together with its own running
-    integrals, so point evaluation costs O(1) quadrature-free work.  The
-    splines are the not-a-knot cubics of scipy's ``CubicSpline``, built in
-    numpy by :func:`_not_a_knot_splines`: the datum and x times the datum
-    share one set of elimination pivots, the extension and xi times the
-    extension another, and values and antiderivatives are found by
-    ``searchsorted`` and Horner's rule.  A non-finite datum sample raises
-    InvalidInputError.  Moments that overflow before t_max (e^{lambda_plus
-    t_max} beyond the float range) raise ConvergenceError before anything
-    is sampled; below that no exponent in the table exceeds lambda_plus t,
-    so only moments near the float range can make it overflow, which
-    raises ConvergenceError too.  :meth:`evaluate` refuses times at which
-    the formula's terms cancel beyond MAX_CANCELLATION.
+    integrals are stored as cubic-spline antiderivatives: the not-a-knot
+    cubics of scipy's ``CubicSpline``, built in numpy by
+    :func:`_not_a_knot_splines` for the datum and x times the datum with
+    one set of elimination pivots, and read by ``searchsorted`` and
+    Horner's rule.  A non-finite datum sample raises InvalidInputError.
+    The boundary extension and its running integrals are exact and cost
+    O(1) work per point (:func:`_extension`), so :meth:`evaluate` takes
+    them at the points it is asked for, at any horizon at which the
+    moments stay in the float range.
     """
 
-    def __init__(self, params: BinaryModelParams, u0, t_max: float = 4.0):
+    def __init__(self, params: BinaryModelParams, u0):
         self.params = params
-        self.t_max = float(t_max)
-        if params.lambda_plus * self.t_max > _LOG_FLOAT_MAX:
-            raise ConvergenceError(
-                f"the closed form's moments overflow before t = {self.t_max:g}; "
-                "use a shorter horizon"
-            )
         if isinstance(u0, GridFunction):
             inner = u0.nodes[u0.nodes > 0]
             x = np.concatenate(([0.0], inner))
@@ -439,68 +436,64 @@ class ClosedFormSolution:
         self.initial = MomentState(self._total0, self._total1)
         self.forcing = ForcingF(params, self.initial)
 
-        xi = np.linspace(-params.r * self.t_max, 0.0, _TABLE_POINTS)
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi = _psi_samples(self.forcing, xi)
-        if not np.all(np.isfinite(psi)):
-            raise ConvergenceError(
-                f"the closed form's boundary extension overflows before t = {self.t_max:g}; "
-                "use a shorter horizon"
-            )
-        self._psi, psi_x = _not_a_knot_splines(xi, np.stack((psi, xi * psi)))
-        self._psi_anti = self._psi.antiderivative()
-        self._psi_x_anti = psi_x.antiderivative()
-        self._psi_total0 = float(self._psi_anti(0.0))
-        self._psi_total1 = float(self._psi_x_anti(0.0))
-
     def evaluate(self, x, t: float):
         """Solution value u(x, t); vectorized over x.
 
-        Both branches multiply a bracket of several terms by
-        e^{a t (r t - 2 x)/2}; below the front the bracket must cancel to
-        about e^{-a r t^2/2}, so the terms can exceed the value by orders of
-        magnitude.  When the largest prefactor-scaled sum of absolute terms
-        exceeds the largest |u| by more than MAX_CANCELLATION, the digits
-        left are noise and a ConvergenceError is raised instead.
+        A time at which the moments overflow (e^{lambda_plus t} beyond the
+        float range) raises ConvergenceError before anything is computed;
+        below it no exponent of the boundary extension exceeds
+        lambda_plus t, so only moments near the float range can make the
+        formula overflow, which raises ConvergenceError too.  Both branches
+        multiply a bracket of several terms by e^{a t (r t - 2 x)/2}; below
+        the front the bracket must cancel to about e^{-a r t^2/2}, so the
+        terms can exceed the value by orders of magnitude.  When the
+        largest prefactor-scaled sum of absolute terms exceeds the largest
+        |u| by more than MAX_CANCELLATION, the digits left are noise and a
+        ConvergenceError is raised instead.
         """
         if t < 0:
             raise InvalidInputError("time must be nonnegative")
-        if t > self.t_max + 1e-12:
-            raise InvalidInputError(f"evaluator prepared for t <= {self.t_max}")
         p = self.params
+        if p.lambda_plus * t > _LOG_FLOAT_MAX:
+            raise ConvergenceError(
+                f"the closed form's moments overflow before t = {t:g}; use a shorter horizon"
+            )
         a, r = p.a, p.r
         x_arr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(x_arr)
         at = a * t
         xi0 = xs - r * t
 
+        # each branch on its own points: the bracket and the sum of the
+        # absolute values of its terms
+        bracket, size = np.empty_like(xs), np.empty_like(xs)
         upper = xi0 >= 0.0
-        zu = np.where(upper, xi0, 0.0)
+        zu = xi0[upper]
         # the datum and its suffix integrals int_z^inf u0, int_z^inf s u0(s) ds
         # vanish beyond x_max
         cell = self._u0.locate(np.minimum(zu, self.x_max))
         head = np.where(zu > self.x_max, 0.0, self._u0.at(*cell))
         tail0 = self._total0 - self._u0_anti.at(*cell)
         tail1 = self._total1 - self._u0_x_anti.at(*cell)
-        bulk = head + at * ((2.0 - at * zu) * tail0 + at * tail1)
-        bulk_size = np.abs(head) + at * (np.abs((2.0 - at * zu) * tail0) + at * np.abs(tail1))
+        bracket[upper] = head + at * ((2.0 - at * zu) * tail0 + at * tail1)
+        size[upper] = np.abs(head) + at * (np.abs((2.0 - at * zu) * tail0) + at * np.abs(tail1))
 
-        zl = np.where(upper, 0.0, np.maximum(xi0, -r * t))
+        lower = ~upper
+        zl = np.maximum(xi0[lower], -r * t)
         m = self.initial
-        mass = at * (2.0 + a * r * t * t - at * xs) * m.M0
-        cell = self._psi.locate(zl)
-        ext = self._psi.at(*cell)
-        ext0 = (2.0 - at * zl) * (self._psi_total0 - self._psi_anti.at(*cell))
-        ext1 = at * (self._psi_total1 - self._psi_x_anti.at(*cell))
-        lower = mass + at * at * m.M1 + ext + at * (ext0 + ext1)
-        lower_size = (
-            np.abs(mass) + at * at * m.M1 + np.abs(ext) + at * (np.abs(ext0) + np.abs(ext1))
-        )
-
+        mass = at * (2.0 + a * r * t * t - at * xs[lower]) * m.M0
         with np.errstate(over="ignore", invalid="ignore"):
+            ext, ext_int0, ext_int1 = _extension(self.forcing, zl)
+            bracket[lower] = mass + at * at * m.M1 + ext
+            size[lower] = np.abs(mass) + at * at * m.M1 + np.abs(ext)
+            if a > 0.0:
+                ext0 = (2.0 - at * zl) * ext_int0
+                ext1 = at * ext_int1
+                bracket[lower] += at * (ext0 + ext1)
+                size[lower] += at * (np.abs(ext0) + np.abs(ext1))
             pref = np.exp(0.5 * at * (r * t - 2.0 * xs))
-            out = pref * np.where(upper, bulk, lower)
-            worst = np.max(pref * np.where(upper, bulk_size, lower_size), initial=0.0)
+            out = pref * bracket
+            worst = np.max(pref * size, initial=0.0)
         if not np.isfinite(worst):
             raise ConvergenceError(f"the closed form overflows at t = {t:g}; use a shorter horizon")
         peak = np.max(np.abs(out), initial=0.0)
@@ -522,9 +515,9 @@ def evaluate_solution(params: BinaryModelParams, u0, x, t: float):
     """Explicit solution value u(x, t) for the binary model.
 
     x may be a scalar or an array; each call prepares its own evaluator
-    (datum suffix integrals plus extension table).
+    (the datum's suffix integrals).
     """
-    return ClosedFormSolution(params, u0, t_max=max(float(t), 4.0)).evaluate(x, t)
+    return ClosedFormSolution(params, u0).evaluate(x, t)
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def _trajectory_values(model, u0, times):
     """Solution samples on u0's grid at the requested times."""
     if is_binary_model(model):
         params = binary_params_from_model(model)
-        sol = ClosedFormSolution(params, u0, t_max=float(times[-1]))
+        sol = ClosedFormSolution(params, u0)
         return [np.asarray(sol.evaluate(u0.nodes, t), dtype=float) for t in times]
     return [s.u.values for s in solve(model, u0, times)]
 

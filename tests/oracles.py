@@ -12,7 +12,7 @@ calls them.
   envelope pointwise.
 * :func:`boundary_extension_psi` resolves the boundary extension by adaptive
   quadrature of a double-derivative formula, against the derivative-free
-  table of ``gfrag.closed_form._psi_samples``.
+  closed form of ``gfrag.closed_form._extension``.
 * :func:`tail_bound_check` measures the weighted mass ahead of the
   characteristic front of the closed-form solution against its decay bound.
 """
@@ -226,7 +226,7 @@ def tail_bound_check(params: BinaryModelParams, u0, m: float, t: float) -> tuple
     """
     if m <= 1:
         raise InvalidInputError("weight exponent must exceed 1")
-    sol = ClosedFormSolution(params, u0, t_max=max(t, _TAIL_T_REF, 4.0))
+    sol = ClosedFormSolution(params, u0)
 
     def front_mass(tt: float) -> float:
         # substitute x = r tt + s: smooth integrand on the datum's support

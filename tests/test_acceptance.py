@@ -111,7 +111,7 @@ def test_criterion_03_eigenfunction_normalizations():
 
 def test_criterion_04_closed_form_solves_the_dynamics():
     p = REFERENCE_PARAMS
-    sol = ClosedFormSolution(p, datum_affine, t_max=3.0)
+    sol = ClosedFormSolution(p, datum_affine)
 
     def suffix(x, t):
         if x >= p.r * t:
@@ -154,7 +154,7 @@ def test_criterion_04_closed_form_solves_the_dynamics():
 
 def test_criterion_05_moments_follow_the_moment_system():
     p = REFERENCE_PARAMS
-    sol = ClosedFormSolution(p, datum_affine, t_max=2.0)
+    sol = ClosedFormSolution(p, datum_affine)
     # the prepared solution takes its starting moments from quadrature
     assert sol.initial.M0 == pytest.approx(9.0 / 8.0, rel=1e-9)
     assert sol.initial.M1 == pytest.approx(7.0 / 8.0, rel=1e-9)
@@ -185,7 +185,7 @@ def test_criterion_06_renormalized_solution_converges_to_profile():
     for datum in (datum_affine, datum_quadratic):
         coeff = float(integrate.simpson(w0(x) * datum(x), x=x))
         assert coeff == pytest.approx(1.2, abs=1e-6)
-        sol = ClosedFormSolution(p, datum, t_max=3.0)
+        sol = ClosedFormSolution(p, datum)
         devs = []
         for t in times:
             u = sol.evaluate(x, t)
@@ -214,9 +214,7 @@ def test_criterion_08_solver_reproduces_closed_form():
         nodes = midpoint_grid(15.0, n)
         u0 = GridFunction(nodes, datum_affine(nodes))
         final = solve(model, u0, (1.0,), cfl=0.3)[-1]
-        exact = ClosedFormSolution(REFERENCE_PARAMS, datum_affine, t_max=1.0).evaluate(
-            nodes, 1.0
-        )
+        exact = ClosedFormSolution(REFERENCE_PARAMS, datum_affine).evaluate(nodes, 1.0)
         w = quad_weights(nodes)
         errs.append(float(np.sum(w * np.abs(final.u.values - exact))))
     order = np.polyfit(np.log([15.0 / 480, 15.0 / 960, 15.0 / 1920]), np.log(errs), 1)[0]

@@ -15,7 +15,7 @@ from gfrag import cli, resolvent
 from gfrag.cli import RunConfig, emit_csv, main, run
 from gfrag.errors import InvalidInputError, NonFiniteOutputError
 from gfrag.irreducibility import support_model_from_config
-from gfrag.model import model_from_config
+from gfrag.model import model_from_config, quad_weights
 from gfrag.spectral import perron_eigenpair
 from oracles import reachability_oracle
 from test_cli_properties import wall_clock_budget
@@ -239,7 +239,7 @@ class TestSolveClosedCommand:
     # r = 1.2, a = 1.5 x, beta = 0.5 + 0.5 x as a flux: at t = 6 the terms
     # of the formula exceed the solution 1e12-fold, at t = 30 the
     # prefactor e^{a r t^2/2} overflows, and at t = 1000 so do the moments,
-    # which ClosedFormSolution refuses before it samples anything
+    # which ClosedFormSolution.evaluate refuses before it computes anything
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t_end", ["6", "30", "1000"])
     def test_cancelling_horizon_exits_2_without_csv(self, tmp_path, capsys, t_end):
@@ -253,6 +253,40 @@ class TestSolveClosedCommand:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: the closed form")
         assert err.count("\n") == 1
+        assert list(out.glob("*.csv")) == []
+
+    # r = 100, a = x, beta = 2: lambda_plus = 200.5, so the moments overflow
+    # from t = 3.54 on; every shorter horizon is answered
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_end", ["0.5", "1", "2"])
+    def test_reachable_horizon_is_answered(self, tmp_path, t_end):
+        doc = {**BINARY_DOC, "r": 100.0, "beta": {"type": "linear", "c0": 2.0, "c1": 0.0}}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["solve-closed", "--model", write_model(tmp_path, doc), "--out", str(out),
+                  "--t-end", t_end])
+        assert info.value.code == 0
+        _, snapshot, _ = read_csv(out / "snapshot.csv")
+        _, moments, _ = read_csv(out / "moments.csv")
+        x, u = np.array(snapshot)[:, :2].T
+        w = quad_weights(x)
+        h = 30.0 / 2000
+        assert moments[-1][0] == float(t_end)
+        assert np.sum(w * u) == pytest.approx(moments[-1][1], rel=h)
+        assert np.sum(w * x * u) == pytest.approx(moments[-1][2], rel=h)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_end", ["3.6", "4"])
+    def test_overflowing_horizon_names_its_time(self, tmp_path, capsys, t_end):
+        doc = {**BINARY_DOC, "r": 100.0, "beta": {"type": "linear", "c0": 2.0, "c1": 0.0}}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["solve-closed", "--model", write_model(tmp_path, doc), "--out", str(out),
+                  "--t-end", t_end])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"moments overflow before t = {t_end};" in err
         assert list(out.glob("*.csv")) == []
 
 

@@ -65,6 +65,17 @@ def reference_datum(x):
 
 REFERENCE_MOMENTS = MomentState(9.0 / 8.0, 7.0 / 8.0)
 
+# (r, a, beta0, beta1) of the boundary-extension checks: the reference
+# parameters, a flux-converted pair, no constant renewal, slow splitting and
+# no splitting at all
+EXTENSION_PARAMS = [
+    (1.0, 1.0, 0.5, 0.5),
+    (1.2, 1.5, 0.5 / 1.2, 0.5 / 1.2),
+    (0.8, 0.4, 0.0, 0.9),
+    (0.8, 1e-3, 0.3, 0.2),
+    (2.0, 0.0, 0.5, 0.5),
+]
+
 
 class TestParams:
     def test_reference_eigenvalues(self):
@@ -209,64 +220,55 @@ class TestBoundaryExtension:
         assert boundary_extension_psi(f, 0.0) == pytest.approx(f.value(0.0), abs=1e-14)
 
     def test_positive_offset_rejected(self):
-        from gfrag.closed_form import _psi_samples
+        from gfrag.closed_form import _extension
 
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
         with pytest.raises(InvalidInputError):
             boundary_extension_psi(f, 0.2)
         with pytest.raises(InvalidInputError):
-            _psi_samples(f, np.array([-1.0, 0.2]))
+            _extension(f, np.array([-1.0, 0.2]))[0]
 
     def test_two_closed_resolutions_agree(self):
         # adaptive quadrature on the double-derivative formula versus the
         # derivative-free variation-of-constants integral
-        from gfrag.closed_form import _psi_samples
+        from gfrag.closed_form import _extension
 
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
         xi = np.linspace(-3.5, -0.1, 35)
         direct = np.array([boundary_extension_psi(f, x) for x in xi])
-        assert np.abs(direct - _psi_samples(f, xi)).max() < 1e-10
+        assert np.abs(direct - _extension(f, xi)[0]).max() < 1e-10
 
     @pytest.mark.parametrize("t_max", [4.0, 12.0, 30.0])
-    @pytest.mark.parametrize(
-        "r, a, beta0, beta1",
-        [
-            (1.0, 1.0, 0.5, 0.5),
-            (1.2, 1.5, 0.5 / 1.2, 0.5 / 1.2),
-            (0.8, 0.4, 0.0, 0.9),
-            (0.8, 1e-3, 0.3, 0.2),
-            (2.0, 0.0, 0.5, 0.5),
-        ],
-    )
+    @pytest.mark.parametrize("r, a, beta0, beta1", EXTENSION_PARAMS)
     def test_full_table_matches_quadrature_oracle(self, r, a, beta0, beta1, t_max):
-        # the table ClosedFormSolution builds: 2048 offsets on [-r t_max, 0];
+        # 2048 offsets on [-r t_max, 0], as dense as an evaluation grid;
         # at long horizons psi decays like e^{-a r t^2/2} while the forcing
         # grows like t^3, so any cancellation of the cubic shows here
-        from gfrag.closed_form import _psi_samples
+        from gfrag.closed_form import _extension
 
         f = ForcingF(BinaryModelParams(r=r, a=a, beta0=beta0, beta1=beta1), REFERENCE_MOMENTS)
         xi = np.linspace(-r * t_max, 0.0, 2048)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            psi = _psi_samples(f, xi)
+            psi = _extension(f, xi)[0]
         assert np.all(np.isfinite(psi))
         idx = np.r_[0:2048:31, 2047]
         direct = np.array([boundary_extension_psi(f, x) for x in xi[idx]])
         assert np.abs(psi[idx] - direct).max() <= 1e-11 * np.abs(psi).max()
 
     def test_table_input_order_and_repeats(self):
-        from gfrag.closed_form import _psi_samples
+        from gfrag.closed_form import _extension
 
         f = ForcingF(BinaryModelParams(r=1.2, a=1.5, beta0=0.4, beta1=0.4), REFERENCE_MOMENTS)
         xi = np.linspace(-12.0, 0.0, 2048)
-        psi = _psi_samples(f, xi)
+        psi = _extension(f, xi)[0]
         perm = np.random.default_rng(7).permutation(2048)
-        assert np.array_equal(_psi_samples(f, xi[perm]), psi[perm])
+        assert np.array_equal(_extension(f, xi[perm])[0], psi[perm])
         doubled = np.concatenate((xi[::-1], xi[:5]))
-        assert np.array_equal(_psi_samples(f, doubled), np.concatenate((psi[::-1], psi[:5])))
+        assert np.array_equal(_extension(f, doubled)[0], np.concatenate((psi[::-1], psi[:5])))
         # each offset is evaluated on its own: a subset gives the same bits
         sub = xi[[2047, 100, 1500, 7]]
-        assert np.array_equal(_psi_samples(f, sub), psi[[2047, 100, 1500, 7]])
-        assert _psi_samples(f, np.array([0.0, -0.0]))[1] == f.value(0.0)
+        assert np.array_equal(_extension(f, sub)[0], psi[[2047, 100, 1500, 7]])
+        assert _extension(f, np.array([0.0, -0.0]))[0][1] == f.value(0.0)
 
     @pytest.mark.parametrize("t_max", [4.0, 12.0, 30.0])
     def test_running_integral_limit(self, t_max):
@@ -275,7 +277,7 @@ class TestBoundaryExtension:
         # phi(0) = 1 (its weight g- vanishes there, so the branch must
         # above all form no 0/0); beta1 = beta0 w (1 +- 1e-9) puts
         # lambda_minus 2e-10 to either side
-        from gfrag.closed_form import _psi_samples
+        from gfrag.closed_form import _extension
 
         xi = np.linspace(-t_max, 0.0, 2048)
         idx = np.r_[0:2048:127, 2047]
@@ -286,7 +288,7 @@ class TestBoundaryExtension:
             p = BinaryModelParams(r=1.0, a=1.0, beta0=0.5, beta1=0.5 * scale)
             f = ForcingF(p, REFERENCE_MOMENTS)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                psi = _psi_samples(f, xi)
+                psi = _extension(f, xi)[0]
             direct = np.array([boundary_extension_psi(f, x) for x in xi[idx]])
             assert np.abs(psi[idx] - direct).max() <= 1e-11 * np.abs(psi).max()
             tables.append(psi)
@@ -308,17 +310,72 @@ class TestBoundaryExtension:
         f = ForcingF(reference_params(), REFERENCE_MOMENTS)
         assert boundary_extension_psi(f, -1.0) == pytest.approx(-1.5807648110420303, abs=1e-9)
 
-    def test_volterra_residual_of_table(self):
-        p = reference_params()
-        sol = ClosedFormSolution(p, reference_datum, t_max=2.5)
-        worst = 0.0
-        for t in np.linspace(0.05, 2.0, 40):
-            xi = -p.r * t
-            i1 = float(sol._psi_anti(0.0) - sol._psi_anti(xi))
-            i_s = float(sol._psi_x_anti(0.0) - sol._psi_x_anti(xi))
-            lhs = float(sol._psi(xi)) + 2 * p.a * t * i1 + (p.a * t) ** 2 * (i_s + p.r * t * i1)
-            worst = max(worst, abs(lhs - sol.forcing.value(t)))
-        assert worst < 1e-8
+    @pytest.mark.parametrize("r, a, beta0, beta1", EXTENSION_PARAMS)
+    def test_volterra_identity(self, r, a, beta0, beta1):
+        # psi + 2 a t I0 + (a t)^2 (I1 + r t I0) = F at xi = -r t, with
+        # I0 = int_xi^0 psi and I1 = int_xi^0 s psi(s) ds
+        from gfrag.closed_form import _extension
+
+        f = ForcingF(BinaryModelParams(r=r, a=a, beta0=beta0, beta1=beta1), REFERENCE_MOMENTS)
+        t = np.linspace(0.0, 12.0, 241)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            psi, i0, i1 = _extension(f, -r * t)
+            forcing = f.value(t)
+        if a == 0.0:
+            # without splitting the integrals never enter the solution
+            assert i0 is None and i1 is None
+            assert np.array_equal(psi, forcing)
+            return
+        at = a * t
+        terms = (psi, 2.0 * at * i0, at**2 * i1, at**2 * r * t * i0)
+        size = sum(np.abs(term) for term in terms) + np.abs(forcing)
+        assert np.all(np.abs(sum(terms) - forcing) <= 1e-13 * size)
+
+    @staticmethod
+    def quadrature_of_extension(f, xi):
+        """I0, I1 and the integrals of |psi| and |s psi| from 0 to each of the
+        decreasing offsets xi, by quad of psi over the panels between them."""
+        from gfrag.closed_form import _extension
+
+        def integrands(s):
+            psi = float(_extension(f, np.array([s]))[0][0])
+            return np.array([psi, s * psi, abs(psi), abs(s * psi)])
+
+        panels = [integrate.quad_vec(integrands, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+                  for lo, hi in zip(xi[1:], xi[:-1])]
+        return np.concatenate((np.zeros((1, 4)), np.cumsum(panels, axis=0))).T
+
+    @pytest.mark.parametrize("r, a, beta0, beta1", [p for p in EXTENSION_PARAMS if p[1] >= 1e-3])
+    def test_integrals_match_quadrature(self, r, a, beta0, beta1):
+        from gfrag.closed_form import _extension
+
+        f = ForcingF(BinaryModelParams(r=r, a=a, beta0=beta0, beta1=beta1), REFERENCE_MOMENTS)
+        xi = -r * np.linspace(0.0, 12.0, 41)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, i0, i1 = _extension(f, xi)
+        q0, q1, size0, size1 = self.quadrature_of_extension(f, xi)
+        # at xi = 0 they vanish to the rounding of M0(0) and M1(0)
+        eps = np.finfo(float).eps
+        assert abs(i0[0]) <= eps * REFERENCE_MOMENTS.M0
+        assert abs(i1[0]) <= eps * REFERENCE_MOMENTS.M1
+        assert np.all(np.abs(i0 - q0)[1:] <= 1e-12 * size0[1:])
+        assert np.all(np.abs(i1 - q1)[1:] <= 1e-12 * size1[1:])
+
+    @pytest.mark.parametrize("a", [1e-4, 1e-8, 1e-12])
+    def test_integrals_at_slow_splitting(self, a):
+        # at small w t the integrals lose digits to themselves, but they
+        # enter the solution multiplied by a t and (a t)^2, which leaves
+        # their error below 1e-15 of psi
+        from gfrag.closed_form import _extension
+
+        r = 0.8
+        f = ForcingF(BinaryModelParams(r=r, a=a, beta0=0.3, beta1=0.2), REFERENCE_MOMENTS)
+        t = np.linspace(0.0, 12.0, 41)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            psi, i0, i1 = _extension(f, -r * t)
+        q0, q1, _, _ = self.quadrature_of_extension(f, -r * t)
+        at = a * t
+        assert np.all(at * np.abs(i0 - q0) + at**2 * np.abs(i1 - q1) <= 1e-15 * np.abs(psi))
 
     def test_transport_only_limit(self):
         # without splitting the extension reduces to the forcing itself
@@ -328,14 +385,15 @@ class TestBoundaryExtension:
 
 
 class TestExtensionPanels:
-    def test_fast_splitting_refused_before_allocating_the_table(self, tmp_path, capsys):
+    def test_fast_splitting_refused_before_evaluating(self, tmp_path, capsys):
         # lambda_plus = sqrt(a r) = 1e15: the moments overflow long before
-        # t = 4, and the refusal comes before the datum is even sampled
+        # t = 4, and the refusal comes before anything is computed at it
         p = BinaryModelParams(r=1.0, a=1e30, beta0=0.0, beta1=1.0)
+        sol = ClosedFormSolution(p, reference_datum)
         tracemalloc.start()
         try:
             with pytest.raises(ConvergenceError, match="moments overflow"):
-                ClosedFormSolution(p, reference_datum)
+                sol.evaluate(1.0, 4.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -405,17 +463,18 @@ class TestSolutionFormula:
         assert arr[1] == pytest.approx(a, abs=1e-14)
 
     def test_time_validation(self):
-        sol = ClosedFormSolution(reference_params(), reference_datum, t_max=2.0)
+        sol = ClosedFormSolution(reference_params(), reference_datum)
         with pytest.raises(InvalidInputError):
             sol.evaluate(1.0, -0.1)
-        with pytest.raises(InvalidInputError):
-            sol.evaluate(1.0, 3.0)
+        # lambda_plus = 1.5: e^{lambda_plus t} overflows from t = 473.2 on
+        with pytest.raises(ConvergenceError, match="moments overflow before t = 474"):
+            sol.evaluate(1.0, 474.0)
 
     def test_pointwise_dynamics_residual_refines(self):
         # central-difference residual of the transport-splitting law,
         # sampled away from the characteristic front, drops at second order
         p = reference_params()
-        sol = ClosedFormSolution(p, reference_datum, t_max=3.0)
+        sol = ClosedFormSolution(p, reference_datum)
 
         def suffix(x, t):
             if x >= p.r * t:
@@ -478,14 +537,6 @@ class TestNotAKnotSplines:
     def test_cli_datum_grid(self):
         x, y = _cli_datum_knots()
         self.assert_matches_cubic_spline(x, np.stack((y, x * y)))
-
-    def test_psi_table(self):
-        from gfrag.closed_form import _TABLE_POINTS, _psi_samples
-
-        f = ForcingF(reference_params(), REFERENCE_MOMENTS)
-        xi = np.linspace(-4.0, 0.0, _TABLE_POINTS)
-        psi = _psi_samples(f, xi)
-        self.assert_matches_cubic_spline(xi, np.stack((psi, xi * psi)))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 9, 40, 700])
     @pytest.mark.parametrize("seed", range(8))
