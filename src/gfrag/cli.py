@@ -178,12 +178,12 @@ def _cmd_solve_closed(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Pa
     nodes = midpoint_grid(model.x_max, cfg.n_cells)
     u0 = _initial_datum(doc, nodes)
     u_end = np.asarray(evaluate_solution(params, u0, nodes, cfg.t_end), dtype=float)
-    emit_csv(out / "snapshot.csv", ("x", "u", "u_normalized"), _snapshot_rows(nodes, u_end))
     m0 = moments_from_grid(u0)
     rows = []
     for t in np.linspace(0.0, cfg.t_end, 11):
         mt = propagate_moments(params, m0, float(t))
         rows.append((t, mt.M0, mt.M1))
+    emit_csv(out / "snapshot.csv", ("x", "u", "u_normalized"), _snapshot_rows(nodes, u_end))
     emit_csv(out / "moments.csv", ("t", "M0", "M1"), rows)
     print(f"wrote {out / 'snapshot.csv'} and {out / 'moments.csv'} at t = {_fmt(cfg.t_end)}")
     return 0

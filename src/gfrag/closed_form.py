@@ -84,10 +84,11 @@ class BinaryModelParams:
             raise InvalidModelError("renewal weights must be nonnegative")
         a0 = self.r * self.beta0
         a1 = self.r * self.beta1 + self.a
-        disc = a0 * a0 + 4.0 * self.r * a1
-        if disc <= 0:
-            raise DegenerateModelError("moment system has no separated real eigenvalues")
-        root = math.sqrt(disc)
+        # a0, a1 >= 0; every closed form divides by the gap
+        # lambda_plus - lambda_minus = root
+        root = math.sqrt(a0 * a0 + 4.0 * self.r * a1)
+        if root < 1e-14 * max(1.0, 0.5 * (a0 + root)):
+            raise DegenerateModelError("coincident moment eigenvalues")
         object.__setattr__(self, "alpha0", a0)
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "lambda_plus", 0.5 * (a0 + root))
@@ -134,8 +135,6 @@ def moment_propagator(params: BinaryModelParams, t) -> np.ndarray:
     if np.any(t < 0):
         raise InvalidInputError("time must be nonnegative")
     lp, lm = params.lambda_plus, params.lambda_minus
-    if abs(lp - lm) < 1e-14 * max(1.0, abs(lp)):
-        raise DegenerateModelError("coincident moment eigenvalues")
     # one time goes through math.exp (libm), an array through np.exp; the two
     # can differ in the last bit
     exp = np.exp if t.ndim else math.exp

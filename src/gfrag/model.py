@@ -54,7 +54,6 @@ __all__ = [
     "KernelSpec",
     "ModelDefinition",
     "GridFunction",
-    "RQFunctions",
     "AssumptionReport",
     "compute_RQ",
     "xm_norm",
@@ -589,14 +588,6 @@ def boundary_weight_flux(model: ModelDefinition) -> CoefficientSpec:
 # antiderivatives of 1/r and a/r
 
 
-@dataclass(frozen=True)
-class RQFunctions:
-    """Antiderivatives R(x) = int_0^x ds/r(s) and Q(x) = int_0^x a(s)/r(s) ds."""
-
-    R: Callable
-    Q: Callable
-
-
 class _LazyIntegrate:
     """``scipy.integrate``, imported when an attribute is first read.
 
@@ -616,55 +607,34 @@ integrate = _LazyIntegrate()
 _RQ_TOL = 1e-10
 
 
-class _CumulativeIntegral:
-    """Adaptive cumulative antiderivative F(x) = int_0^x g, cached at visited knots.
+def _running_integral(g: Callable, breaks: list, x: np.ndarray) -> np.ndarray:
+    """F(x) = int_0^x g at every point of x, in one pass over the sorted points.
 
-    No single ``quad`` crosses a break point: an integration that would
-    first visits each break on its way, and the break becomes a knot.  A
-    ``quad`` that reports no convergence raises ConvergenceError.
+    Each gap between consecutive distinct points is one ``quad``, split at
+    every break it crosses, so no single ``quad`` crosses a break and a
+    repeated point costs nothing.  A ``quad`` that reports no convergence
+    raises ConvergenceError.
     """
-
-    def __init__(self, integrand: Callable, breaks: list):
-        self._g = integrand
-        self._breaks = breaks
-        self._knots = [0.0]
-        self._vals = [0.0]
-
-    def _value_at(self, x: float) -> float:
-        i = bisect.bisect_right(self._knots, x) - 1
-        x0, val = self._knots[i], self._vals[i]
-        if x == x0:
-            return val
-        crossed = self._breaks[bisect.bisect_right(self._breaks, x0) : bisect.bisect_left(self._breaks, x)]
-        for end in crossed + [x]:
-            inc, _, _, *failure = integrate.quad(
-                self._g, x0, end, epsabs=_RQ_TOL, epsrel=1e-12, limit=200, full_output=1
-            )
-            if failure:
-                raise ConvergenceError(
-                    f"adaptive quadrature on [{x0:g}, {end:g}] did not converge: "
-                    + failure[0].split("\n")[0]
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    x0 = val = 0.0
+    for j in np.argsort(flat):
+        x1 = float(flat[j])
+        if x1 != x0:
+            crossed = breaks[bisect.bisect_right(breaks, x0) : bisect.bisect_left(breaks, x1)]
+            for end in crossed + [x1]:
+                inc, _, _, *failure = integrate.quad(
+                    g, x0, end, epsabs=_RQ_TOL, epsrel=1e-12, limit=200, full_output=1
                 )
-            val += inc
-            # knots[i] < end < knots[i + 1], so both lists take end at i + 1
-            i += 1
-            self._knots.insert(i, end)
-            self._vals.insert(i, val)
-            x0 = end
-        if len(self._knots) > 200000:
-            del self._knots[1:-1:2], self._vals[1:-1:2]
-        return val
-
-    def __call__(self, x):
-        if np.ndim(x) == 0:
-            return self._value_at(float(x))
-        xs = np.asarray(x, dtype=float)
-        out = np.empty(xs.shape)
-        flat = xs.ravel()
-        res = out.ravel()
-        for j in np.argsort(flat):
-            res[j] = self._value_at(float(flat[j]))
-        return out
+                if failure:
+                    raise ConvergenceError(
+                        f"adaptive quadrature on [{x0:g}, {end:g}] did not converge: "
+                        + failure[0].split("\n")[0]
+                    )
+                val += inc
+                x0 = end
+        out[j] = val
+    return out.reshape(x.shape)
 
 
 def _kinks(*specs: CoefficientSpec) -> list:
@@ -672,56 +642,55 @@ def _kinks(*specs: CoefficientSpec) -> list:
     return sorted({x for spec in specs if isinstance(spec, Tabulated) for x in spec._xs if x > 0.0})
 
 
-def compute_RQ(model: ModelDefinition) -> RQFunctions:
-    """Antiderivative pair for the transport part.
+def compute_RQ(model: ModelDefinition, x) -> tuple[np.ndarray, np.ndarray]:
+    """R(x) = int_0^x ds/r(s) and Q(x) = int_0^x a(s)/r(s) ds at the points x >= 0.
 
-    Analytic closed forms are used whenever r and a are (equivalent to)
-    affine functions; otherwise the integrals are evaluated by adaptive
-    quadrature to the absolute tolerance _RQ_TOL = 1e-10, accumulated
-    along visited points.  The integrands call the coefficients' scalar
-    evaluators (``at``), which work on Python floats; the positive nodes of
-    a tabulated r (for R), and of a tabulated r or a (for Q), are break
-    points that no single ``quad`` crosses, so every integration sees a
-    smooth integrand.  r must be strictly positive on (0, x_max].
+    Returns the two arrays, each of x's shape.  Analytic closed forms are
+    evaluated at x whenever r and a are (equivalent to) affine functions, or
+    a is a power over a constant r; otherwise each integral takes one pass
+    of adaptive quadrature over the sorted points, to the absolute
+    tolerance _RQ_TOL = 1e-10 per gap, accumulated from 0.  The integrands
+    call the coefficients' scalar evaluators (``at``), which work on Python
+    floats; the positive nodes of a tabulated r (for R), and of a tabulated
+    r or a (for Q), are break points that no single ``quad`` crosses, so
+    every integration sees a smooth integrand.  r must be strictly positive
+    on (0, x_max].
+
+    Raises
+    ------
+    InvalidInputError
+        If a point is negative (or NaN).
+    ConvergenceError
+        If a ``quad`` reports no convergence.
     """
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs >= 0.0):
+        raise InvalidInputError("R and Q are defined for x >= 0 only")
     r_spec, a_spec = model.r, model.a
     r_aff = _as_affine(r_spec)
 
-    if r_aff is not None:
-        b0, b1 = r_aff
-        if b0 <= 0:
-            raise InvalidModelError("growth coefficient must be positive at the origin")
-        if b1 == 0.0:
-            R = lambda x: np.asarray(x, dtype=float) / b0
-        else:
-            R = lambda x: np.log1p(b1 * np.asarray(x, dtype=float) / b0) / b1
+    if r_aff is None:
+        R = _running_integral(lambda s: 1.0 / r_spec.at(s), _kinks(r_spec), xs)
     else:
-        R = _CumulativeIntegral(lambda s: 1.0 / r_spec.at(s), _kinks(r_spec))
+        b0, b1 = r_aff
+        R = xs / b0 if b1 == 0.0 else np.log1p(b1 * xs / b0) / b1
 
     a_aff = _as_affine(a_spec)
     if coefficient_is_zero(a_spec):
-        Q = lambda x: np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+        Q = np.zeros_like(xs)
     elif a_aff is not None and r_aff is not None:
         a0, a1 = a_aff
-        b0, b1 = r_aff
         if b1 == 0.0:
-            Q = lambda x: (a0 * np.asarray(x, dtype=float) + 0.5 * a1 * np.asarray(x, dtype=float) ** 2) / b0
+            Q = (a0 * xs + 0.5 * a1 * xs**2) / b0
         else:
             # (a0 + a1 x)/(b0 + b1 x) = a1/b1 + (a0 b1 - a1 b0)/b1 / (b0 + b1 x)
-            lead = a1 / b1
-            rem = (a0 * b1 - a1 * b0) / (b1 * b1)
-            Q = lambda x: lead * np.asarray(x, dtype=float) + rem * np.log1p(
-                b1 * np.asarray(x, dtype=float) / b0
-            )
-    elif isinstance(a_spec, Power) and r_aff is not None and r_aff[1] == 0.0:
+            Q = a1 / b1 * xs + (a0 * b1 - a1 * b0) / (b1 * b1) * np.log1p(b1 * xs / b0)
+    elif isinstance(a_spec, Power) and r_aff is not None and b1 == 0.0:
         c0, p = a_spec.c0, a_spec.p
-        b0 = r_aff[0]
-        Q = lambda x: c0 * (
-            np.asarray(x, dtype=float) + np.power(np.asarray(x, dtype=float), p + 1.0) / (p + 1.0)
-        ) / b0
+        Q = c0 * (xs + np.power(xs, p + 1.0) / (p + 1.0)) / b0
     else:
-        Q = _CumulativeIntegral(lambda s: a_spec.at(s) / r_spec.at(s), _kinks(r_spec, a_spec))
-    return RQFunctions(R=R, Q=Q)
+        Q = _running_integral(lambda s: a_spec.at(s) / r_spec.at(s), _kinks(r_spec, a_spec), xs)
+    return R, Q
 
 
 # ---------------------------------------------------------------------------

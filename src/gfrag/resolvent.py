@@ -90,10 +90,10 @@ class ResolventContext:
         Spectral parameter; must exceed ``omega_r + beta_m``.
     nodes : numpy.ndarray
         The context grid.
-    rq : RQFunctions
-        Antiderivatives of 1/r and a/r, from :func:`~gfrag.model.compute_RQ`.
     e_lambda : numpy.ndarray
-        Homogeneous boundary mode exp(-lam*R - Q)/r sampled on the grid.
+        Homogeneous boundary mode exp(-lam*R - Q)/r sampled on the grid,
+        with R and Q the integrals of 1/r and a/r from 0, which
+        :func:`~gfrag.model.compute_RQ` evaluates once, on ``nodes``.
     beta_pairing : float
         <beta, e_lambda>, guaranteed inside [0, 1).
     omega_r : float
@@ -128,7 +128,6 @@ class ResolventContext:
         self.nodes = nodes = midpoint_grid(model.x_max, n_cells)
         self.model = model
         self.lam = float(lam)
-        self.rq = compute_RQ(model)
 
         self.omega_r, self.beta_m = shift_floor(model)
         if strict and not self.lam > self.omega_r + self.beta_m:
@@ -142,7 +141,8 @@ class ResolventContext:
         # accumulated exponent lam*R + Q is nondecreasing, so every panel
         # decay factor lies in (0, 1] and the scans cannot overflow
         self._r_vals = grid_eval(model.r, nodes)
-        exponent = self.lam * np.asarray(self.rq.R(nodes)) + np.asarray(self.rq.Q(nodes))
+        R, Q = compute_RQ(model, nodes)
+        exponent = self.lam * R + Q
         decay = np.empty_like(nodes)
         # leading entry carries the drop across [0, nodes[0]] (R and Q
         # vanish at zero); the scans use it to weight the seed panel

@@ -289,6 +289,20 @@ class TestSolveClosedCommand:
         assert f"moments overflow before t = {t_end};" in err
         assert list(out.glob("*.csv")) == []
 
+    # r = 1e-20, a = 1e-20 x: lambda_plus - lambda_minus = 2.5e-20, below
+    # 1e-14 of max(1, lambda_plus), so the model is refused before any output
+    @pytest.mark.filterwarnings("error")
+    def test_coincident_eigenvalues_exit_1_without_csv(self, tmp_path, capsys):
+        doc = {**BINARY_DOC, "r": 1e-20, "a": {"type": "linear", "c0": 0.0, "c1": 1e-20}}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["solve-closed", "--model", write_model(tmp_path, doc), "--out", str(out)])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "coincident moment eigenvalues" in err
+        assert list(out.glob("*.csv")) == []
+
 
 README_DOC = {**BINARY_DOC, "initial": {"type": "linear", "c0": 1.0, "c1": 2.5}}
 

@@ -104,6 +104,9 @@ class TestParams:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateModelError):
             BinaryModelParams(r=1.0, a=0.0, beta0=0.0, beta1=0.0)
+        # lambda_plus - lambda_minus = 2.5e-20: coincident to 1e-14
+        with pytest.raises(DegenerateModelError, match="coincident"):
+            BinaryModelParams(r=1e-20, a=1e-20, beta0=0.5, beta1=0.5)
 
     @pytest.mark.parametrize("derived", ["alpha0", "alpha1", "lambda_plus", "lambda_minus"])
     def test_derived_fields_are_not_parameters(self, derived):

@@ -89,8 +89,7 @@ def test_quad_is_looked_up_through_the_module_attribute(monkeypatch):
         r=Power(1.0, 0.5), a=model.Linear(0.0, 1.0), kernel=model.UniformBinary(),
         beta=model.Constant(1.0), m=2.0,
     )
-    rq = compute_RQ(md)
-    assert rq.R(2.0) > 0.0
+    assert compute_RQ(md, 2.0)[0] > 0.0
     assert len(calls) >= 1
 
 

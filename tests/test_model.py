@@ -274,18 +274,17 @@ class TestGridsAndNorms:
 class TestRQ:
     def test_affine_closed_form(self):
         # r = 1+x, a = x: R = log(1+x), Q = x - log(1+x)
-        rq = compute_RQ(make_model())
-        assert rq.R(1.0) == pytest.approx(np.log(2.0), rel=1e-14)
-        assert rq.Q(1.0) == pytest.approx(1.0 - np.log(2.0), rel=1e-14)
+        R, Q = compute_RQ(make_model(), 1.0)
+        assert R == pytest.approx(np.log(2.0), rel=1e-14)
+        assert Q == pytest.approx(1.0 - np.log(2.0), rel=1e-14)
 
     def test_constant_rates(self):
-        rq = compute_RQ(make_model(r=Constant(2.0), a=Constant(3.0)))
-        assert rq.R(4.0) == pytest.approx(2.0, rel=1e-14)
-        assert rq.Q(4.0) == pytest.approx(6.0, rel=1e-14)
+        R, Q = compute_RQ(make_model(r=Constant(2.0), a=Constant(3.0)), 4.0)
+        assert R == pytest.approx(2.0, rel=1e-14)
+        assert Q == pytest.approx(6.0, rel=1e-14)
 
     def test_zero_loss(self):
-        rq = compute_RQ(make_model(a=Constant(0.0)))
-        assert rq.Q(3.0) == 0.0
+        assert compute_RQ(make_model(a=Constant(0.0)), 3.0)[1] == 0.0
 
     @pytest.mark.parametrize(
         "r, a",
@@ -297,34 +296,32 @@ class TestRQ:
         ],
         ids=["power-a", "r-p0", "p1", "p0"],
     )
-    def test_power_coefficients_take_closed_forms_that_match_quadrature(self, r, a):
-        rq = compute_RQ(make_model(r=r, a=a))
-        assert not isinstance(rq.R, model_module._CumulativeIntegral)
-        assert not isinstance(rq.Q, model_module._CumulativeIntegral)
-        for x in (0.3, 1.0, 2.5, 6.0):
+    def test_power_coefficients_take_closed_forms_that_match_quadrature(self, r, a, quad_calls):
+        xs = (0.3, 1.0, 2.5, 6.0)
+        got_R, got_Q = compute_RQ(make_model(r=r, a=a), xs)
+        assert quad_calls == []
+        for x, R, Q in zip(xs, got_R, got_Q):
             want_R = integrate.quad(lambda s: 1.0 / r(s), 0.0, x, epsabs=1e-14, epsrel=1e-13)[0]
             want_Q = integrate.quad(lambda s: a(s) / r(s), 0.0, x, epsabs=1e-14, epsrel=1e-13)[0]
-            assert rq.R(x) == pytest.approx(want_R, rel=1e-10, abs=1e-10)
-            assert rq.Q(x) == pytest.approx(want_Q, rel=1e-10, abs=1e-10)
+            assert R == pytest.approx(want_R, rel=1e-10, abs=1e-10)
+            assert Q == pytest.approx(want_Q, rel=1e-10, abs=1e-10)
 
     def test_numeric_fallback_matches_closed_form(self):
         # tabulated r is exactly 1+x, so the quadrature path must agree
         md = make_model(r=Tabulated([0.0, 100.0], [1.0, 101.0]))
-        rq = compute_RQ(md)
         xs = np.array([0.25, 1.0, 2.0, 7.5])
-        np.testing.assert_allclose(rq.R(xs), np.log1p(xs), rtol=1e-9)
-        np.testing.assert_allclose(rq.Q(xs), xs - np.log1p(xs), rtol=1e-9)
+        R, Q = compute_RQ(md, xs)
+        np.testing.assert_allclose(R, np.log1p(xs), rtol=1e-9)
+        np.testing.assert_allclose(Q, xs - np.log1p(xs), rtol=1e-9)
 
     def test_numeric_fallback_unsorted_queries(self):
         md = make_model(r=Tabulated([0.0, 100.0], [1.0, 101.0]))
-        rq = compute_RQ(md)
         xs = np.array([2.0, 0.5, 1.0, 3.0])
-        np.testing.assert_allclose(rq.Q(xs), xs - np.log1p(xs), rtol=1e-9)
+        np.testing.assert_allclose(compute_RQ(md, xs)[1], xs - np.log1p(xs), rtol=1e-9)
 
-    def test_knot_cache_across_interleaved_and_repeated_batches(self, monkeypatch):
-        # every new point integrates from the nearest visited knot below it,
-        # whatever order the batches arrive in, by way of each node of r it
-        # crosses (4 and 20, which become knots); repeated points cost nothing
+    @pytest.fixture
+    def quad_calls(self, monkeypatch):
+        """The (x0, x, value) of every quad call compute_RQ makes, in order."""
         calls = []
 
         class Recording:
@@ -337,31 +334,67 @@ class TestRQ:
                 return out
 
         monkeypatch.setattr(model_module, "integrate", Recording(model_module.integrate))
-        R = compute_RQ(make_model(r=Tabulated([0.0, 4.0, 20.0], [1.0, 3.0, 0.5]))).R
-        grid = np.linspace(0.5, 18.0, 40)
-        between = 0.5 * (grid[1:] + grid[:-1])
-        batches = [grid, between[::-1], np.concatenate((grid[::3], between[::2], [25.0])), grid]
-        got = [R(b) for b in batches] + [R(float(between[7]))]
+        return calls
 
-        known = {0.0: 0.0}
-        steps = iter(calls)
-        for batch in batches + [np.array([between[7]])]:
-            for x in sorted(set(batch.tolist())):
-                if x not in known:
-                    below = max(k for k in known if k < x)
-                    for stop in [b for b in (4.0, 20.0) if below < b < x] + [x]:
-                        x0, end, inc = next(steps)
-                        assert (x0, end) == (below, stop)
-                        known[stop] = known[x0] + inc
-                        below = stop
-        assert next(steps, None) is None
-        assert {4.0, 20.0} <= set(known)
-        for batch, out in zip(batches, got):
-            assert np.array_equal(out, [known[x] for x in batch.tolist()])
-        assert got[-1] == known[float(between[7])]
-        assert R._knots == sorted(known)
-        assert all(a < b for a, b in zip(R._knots, R._knots[1:]))
-        assert R._vals == [known[k] for k in R._knots]
+    @staticmethod
+    def _one_pass(points, breaks):
+        """The (x0, x) segments of one pass: consecutive gaps split at the breaks."""
+        segments, x0 = [], 0.0
+        for x in sorted(set(points)):
+            for end in [b for b in breaks if x0 < b < x] + [x]:
+                segments.append((x0, end))
+                x0 = end
+        return segments
+
+    # r has nodes 4 and 20, a has nodes 3 and 10: R's pass splits at 4 and 20,
+    # Q's at all four
+    TAB_R = Tabulated([0.0, 4.0, 20.0], [1.0, 3.0, 0.5])
+    TAB_A = Tabulated([0.0, 3.0, 10.0], [0.5, 2.0, 1.0])
+
+    def test_sorted_grid_integrates_each_gap_once_split_at_the_breaks(self, quad_calls):
+        grid = np.linspace(0.5, 18.0, 40).tolist() + [20.0, 25.0]
+        R, Q = compute_RQ(make_model(r=self.TAB_R, a=self.TAB_A), grid)
+        r_pass = self._one_pass(grid, [4.0, 20.0])
+        q_pass = self._one_pass(grid, [3.0, 4.0, 10.0, 20.0])
+        assert [(x0, x) for x0, x, _ in quad_calls] == r_pass + q_pass
+        # each value is the running sum of the increments up to its point
+        for got, calls in ((R, quad_calls[: len(r_pass)]), (Q, quad_calls[len(r_pass) :])):
+            total, at = 0.0, {}
+            for _, x, inc in calls:
+                total += inc
+                at[x] = total
+            assert got.tolist() == [at[x] for x in grid]
+
+    def test_repeated_points_add_no_segment(self, quad_calls):
+        md = make_model(r=self.TAB_R, a=Constant(0.0))
+        grid = np.linspace(0.5, 18.0, 40)
+        R = compute_RQ(md, grid)[0]
+        once = quad_calls[:]
+        del quad_calls[:]
+        R_rep, Q_rep = compute_RQ(md, np.repeat(grid, 3))
+        assert [(x0, x) for x0, x, _ in once] == self._one_pass(grid, [4.0, 20.0])
+        assert quad_calls == once
+        assert np.array_equal(R_rep, np.repeat(R, 3))
+        assert not Q_rep.any()
+
+    def test_unsorted_points_take_the_sorted_pass(self, quad_calls):
+        md = make_model(r=self.TAB_R, a=self.TAB_A)
+        grid = np.linspace(0.0, 30.0, 61)
+        R, Q = compute_RQ(md, grid)
+        sorted_calls = quad_calls[:]
+        del quad_calls[:]
+        perm = np.random.default_rng(3).permutation(grid.size)
+        R_perm, Q_perm = compute_RQ(md, grid[perm].reshape(61, 1))
+        assert quad_calls == sorted_calls
+        assert R_perm.shape == Q_perm.shape == (61, 1)
+        assert np.array_equal(R_perm[:, 0], R[perm]) and np.array_equal(Q_perm[:, 0], Q[perm])
+
+    @pytest.mark.parametrize("r", [TAB_R, Linear(1.0, 1.0)], ids=["quadrature", "closed-form"])
+    @pytest.mark.parametrize("x", [-1e-300, [1.0, -2.0], [0.5, np.nan]], ids=["scalar", "in-array", "nan"])
+    def test_negative_points_raise(self, r, x, quad_calls):
+        with pytest.raises(InvalidInputError):
+            compute_RQ(make_model(r=r), x)
+        assert quad_calls == []
 
     @staticmethod
     def _panelwise_RQ(nodes, values, a0, a1, x):
@@ -403,30 +436,31 @@ class TestRQ:
             np.array(straddle + [0.1, 29.999, 31.0, 40.0]),
         ]
         for xs in grids:
-            rq = compute_RQ(md)
+            R, Q = compute_RQ(md, xs)
             want = np.array([self._panelwise_RQ(nodes, values, a0, a1, x) for x in xs])
-            np.testing.assert_allclose(rq.R(xs), want[:, 0], rtol=0, atol=1e-10)
-            np.testing.assert_allclose(rq.Q(xs), want[:, 1], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(R, want[:, 0], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(Q, want[:, 1], rtol=0, atol=1e-10)
             # scalar queries after the batch land on the same values
             for x, (r_want, q_want) in zip(xs[::7], want[::7]):
-                assert abs(rq.R(float(x)) - r_want) <= 1e-10
-                assert abs(rq.Q(float(x)) - q_want) <= 1e-10
+                R, Q = compute_RQ(md, float(x))
+                assert abs(R - r_want) <= 1e-10
+                assert abs(Q - q_want) <= 1e-10
 
     def test_quadrature_that_does_not_converge_raises(self):
         # 1/r rises to 1e300 at the origin: quad exhausts its 200 subdivisions
-        rq = compute_RQ(make_model(r=Tabulated([0.0, 1.0, 2.0], [1e-300, 1.0, 1.0])))
+        md = make_model(r=Tabulated([0.0, 1.0, 2.0], [1e-300, 1.0, 1.0]))
         with pytest.raises(ConvergenceError, match="did not converge"):
-            rq.R(1.5)
+            compute_RQ(md, 1.5)
 
     def test_compact_loss_has_finite_exponent_limit(self):
         md = make_model(
             r=Tabulated([0.0, 10.0], [1.0, 1.0]),
             a=Tabulated([0.0, 1.0, 2.0], [1.0, 1.0, 0.0]),
         )
-        rq = compute_RQ(md)
+        Q = compute_RQ(md, [2.0, 10.0])[1]
         # Q stops growing where a vanishes: its limit is the integral of the hat profile
-        assert rq.Q(2.0) == pytest.approx(1.5, rel=1e-8)
-        assert rq.Q(10.0) == rq.Q(2.0)
+        assert Q[0] == pytest.approx(1.5, rel=1e-8)
+        assert Q[1] == Q[0]
 
 
 class TestDualNorm:

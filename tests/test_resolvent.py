@@ -752,27 +752,31 @@ class TestTechnicalBounds:
     @pytest.mark.parametrize("a_lo,b_hi", [(0.5, 5.0), (2.0, 30.0)])
     def test_first_bound(self, lam, a_lo, b_hi):
         md = transport_model(r=Linear(1.0, 1.0), a=Linear(0.0, 1.0))
-        rq = compute_RQ(md)
+        R = lambda x: compute_RQ(md, x)[0]
         m = md.m
         omega = 2 * m * 1.0
         val, _ = integrate.quad(
-            lambda s: np.exp(-lam * rq.R(s)) / md.r(s) * (1 + s**m), a_lo, b_hi, limit=200
+            lambda s: np.exp(-lam * R(s)) / md.r(s) * (1 + s**m), a_lo, b_hi, limit=200
         )
-        bound = np.exp(-lam * rq.R(a_lo)) * (1 + a_lo**m) / (lam - omega)
+        bound = np.exp(-lam * R(a_lo)) * (1 + a_lo**m) / (lam - omega)
         assert val <= bound * (1 + 1e-9)
 
     @pytest.mark.parametrize("lam", [5.0, 9.0])
     @pytest.mark.parametrize("a_lo,b_hi", [(0.5, 5.0), (2.0, 30.0)])
     def test_second_bound(self, lam, a_lo, b_hi):
         md = transport_model(r=Linear(1.0, 1.0), a=Linear(0.0, 1.0))
-        rq = compute_RQ(md)
         m = md.m
         omega = 2 * m * 1.0
+
+        def decay(x):
+            R, Q = compute_RQ(md, x)
+            return np.exp(-lam * R - Q)
+
         val, _ = integrate.quad(
-            lambda s: (lam + md.a(s)) * np.exp(-lam * rq.R(s) - rq.Q(s)) / md.r(s) * (1 + s**m),
+            lambda s: (lam + md.a(s)) * decay(s) / md.r(s) * (1 + s**m),
             a_lo,
             b_hi,
             limit=200,
         )
-        bound = lam * np.exp(-lam * rq.R(a_lo) - rq.Q(a_lo)) * (1 + a_lo**m) / (lam - omega)
+        bound = lam * decay(a_lo) * (1 + a_lo**m) / (lam - omega)
         assert val <= bound * (1 + 1e-9)
