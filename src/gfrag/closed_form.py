@@ -78,6 +78,8 @@ class BinaryModelParams:
     lambda_minus: float = field(init=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r, self.a, self.beta0, self.beta1))):
+            raise InvalidModelError("binary model parameters must be finite")
         if self.r <= 0 or self.a < 0:
             raise InvalidModelError("binary model needs r > 0 and a >= 0")
         if self.beta0 < 0 or self.beta1 < 0:

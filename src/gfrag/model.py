@@ -107,10 +107,6 @@ class Linear:
         x = np.asarray(x, dtype=float)
         return _match(x, self.c0 + self.c1 * x)
 
-    def at(self, s: float) -> float:
-        """Value at one point, without numpy; equal to ``float(self(s))``."""
-        return float(self.c0 + self.c1 * s)
-
 
 def Constant(c: float) -> Linear:
     """The constant coefficient ``c``: a :class:`Linear` of zero slope."""
@@ -131,10 +127,6 @@ class Power:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return _match(x, self.c0 * (1.0 + np.power(x, self.p)))
-
-    def at(self, s: float) -> float:
-        """Value at one point, through numpy's power."""
-        return float(self(s))
 
 
 @dataclass(frozen=True)
@@ -165,23 +157,6 @@ class Tabulated:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return _match(x, np.interp(x, self.nodes, self.values))
-
-    def at(self, s: float) -> float:
-        """Value at one point on Python floats, bitwise equal to ``float(self(s))``.
-
-        It follows ``np.interp``'s rules: the end values beyond the nodes,
-        a node's own value, and ``slope * (s - x_j) + y_j`` inside a panel.
-        """
-        xs, ys = self._xs, self._ys
-        if s < xs[0]:
-            return ys[0]
-        if s >= xs[-1]:
-            return ys[-1]
-        j = bisect.bisect_right(xs, s) - 1
-        if xs[j] == s:
-            return ys[j]
-        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        return slope * (s - xs[j]) + ys[j]
 
 
 CoefficientSpec = Union[Linear, Power, Tabulated]
@@ -607,34 +582,80 @@ integrate = _LazyIntegrate()
 _RQ_TOL = 1e-10
 
 
-def _running_integral(g: Callable, breaks: list, x: np.ndarray) -> np.ndarray:
-    """F(x) = int_0^x g at every point of x, in one pass over the sorted points.
+def _panel(spec: CoefficientSpec, x0: float) -> tuple:
+    """The piece of ``spec`` that holds x0, as (slope, node, value, lo, hi).
 
-    Each gap between consecutive distinct points is one ``quad``, split at
-    every break it crosses, so no single ``quad`` crosses a break and a
-    repeated point costs nothing.  A ``quad`` that reports no convergence
-    raises ConvergenceError.
+    On the open interval (lo, hi), ``slope * (s - node) + value`` is bitwise
+    ``float(spec(s))``: ``np.interp``'s own formula inside a panel, its end
+    value beyond the nodes, and ``c0 + c1*s`` for a Linear spec on the whole
+    line.  A Power spec has no such piece: its (lo, hi) is empty.
     """
-    flat = x.ravel()
-    out = np.empty(flat.shape)
-    x0 = val = 0.0
-    for j in np.argsort(flat):
-        x1 = float(flat[j])
-        if x1 != x0:
-            crossed = breaks[bisect.bisect_right(breaks, x0) : bisect.bisect_left(breaks, x1)]
-            for end in crossed + [x1]:
-                inc, _, _, *failure = integrate.quad(
-                    g, x0, end, epsabs=_RQ_TOL, epsrel=1e-12, limit=200, full_output=1
-                )
-                if failure:
-                    raise ConvergenceError(
-                        f"adaptive quadrature on [{x0:g}, {end:g}] did not converge: "
-                        + failure[0].split("\n")[0]
-                    )
-                val += inc
-                x0 = end
-        out[j] = val
-    return out.reshape(x.shape)
+    if isinstance(spec, Power):
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    if isinstance(spec, Linear):
+        return spec.c1, 0.0, spec.c0, -math.inf, math.inf
+    xs, ys = spec._xs, spec._ys
+    j = bisect.bisect_right(xs, x0) - 1
+    if j < 0:
+        return 0.0, 0.0, ys[0], -math.inf, xs[0]
+    if j == len(xs) - 1:
+        return 0.0, 0.0, ys[-1], xs[-1], math.inf
+    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]), xs[j], ys[j], xs[j], xs[j + 1]
+
+
+def _quotient(a_spec: CoefficientSpec | None, r_spec: CoefficientSpec) -> Callable:
+    """x0 -> (g, end): the integrand g = a/r (1/r when a_spec is None) on [x0, end].
+
+    [x0, end] lies in one piece of each factor.  A factor is its piece's
+    affine form (:func:`_panel`) inside the piece and ``float(spec(s))``
+    elsewhere: at the piece's ends, onto or past which ``quad``'s nodes can
+    round on a short segment, and everywhere for a Power.  So every value is
+    bitwise the coefficients' own, and away from a Power an evaluation is
+    one call of float arithmetic.
+    """
+
+    def integrand(x0: float) -> tuple:
+        k, x, y, lo, hi = _panel(r_spec, x0)
+        if a_spec is None:
+            return lambda s: 1.0 / (k * (s - x) + y if lo < s < hi else float(r_spec(s))), hi
+        ka, xa, ya, la, ha = _panel(a_spec, x0)
+        g = lambda s: (ka * (s - xa) + ya if la < s < ha else float(a_spec(s))) / (
+            k * (s - x) + y if lo < s < hi else float(r_spec(s))
+        )
+        return g, min(hi, ha)
+
+    return integrand
+
+
+def _running_integral(integrand: Callable, breaks: list, x: np.ndarray) -> np.ndarray:
+    """F(x) = int_0^x g at every point of x, from one pass of segments over the sorted points.
+
+    The segments run from 0 through every distinct positive point and every
+    break below the largest point, in increasing order, so no segment
+    crosses a break and a repeated point costs nothing.  ``integrand(x0)``
+    (:func:`_quotient`) builds g from the constants of the pieces holding
+    the segment from x0, and g serves every later segment that ends in them.
+    ``quad``, read off the module's ``integrate`` once per pass, runs once
+    per segment, and the running sum of the increments is F at each
+    segment's end.  A ``quad`` that reports no convergence raises
+    ConvergenceError.
+    """
+    flat = x.ravel().tolist()
+    top = max(flat, default=0.0)
+    quad, F = integrate.quad, {0.0: 0.0}
+    x0, val, upto = 0.0, 0.0, -math.inf
+    for end in sorted({s for s in flat if s > 0.0}.union(b for b in breaks if b < top)):
+        if end > upto:
+            g, upto = integrand(x0)
+        inc, _, _, *failure = quad(g, x0, end, epsabs=_RQ_TOL, epsrel=1e-12, limit=200, full_output=1)
+        if failure:
+            raise ConvergenceError(
+                f"adaptive quadrature on [{x0:g}, {end:g}] did not converge: "
+                + failure[0].split("\n")[0]
+            )
+        F[end] = val = val + inc
+        x0 = end
+    return np.array([F[s] for s in flat], dtype=float).reshape(x.shape)
 
 
 def _kinks(*specs: CoefficientSpec) -> list:
@@ -648,13 +669,13 @@ def compute_RQ(model: ModelDefinition, x) -> tuple[np.ndarray, np.ndarray]:
     Returns the two arrays, each of x's shape.  Analytic closed forms are
     evaluated at x whenever r and a are (equivalent to) affine functions, or
     a is a power over a constant r; otherwise each integral takes one pass
-    of adaptive quadrature over the sorted points, to the absolute
-    tolerance _RQ_TOL = 1e-10 per gap, accumulated from 0.  The integrands
-    call the coefficients' scalar evaluators (``at``), which work on Python
-    floats; the positive nodes of a tabulated r (for R), and of a tabulated
-    r or a (for Q), are break points that no single ``quad`` crosses, so
-    every integration sees a smooth integrand.  r must be strictly positive
-    on (0, x_max].
+    of adaptive quadrature over the sorted points, accumulated from 0.  The
+    positive nodes of a tabulated r (for R), and of a tabulated r or a (for
+    Q), split the pass into segments that no node crosses, and ``quad`` runs
+    once per segment, to the absolute tolerance _RQ_TOL = 1e-10.  Each
+    segment's integrand comes from the constants of the panels it lies in,
+    and every value it takes is bitwise the coefficients' own.  r must be
+    strictly positive on (0, x_max].
 
     Raises
     ------
@@ -670,7 +691,7 @@ def compute_RQ(model: ModelDefinition, x) -> tuple[np.ndarray, np.ndarray]:
     r_aff = _as_affine(r_spec)
 
     if r_aff is None:
-        R = _running_integral(lambda s: 1.0 / r_spec.at(s), _kinks(r_spec), xs)
+        R = _running_integral(_quotient(None, r_spec), _kinks(r_spec), xs)
     else:
         b0, b1 = r_aff
         R = xs / b0 if b1 == 0.0 else np.log1p(b1 * xs / b0) / b1
@@ -689,7 +710,7 @@ def compute_RQ(model: ModelDefinition, x) -> tuple[np.ndarray, np.ndarray]:
         c0, p = a_spec.c0, a_spec.p
         Q = c0 * (xs + np.power(xs, p + 1.0) / (p + 1.0)) / b0
     else:
-        Q = _running_integral(lambda s: a_spec.at(s) / r_spec.at(s), _kinks(r_spec, a_spec), xs)
+        Q = _running_integral(_quotient(a_spec, r_spec), _kinks(r_spec, a_spec), xs)
     return R, Q
 
 

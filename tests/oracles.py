@@ -15,10 +15,14 @@ calls them.
   closed form of ``gfrag.closed_form._extension``.
 * :func:`tail_bound_check` measures the weighted mass ahead of the
   characteristic front of the closed-form solution against its decay bound.
+* :func:`rq_by_points` integrates R and Q point by point, with integrands
+  that locate each evaluation's panel (:func:`scalar_at`), against the
+  per-segment panel integrands of :func:`~gfrag.model.compute_RQ`.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -34,6 +38,7 @@ from gfrag.irreducibility import (
     _require_tail,
     tail_infimum_c,
 )
+from gfrag.model import Linear, ModelDefinition, Power, Tabulated
 
 # ---------------------------------------------------------------------------
 # support calculus
@@ -242,3 +247,73 @@ def tail_bound_check(params: BinaryModelParams, u0, m: float, t: float) -> tuple
     shape = lambda tt: tt ** (m + 1) * math.exp(-0.5 * params.a * params.r * tt * tt)
     c = front_mass(_TAIL_T_REF) / (shape(_TAIL_T_REF) * norm0)
     return front_mass(t), c * shape(t) * norm0
+
+
+# ---------------------------------------------------------------------------
+# antiderivatives of 1/r and a/r
+
+
+def scalar_at(spec, s: float) -> float:
+    """A coefficient's value at one point on Python floats, bitwise ``float(spec(s))``.
+
+    A tabulated spec follows ``np.interp``'s rules: the end values beyond
+    the nodes, a node's own value, and ``slope * (s - x_j) + y_j`` inside a
+    panel; a power goes through numpy.
+    """
+    if isinstance(spec, Linear):
+        return float(spec.c0 + spec.c1 * s)
+    if isinstance(spec, Power):
+        return float(spec(s))
+    xs, ys = spec.nodes.tolist(), spec.values.tolist()
+    if s < xs[0]:
+        return ys[0]
+    if s >= xs[-1]:
+        return ys[-1]
+    j = bisect.bisect_right(xs, s) - 1
+    if xs[j] == s:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return slope * (s - xs[j]) + ys[j]
+
+
+def running_integral(g, breaks: list, x: np.ndarray) -> np.ndarray:
+    """F(x) = int_0^x g at every point of x, in one pass over the sorted points.
+
+    Each gap between consecutive distinct points is one ``quad`` of the
+    same tolerances as ``compute_RQ``'s, split at every break it crosses.
+    ``quad`` is read off this module's ``integrate`` at each call.
+    """
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    x0 = val = 0.0
+    for j in np.argsort(flat):
+        x1 = float(flat[j])
+        if x1 != x0:
+            crossed = breaks[bisect.bisect_right(breaks, x0) : bisect.bisect_left(breaks, x1)]
+            for end in crossed + [x1]:
+                inc, _, _, *failure = integrate.quad(
+                    g, x0, end, epsabs=1e-10, epsrel=1e-12, limit=200, full_output=1
+                )
+                if failure:
+                    raise ConvergenceError(f"adaptive quadrature on [{x0:g}, {end:g}] did not converge")
+                val += inc
+                x0 = end
+        out[j] = val
+    return out.reshape(x.shape)
+
+
+def rq_by_points(model: ModelDefinition, x) -> tuple[np.ndarray, np.ndarray]:
+    """R and Q by quadrature of 1/r and a/r with :func:`scalar_at` integrands.
+
+    Both integrals take :func:`running_integral`, split at the positive
+    nodes of the tabulated coefficients they involve.
+    """
+    xs = np.asarray(x, dtype=float)
+    r, a = model.r, model.a
+
+    def kinks(*specs):
+        return sorted({v for s in specs if isinstance(s, Tabulated) for v in s.nodes.tolist() if v > 0.0})
+
+    R = running_integral(lambda s: 1.0 / scalar_at(r, s), kinks(r), xs)
+    Q = running_integral(lambda s: scalar_at(a, s) / scalar_at(r, s), kinks(r, a), xs)
+    return R, Q

@@ -121,6 +121,14 @@ class TestParams:
         with pytest.raises(InvalidModelError):
             BinaryModelParams(r=1.0, a=1.0, beta0=-0.5, beta1=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["r", "a", "beta0", "beta1"])
+    def test_non_finite_parameter_raises(self, name, value):
+        # NaN passes every sign check, and an infinite parameter makes
+        # lambda_pm infinite or NaN
+        with pytest.raises(InvalidModelError, match="must be finite"):
+            BinaryModelParams(**{**dict(r=1.0, a=1.0, beta0=0.5, beta1=0.5), name: value})
+
 
 class TestMomentPropagator:
     def test_identity_at_zero(self):

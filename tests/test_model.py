@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -40,6 +40,7 @@ from gfrag.model import (
     validate_assumptions,
     xm_norm,
 )
+import oracles
 
 
 def make_model(**kw):
@@ -111,11 +112,20 @@ def _scalar_case(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(case=_scalar_case())
 def test_scalar_evaluator_matches_the_array_path_bitwise(case):
+    # compute_RQ's integrands take a piece from a segment's start: the piece
+    # from each point holds it, and the point one float up unless a node lies
+    # in between; its affine form holds up to the floats next to its ends
     spec, points = case
     for s in points:
-        got, want = spec.at(s), float(spec(s))
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (s, got, want)
+        for x0 in (s, math.nextafter(s, -math.inf)):
+            k, x, y, lo, hi = model_module._panel(spec, x0)
+            assert lo <= x0 < hi and lo <= s <= hi
+            inner = [math.nextafter(e, m) for e, m in ((lo, hi), (hi, lo)) if math.isfinite(e)]
+            for t in [s] + inner:
+                if lo < t < hi:
+                    got, want = k * (t - x) + y, float(spec(t))
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x0, t, got, want)
 
 
 class TestKernelMoments:
@@ -271,6 +281,18 @@ class TestGridsAndNorms:
             midpoint_grid(x_max, 4)
 
 
+class _Recording:
+    """Stand-in for ``scipy.integrate`` that records the (x0, x, value) of every ``quad``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def quad(self, g, x0, x, **kwargs):
+        out = integrate.quad(g, x0, x, **kwargs)
+        self.calls.append((x0, x, out[0]))
+        return out
+
+
 class TestRQ:
     def test_affine_closed_form(self):
         # r = 1+x, a = x: R = log(1+x), Q = x - log(1+x)
@@ -322,19 +344,9 @@ class TestRQ:
     @pytest.fixture
     def quad_calls(self, monkeypatch):
         """The (x0, x, value) of every quad call compute_RQ makes, in order."""
-        calls = []
-
-        class Recording:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def quad(self, g, x0, x, **kwargs):
-                out = self._inner.quad(g, x0, x, **kwargs)
-                calls.append((x0, x, out[0]))
-                return out
-
-        monkeypatch.setattr(model_module, "integrate", Recording(model_module.integrate))
-        return calls
+        recording = _Recording()
+        monkeypatch.setattr(model_module, "integrate", recording)
+        return recording.calls
 
     @staticmethod
     def _one_pass(points, breaks):
@@ -461,6 +473,57 @@ class TestRQ:
         # Q stops growing where a vanishes: its limit is the integral of the hat profile
         assert Q[0] == pytest.approx(1.5, rel=1e-8)
         assert Q[1] == Q[0]
+
+
+@st.composite
+def _rq_case(draw):
+    """A tabulated r, a nonzero Linear, Tabulated or Power a, and points to take R and Q at.
+
+    r's first node may lie above 0.  The points come unsorted, some of them
+    repeated; they include 0, every node of r and a, the floats either side
+    of each, points between and points past the last node.
+    """
+
+    def tabulated(lo):
+        steps = [draw(st.floats(0.0, 5.0))] + draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=5))
+        values = [draw(st.floats(lo, 10.0)) for _ in steps]
+        return Tabulated(np.cumsum(steps), values)
+
+    r = tabulated(0.1)
+    kind = draw(st.sampled_from(("linear", "tabulated", "power")))
+    if kind == "linear":
+        a = Linear(draw(st.floats(0.0, 5.0)), draw(st.floats(0.01, 5.0)))
+    elif kind == "tabulated":
+        a = tabulated(0.0)
+        if not a.values.any():
+            a = Tabulated(a.nodes, a.values + 1.0)
+    else:
+        a = Power(draw(st.floats(0.01, 5.0)), draw(st.floats(0.1, 3.0)))
+    nodes = r.nodes.tolist() + (a.nodes.tolist() if kind == "tabulated" else [])
+    top = max(nodes)
+    points = [0.0] + nodes + [math.nextafter(x, d) for x in nodes for d in (-math.inf, math.inf)]
+    points += [draw(st.floats(0.0, top)) for _ in range(4)] + [top + draw(st.floats(0.001, 20.0))]
+    points = [x for x in points if x >= 0.0]
+    points += draw(st.lists(st.sampled_from(points), max_size=6))
+    return r, a, draw(st.permutations(points))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=_rq_case())
+# quad's nodes on [1, 1 + 2^-52] round down to 1 - 2^-53, into the panel below
+@example(case=(Tabulated([0.0, 1.0], [1.0, 0.25]), Linear(0.0, 1.0), [1.0, 1.0000000000000002]))
+def test_quadrature_matches_the_pointwise_oracle_bitwise(case):
+    r, a, points = case
+    md = make_model(r=r, a=a, x_max=max(r.nodes[-1], 1.0))
+    lib, ref = _Recording(), _Recording()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "integrate", lib)
+        mp.setattr(oracles, "integrate", ref)
+        got, want = compute_RQ(md, points), oracles.rq_by_points(md, points)
+    # each segment's increment is bitwise the oracle's, however small
+    assert lib.calls == ref.calls
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 class TestDualNorm:
