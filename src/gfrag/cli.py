@@ -66,7 +66,6 @@ from .errors import (
 )
 from .irreducibility import compute_c_bar, decide_irreducibility
 from .model import (
-    GridFunction,
     ModelDefinition,
     coefficient_from_config,
     grid_eval,
@@ -141,13 +140,10 @@ def _load(cfg: RunConfig) -> tuple[dict, ModelDefinition]:
     return doc, model
 
 
-def _initial_datum(doc: dict, nodes: np.ndarray) -> GridFunction:
+def _initial_datum(doc: dict, nodes: np.ndarray) -> np.ndarray:
     if doc.get("initial") is not None:
-        coeff = coefficient_from_config(doc["initial"])
-        vals = np.asarray(grid_eval(coeff, nodes), dtype=float)
-    else:
-        vals = np.exp(-nodes)
-    return GridFunction(nodes, vals)
+        return grid_eval(coefficient_from_config(doc["initial"]), nodes)
+    return np.exp(-nodes)
 
 
 def _snapshot_rows(nodes: np.ndarray, values: np.ndarray):
@@ -177,8 +173,8 @@ def _cmd_solve_closed(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Pa
     params = binary_params_from_model(model)
     nodes = midpoint_grid(model.x_max, cfg.n_cells)
     u0 = _initial_datum(doc, nodes)
-    u_end = np.asarray(evaluate_solution(params, u0, nodes, cfg.t_end), dtype=float)
-    m0 = moments_from_grid(u0)
+    u_end = np.asarray(evaluate_solution(params, (nodes, u0), nodes, cfg.t_end), dtype=float)
+    m0 = moments_from_grid(model, u0)
     rows = []
     for t in np.linspace(0.0, cfg.t_end, 11):
         mt = propagate_moments(params, m0, float(t))
@@ -195,10 +191,8 @@ def _cmd_solve_pde(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path)
     times = tuple(float(t) for t in np.linspace(0.0, cfg.t_end, 11)[1:])
     states = solve(model, u0, times)
     final = states[-1]
-    emit_csv(
-        out / "snapshot.csv", ("x", "u", "u_normalized"), _snapshot_rows(nodes, final.u.values)
-    )
-    start = moments_from_grid(u0)
+    emit_csv(out / "snapshot.csv", ("x", "u", "u_normalized"), _snapshot_rows(nodes, final.u))
+    start = moments_from_grid(model, u0)
     rows = [(0.0, start.M0, start.M1)]
     rows += [(st.t, st.moments.M0, st.moments.M1) for st in states]
     emit_csv(out / "moments.csv", ("t", "M0", "M1"), rows)
@@ -211,7 +205,7 @@ def _cmd_eigen(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> 
     emit_csv(
         out / "eigen.csv",
         ("x", "v", "w"),
-        np.column_stack((pair.v.nodes, pair.v.values, pair.w.values)),
+        np.column_stack((pair.nodes, pair.v, pair.w)),
     )
     print(f"s0 = {_fmt(pair.s0)}")
     print(f"residual = {_fmt(pair.residual)}")

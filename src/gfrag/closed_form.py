@@ -33,10 +33,11 @@ from .errors import (
     InvalidModelError,
 )
 from .model import (
-    GridFunction,
     Linear,
     ModelDefinition,
     PowerLaw,
+    midpoint_grid,
+    quad_weights,
 )
 
 __all__ = [
@@ -134,8 +135,8 @@ def moment_propagator(params: BinaryModelParams, t) -> np.ndarray:
     ``t`` may be an array of times; K then has shape (2, 2) + t.shape.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise InvalidInputError("time must be nonnegative")
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise InvalidInputError("time must be finite and nonnegative")
     lp, lm = params.lambda_plus, params.lambda_minus
     # one time goes through math.exp (libm), an array through np.exp; the two
     # can differ in the last bit
@@ -148,14 +149,13 @@ def propagate_moments(params: BinaryModelParams, initial: MomentState, t: float)
     return MomentState(float(m[0]), float(m[1]))
 
 
-def moments_from_grid(u0: GridFunction) -> MomentState:
-    """Count and size of a sampled datum, via the grid quadrature."""
-    from .model import quad_weights
-
-    w = quad_weights(u0.nodes)
-    return MomentState(
-        float(np.sum(w * u0.values)), float(np.sum(w * u0.nodes * u0.values))
-    )
+def moments_from_grid(model: ModelDefinition, values) -> MomentState:
+    """Count and size of samples on ``midpoint_grid(model.x_max, values.size)``,
+    via the grid quadrature."""
+    values = np.asarray(values, dtype=float)
+    nodes = midpoint_grid(model.x_max, values.size)
+    w = quad_weights(nodes)
+    return MomentState(float(np.sum(w * values)), float(np.sum(w * nodes * values)))
 
 
 class ForcingF:
@@ -398,15 +398,31 @@ _DATUM_SAMPLES = 8000
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
+def _sampled_datum(nodes, values) -> tuple[np.ndarray, np.ndarray]:
+    """Knots and samples of a ``(nodes, values)`` datum, from 0 on."""
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 2 or nodes.shape != values.shape:
+        raise InvalidInputError("a sampled datum needs two 1-D arrays of equal length >= 2")
+    # comparisons with NaN are false, so NaN nodes fail here too
+    if not (np.all(np.diff(nodes) > 0) and 0 <= nodes[0] and math.isfinite(nodes[-1])):
+        raise InvalidInputError("datum nodes must be finite, strictly increasing and nonnegative")
+    if nodes[0] > 0:
+        return np.concatenate(([0.0], nodes)), np.concatenate((values[:1], values))
+    return nodes, values
+
+
 class ClosedFormSolution:
     """Prepared evaluator for the explicit two-branch solution formula.
 
-    The datum may be a :class:`GridFunction`, taken on its own nodes with
-    the value at zero prepended, or a callable, sampled at _DATUM_SAMPLES =
-    8000 points on [0, _DATUM_X_MAX] = [0, 50].  The ``x_max`` attribute
-    is the last sample, beyond which the datum counts as zero.  Its suffix
-    integrals are stored as cubic-spline antiderivatives: the not-a-knot
-    cubics of scipy's ``CubicSpline``, built in numpy by
+    The datum ``u0`` is a callable, sampled at _DATUM_SAMPLES = 8000 points
+    on [0, _DATUM_X_MAX] = [0, 50], or a pair ``(nodes, values)`` of 1-D
+    arrays sampled on finite, nonnegative, strictly increasing nodes (other
+    nodes raise InvalidInputError); when the first node is positive, the
+    first sample is prepended as the value at zero.  The ``x_max``
+    attribute is the last node, beyond which the datum counts as zero.
+    Its suffix integrals are stored as cubic-spline antiderivatives: the
+    not-a-knot cubics of scipy's ``CubicSpline``, built in numpy by
     :func:`_not_a_knot_splines` for the datum and x times the datum with
     one set of elimination pivots, and read by ``searchsorted`` and
     Horner's rule.  A non-finite datum sample raises InvalidInputError.
@@ -418,15 +434,12 @@ class ClosedFormSolution:
 
     def __init__(self, params: BinaryModelParams, u0):
         self.params = params
-        if isinstance(u0, GridFunction):
-            inner = u0.nodes[u0.nodes > 0]
-            x = np.concatenate(([0.0], inner))
-            y = np.concatenate(([float(u0(0.0))], np.asarray(u0(inner), dtype=float)))
-            self.x_max = float(u0.nodes[-1])
-        else:
+        if callable(u0):
             x = np.linspace(0.0, _DATUM_X_MAX, _DATUM_SAMPLES)
             y = np.asarray(u0(x), dtype=float)
-            self.x_max = _DATUM_X_MAX
+        else:
+            x, y = _sampled_datum(*u0)
+        self.x_max = float(x[-1])
         if not np.all(np.isfinite(y)):
             raise InvalidInputError("the initial datum must be finite")
         self._u0, moment_spline = _not_a_knot_splines(x, np.stack((y, x * y)))
@@ -452,7 +465,7 @@ class ClosedFormSolution:
         |u| by more than MAX_CANCELLATION, the digits left are noise and a
         ConvergenceError is raised instead.
         """
-        if t < 0:
+        if not t >= 0:  # NaN fails this too
             raise InvalidInputError("time must be nonnegative")
         p = self.params
         if p.lambda_plus * t > _LOG_FLOAT_MAX:

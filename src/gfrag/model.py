@@ -16,9 +16,11 @@ itself is prescribed, ``u(0) = <beta, u>``.  The conversion is a factor
 ``r(0)``: machinery that works in the flux convention multiplies a
 value-convention ``beta`` by ``r(0)`` (see :func:`boundary_weight_flux`).
 
-This module also provides the grid container used everywhere downstream,
-the antiderivatives of ``1/r`` and ``a/r`` that drive the transport
-resolvent, the kernel moment functionals, and the assumption validator.
+The model also fixes every grid: samples of length n live on
+``midpoint_grid(model.x_max, n)``.  This module provides that grid, its
+quadrature weights and the weighted norm, the antiderivatives of ``1/r``
+and ``a/r`` that drive the transport resolvent, the kernel moment
+functionals, and the assumption validator.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "TabulatedKernel",
     "KernelSpec",
     "ModelDefinition",
-    "GridFunction",
     "AssumptionReport",
     "compute_RQ",
     "xm_norm",
@@ -68,11 +69,8 @@ __all__ = [
     "shift_floor",
     "coefficient_is_zero",
     "quad_weights",
-    "pairing",
     "grid_eval",
     "midpoint_grid",
-    "same_grid",
-    "check_model_grid",
     "model_from_config",
     "load_model",
     "read_config",
@@ -419,49 +417,12 @@ def kernel_atoms(kernel: KernelSpec, y) -> list[tuple]:
 # grids and weighted norms
 
 
-@dataclass
-class GridFunction:
-    """Density samples on a strictly increasing size grid.
-
-    Quadrature over the grid uses the composite trapezoid rule with zero
-    extension beyond the last node.  The weight exponent of the ambient
-    space belongs to the model, so norms take it explicitly (:func:`xm_norm`).
-    """
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise InvalidInputError("grid needs at least two nodes")
-        if nodes.shape != values.shape:
-            raise InvalidInputError("nodes and values must have matching shape")
-        # comparisons with NaN are false, so NaN nodes fail here too
-        if not (np.all(np.diff(nodes) > 0) and 0 <= nodes[0] and math.isfinite(nodes[-1])):
-            raise InvalidInputError(
-                "grid nodes must be finite, strictly increasing and nonnegative"
-            )
-        self.nodes = nodes
-        self.values = values
-
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.nodes, np.asarray(values, dtype=float))
-
-    def __call__(self, x):
-        """Linear interpolation; zero beyond the last node, constant below the first."""
-        x_arr = np.asarray(x, dtype=float)
-        out = np.interp(x_arr, self.nodes, self.values, left=self.values[0], right=0.0)
-        return _match(x, out)
-
-
 def quad_weights(nodes: np.ndarray) -> np.ndarray:
     """Quadrature weights integrating grid samples over [0, nodes[-1]].
 
     Composite trapezoid between nodes; the leading panel [0, nodes[0]] is
-    closed with a rectangle carrying the first value (matching the constant
-    left extension used when evaluating a :class:`GridFunction`).
+    closed with a rectangle carrying the first value, the value at zero
+    that the closed form also gives a datum sampled from a positive node.
     """
     nodes = np.asarray(nodes, dtype=float)
     w = np.zeros_like(nodes)
@@ -472,16 +433,13 @@ def quad_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def xm_norm(f: GridFunction, m: float) -> float:
-    """Weighted norm int (1+x^m)|f(x)| dx over the grid (zero tail); m is the model's."""
-    w = quad_weights(f.nodes)
-    return float(np.sum(w * (1.0 + np.power(f.nodes, m)) * np.abs(f.values)))
-
-
-def pairing(g, f: GridFunction) -> float:
-    """Duality pairing int g(x) f(x) dx; g is a callable or a sample array."""
-    g_vals = np.asarray(g(f.nodes), dtype=float) if callable(g) else np.asarray(g, dtype=float)
-    return float(np.sum(quad_weights(f.nodes) * g_vals * f.values))
+def xm_norm(model: ModelDefinition, values) -> float:
+    """Weighted norm int (1+x^m)|f(x)| dx of samples on the model's grid
+    ``midpoint_grid(model.x_max, values.size)`` (zero tail), m = ``model.m``."""
+    values = np.asarray(values, dtype=float)
+    nodes = midpoint_grid(model.x_max, values.size)
+    w = quad_weights(nodes)
+    return float(np.sum(w * (1.0 + np.power(nodes, model.m)) * np.abs(values)))
 
 
 def grid_eval(fn: Callable, nodes: np.ndarray) -> np.ndarray:
@@ -494,22 +452,6 @@ def midpoint_grid(x_max: float, n_cells: int) -> np.ndarray:
         raise InvalidInputError("need a finite x_max > 0 and at least two cells")
     dx = x_max / n_cells
     return dx * (np.arange(n_cells) + 0.5)
-
-
-def same_grid(nodes: np.ndarray, grid: np.ndarray) -> bool:
-    """Whether ``nodes`` is the uniform ``grid``, each node within 1e-9 of a cell of its own.
-
-    The margin lies well above the roundoff of computing the same grid another way.
-    """
-    cell = grid[1] - grid[0]
-    return nodes.shape == grid.shape and bool(np.max(np.abs(nodes - grid)) <= 1e-9 * cell)
-
-
-def check_model_grid(model: ModelDefinition, nodes: np.ndarray) -> None:
-    """Raise InvalidInputError unless ``nodes`` is ``midpoint_grid(model.x_max, nodes.size)``
-    in the sense of :func:`same_grid`."""
-    if not same_grid(nodes, midpoint_grid(model.x_max, nodes.size)):
-        raise InvalidInputError("datum must live on the midpoint grid of the model's domain")
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,8 @@ from ._kernels import advance_upwind
 from .closed_form import MomentState, moments_from_grid
 from .errors import InvalidInputError, StepSizeError
 from .model import (
-    GridFunction,
     ModelDefinition,
     boundary_weight_flux,
-    check_model_grid,
     grid_eval,
     kernel_defect,
     midpoint_grid,
@@ -60,12 +58,13 @@ _MAX_STEP_CELLS = 2e8
 
 @dataclass(frozen=True)
 class SolverState:
-    """One snapshot of the march: time, solution and its moments.  The
-    scheme keeps u nonnegative (up to roundoff) for nonnegative data under
-    the step bound; the property tests assert it."""
+    """One snapshot of the march: time, the solution's values ``u`` on
+    ``midpoint_grid(model.x_max, u.size)`` and its moments.  The scheme
+    keeps u nonnegative (up to roundoff) for nonnegative data under the
+    step bound; the property tests assert it."""
 
     t: float
-    u: GridFunction
+    u: np.ndarray
     moments: MomentState
 
 
@@ -87,14 +86,17 @@ def _transport(model: ModelDefinition, n_cells: int):
     return nodes, dx, r_faces, a_mid, bound
 
 
-def _scheme(model: ModelDefinition, u: GridFunction):
-    """Step bound and the operator arguments of ``advance_upwind``
-    (dx, r_faces, a_mid, gain, beta_w) for a datum on the midpoint grid of
-    the model's domain."""
-    nodes, dx, r_faces, a_mid, bound = _transport(model, u.nodes.size)
-    check_model_grid(model, u.nodes)
+def _scheme(model: ModelDefinition, u):
+    """The datum as floats, the step bound and the operator arguments of
+    ``advance_upwind`` (dx, r_faces, a_mid, gain, beta_w); raises
+    InvalidInputError unless the datum is 1-D and finite, with at least 16
+    values."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or not np.all(np.isfinite(u)):
+        raise InvalidInputError("the datum must be a 1-D array of finite values")
+    nodes, dx, r_faces, a_mid, bound = _transport(model, u.size)
     gain = fragmentation_gain_matrix(model, nodes)
-    return bound, (dx, r_faces, a_mid, gain, _renewal_weights(model, nodes))
+    return u, bound, (dx, r_faces, a_mid, gain, _renewal_weights(model, nodes))
 
 
 def stable_step(model: ModelDefinition, n_cells: int) -> float:
@@ -106,17 +108,16 @@ def step(model: ModelDefinition, state: SolverState, dt: float) -> SolverState:
     """Advance one explicit step of size dt."""
     if not dt > 0:  # NaN fails this too
         raise InvalidInputError("dt must be positive")
-    limit, operators = _scheme(model, state.u)
+    u, limit, operators = _scheme(model, state.u)
     if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(f"dt={dt:g} exceeds the monotone bound {limit:g}")
-    u = state.u.with_values(advance_upwind(state.u.values, 1, dt, *operators))
-    return SolverState(t=state.t + dt, u=u, moments=moments_from_grid(u))
+    u = advance_upwind(u, 1, dt, *operators)
+    return SolverState(t=state.t + dt, u=u, moments=moments_from_grid(model, u))
 
 
-def solve(
-    model: ModelDefinition, u0: GridFunction, output_times, cfl: float = 0.5
-) -> list[SolverState]:
-    """March to each output time; fused steps between outputs.
+def solve(model: ModelDefinition, u0, output_times, cfl: float = 0.5) -> list[SolverState]:
+    """March the datum ``u0``, values on ``midpoint_grid(model.x_max,
+    u0.size)``, to each output time; fused steps between outputs.
 
     Returns one state per output time, each interval split into the fewest
     equal steps of at most ``cfl`` times :func:`stable_step`; the run ends
@@ -139,15 +140,14 @@ def solve(
         raise InvalidInputError(
             "output times must be nonempty, finite, nonnegative and increasing"
         )
-    bound, operators = _scheme(model, u0)
+    vals, bound, operators = _scheme(model, u0)
+    vals = vals.copy()
     dt_cap = cfl * bound
 
     states: list[SolverState] = []
-    vals = np.asarray(u0.values, dtype=float).copy()
     t = 0.0
     if targets[0] == 0.0:
-        u = u0.with_values(vals)
-        states.append(SolverState(0.0, u, moments_from_grid(u)))
+        states.append(SolverState(0.0, vals, moments_from_grid(model, vals)))
         targets = targets[1:]
     spans = np.diff((0.0,) + targets)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -164,20 +164,19 @@ def solve(
         dt = span / n_steps
         vals = advance_upwind(vals, n_steps, dt, *operators)
         t = t_out
-        u = u0.with_values(vals)
-        states.append(SolverState(t, u, moments_from_grid(u)))
+        states.append(SolverState(t, vals, moments_from_grid(model, vals)))
     return states
 
 
 def _interval_residual(
     model: ModelDefinition, first: SolverState, second: SolverState, m: float
 ) -> float:
-    nodes = first.u.nodes
+    nodes = midpoint_grid(model.x_max, first.u.size)
     w = quad_weights(nodes)
     weight = 1.0 + nodes**m if m > 0 else 2.0 * np.ones_like(nodes)
     dt = second.t - first.t
-    mid = 0.5 * (first.u.values + second.u.values)
-    rate = (np.sum(w * weight * second.u.values) - np.sum(w * weight * first.u.values)) / dt
+    mid = 0.5 * (first.u + second.u)
+    rate = (np.sum(w * weight * second.u) - np.sum(w * weight * first.u)) / dt
 
     beta_w = _renewal_weights(model, nodes)
     r_vals = np.asarray(grid_eval(model.r, nodes), dtype=float)
@@ -204,8 +203,8 @@ def moment_balance_residual(
     """
     if len(states) < 3:
         raise InvalidInputError("need at least three states to difference in time")
-    if m < 0:
-        raise InvalidInputError("moment order must be nonnegative")
+    if not (math.isfinite(m) and m >= 0):
+        raise InvalidInputError("moment order must be finite and nonnegative")
     return [
         _interval_residual(model, s1, s2, m) for s1, s2 in zip(states, states[1:])
     ]

@@ -42,16 +42,12 @@ from .errors import (
     InvalidInputError,
 )
 from .model import (
-    GridFunction,
     ModelDefinition,
     boundary_weight_flux,
-    check_model_grid,
     coefficient_is_zero,
     grid_eval,
     midpoint_grid,
-    pairing,
     quad_weights,
-    same_grid,
     shift_floor,
     xm_norm,
 )
@@ -89,7 +85,8 @@ _ROUNDING_SPREAD = 1024
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """Perron eigendata on a grid.
+    """Perron eigendata: the eigenvalue ``s0`` and the values ``v`` and
+    ``w`` of the eigenfunctions on the model's grid ``nodes``.
 
     ``v`` integrates to one, ``w`` is scaled so the pairing with ``v`` is
     one, and ``residual`` is the relative weighted norm of the direct
@@ -97,8 +94,9 @@ class Eigenpair:
     """
 
     s0: float
-    v: GridFunction
-    w: GridFunction
+    nodes: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
     residual: float
 
 
@@ -117,23 +115,32 @@ class AEGReport:
         return all(b < a for a, b in zip(self.deviations, self.deviations[1:]))
 
 
-def apply_generator_direct(model: ModelDefinition, u: GridFunction) -> GridFunction:
-    """Apply the generator by central differences on the model's grid.
+def _values(u, size=None) -> np.ndarray:
+    """``u`` as floats, after checking it is 1-D and finite, of ``size`` values if given."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or (size is not None and u.size != size):
+        want = f"{size} values" if size is not None else "values"
+        raise InvalidInputError(f"expected a 1-D array of {want}, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise InvalidInputError("the datum must be finite")
+    return u
 
-    ``u`` must live on ``midpoint_grid(model.x_max, n)``
-    (:func:`~gfrag.model.check_model_grid` raises InvalidInputError
-    otherwise): the boundary stencil below relies on the first node
-    sitting half a cell from size zero.  Transport uses the conservative
-    form with a second-order interior stencil.  At the first node the
-    renewal condition supplies the flux at size zero exactly, and the
-    boundary panel closes with a one-sided stencil built from that flux;
-    the last node falls back to a backward difference, where the
-    eigenfunctions of interest are negligible.
+
+def apply_generator_direct(model: ModelDefinition, u) -> np.ndarray:
+    """Apply the generator by central differences to the values ``u`` on
+    the model's grid ``midpoint_grid(model.x_max, u.size)``.
+
+    The boundary stencil below relies on the first node sitting half a
+    cell from size zero.  Transport uses the conservative form with a
+    second-order interior stencil.  At the first node the renewal
+    condition supplies the flux at size zero exactly, and the boundary
+    panel closes with a one-sided stencil built from that flux; the last
+    node falls back to a backward difference, where the eigenfunctions of
+    interest are negligible.
     """
-    nodes = u.nodes
-    check_model_grid(model, nodes)
+    vals = _values(u)
+    nodes = midpoint_grid(model.x_max, vals.size)
     h = nodes[1] - nodes[0]
-    vals = u.values
     flux = grid_eval(model.r, nodes) * vals
     inflow = float(np.sum(quad_weights(nodes) * grid_eval(boundary_weight_flux(model), nodes) * vals))
 
@@ -145,13 +152,12 @@ def apply_generator_direct(model: ModelDefinition, u: GridFunction) -> GridFunct
     div[-1] = (flux[-1] - flux[-2]) / h
 
     gain = fragmentation_gain_matrix(model, nodes)
-    out = -div - grid_eval(model.a, nodes) * vals + gain.matvec(vals)
-    return u.with_values(out)
+    return -div - grid_eval(model.a, nodes) * vals + gain.matvec(vals)
 
 
-def _generator_residual(model: ModelDefinition, s0: float, v: GridFunction) -> float:
+def _generator_residual(model: ModelDefinition, s0: float, v: np.ndarray) -> float:
     applied = apply_generator_direct(model, v)
-    return xm_norm(v.with_values(applied.values - s0 * v.values), model.m) / xm_norm(v, model.m)
+    return xm_norm(model, applied - s0 * v) / xm_norm(model, v)
 
 
 def _warn_if_negative(name: str, values: np.ndarray, tol: float) -> None:
@@ -244,10 +250,8 @@ def perron_eigenpair(
     _warn_if_negative("right eigenfunction", v, tol)
     _warn_if_negative("left eigenfunction", w, tol)
 
-    v_fn = GridFunction(grid, v)
-    w_fn = GridFunction(grid, w)
-    residual = _generator_residual(model, s0, v_fn)
-    return Eigenpair(s0=s0, v=v_fn, w=w_fn, residual=residual)
+    residual = _generator_residual(model, s0, v)
+    return Eigenpair(s0=s0, nodes=grid, v=v, w=w, residual=residual)
 
 
 def closed_form_eigenpair(model: ModelDefinition, n_cells: int = 2000) -> Eigenpair:
@@ -258,41 +262,35 @@ def closed_form_eigenpair(model: ModelDefinition, n_cells: int = 2000) -> Eigenp
     """
     params = binary_params_from_model(model)
     nodes = midpoint_grid(model.x_max, n_cells)
-    v_fn = GridFunction(nodes, right_eigenfunction_cf(params)(nodes))
-    w_fn = GridFunction(nodes, left_eigenfunction_cf(params)(nodes))
-    residual = _generator_residual(model, params.lambda_plus, v_fn)
-    return Eigenpair(s0=params.lambda_plus, v=v_fn, w=w_fn, residual=residual)
+    v = right_eigenfunction_cf(params)(nodes)
+    w = left_eigenfunction_cf(params)(nodes)
+    residual = _generator_residual(model, params.lambda_plus, v)
+    return Eigenpair(s0=params.lambda_plus, nodes=nodes, v=v, w=w, residual=residual)
 
 
-def spectral_projection(pair: Eigenpair, f: GridFunction) -> GridFunction:
-    """Rank-one projection of ``f`` onto the Perron eigenfunction.
-
-    ``f`` must live on the eigenpair's grid, to within :func:`~gfrag.model.same_grid`'s margin.
-    """
-    if not same_grid(f.nodes, pair.v.nodes):
-        raise InvalidInputError("projection needs f on the eigenpair grid")
-    coeff = pairing(pair.w.values, f)
-    return f.with_values(coeff * pair.v.values)
+def spectral_projection(pair: Eigenpair, f) -> np.ndarray:
+    """Rank-one projection <w, f> v of the values ``f`` on ``pair.nodes``
+    onto the Perron eigenfunction."""
+    f = _values(f, pair.nodes.size)
+    coeff = float(np.sum(quad_weights(pair.nodes) * pair.w * f))
+    return coeff * pair.v
 
 
 def _trajectory_values(model, u0, times):
     """Solution samples on u0's grid at the requested times."""
     if is_binary_model(model):
         params = binary_params_from_model(model)
-        sol = ClosedFormSolution(params, u0)
-        return [np.asarray(sol.evaluate(u0.nodes, t), dtype=float) for t in times]
-    return [s.u.values for s in solve(model, u0, times)]
+        nodes = midpoint_grid(model.x_max, u0.size)
+        sol = ClosedFormSolution(params, (nodes, u0))
+        return [np.asarray(sol.evaluate(nodes, t), dtype=float) for t in times]
+    return [s.u for s in solve(model, u0, times)]
 
 
-def aeg_diagnostics(
-    model: ModelDefinition,
-    pair: Eigenpair,
-    u0: GridFunction,
-    times,
-) -> AEGReport:
+def aeg_diagnostics(model: ModelDefinition, pair: Eigenpair, u0, times) -> AEGReport:
     """Deviation of the renormalized solution from its spectral projection.
 
-    Solves with the closed form when the model belongs to the binary
+    The pair must lie on the model's grid, and ``u0`` holds as many values
+    of the datum on it as the pair.  Solves with the closed form when the model belongs to the binary
     family and with the finite-volume scheme otherwise, then records the
     weighted norm of e^(-s0 t) u(t) minus the projection of the datum and
     fits a log-linear decay rate through the samples.  ConvergenceError is
@@ -302,19 +300,27 @@ def aeg_diagnostics(
     non-finite.
     """
     times = [float(t) for t in times]
-    if not times or times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
-        raise InvalidInputError("times must be positive and strictly increasing")
+    if (
+        not times
+        or not all(math.isfinite(t) for t in times)
+        or times[0] <= 0
+        or any(b <= a for a, b in zip(times, times[1:]))
+    ):
+        raise InvalidInputError("times must be finite, positive and strictly increasing")
     if times[0] ** 2 < np.finfo(float).tiny:
         raise ConvergenceError(
             f"time samples from {times[0]:.6g} have squares below the normal floats, "
             "too small for the log-linear fit; lengthen the horizon"
         )
-    projected = spectral_projection(pair, u0).values
+    if not np.array_equal(pair.nodes, midpoint_grid(model.x_max, pair.nodes.size)):
+        raise InvalidInputError("the eigenpair is not on the model's grid")
+    u0 = _values(u0, pair.nodes.size)
+    projected = spectral_projection(pair, u0)
 
     deviations = []
     for t, vals in zip(times, _trajectory_values(model, u0, times)):
         diff = math.exp(-pair.s0 * t) * vals - projected
-        deviations.append(xm_norm(u0.with_values(diff), model.m))
+        deviations.append(xm_norm(model, diff))
     top = max(deviations)
     if top - min(deviations) <= _ROUNDING_SPREAD * np.finfo(float).eps * top:
         raise ConvergenceError(

@@ -24,7 +24,6 @@ from gfrag.closed_form import (
 from gfrag.irreducibility import compute_c_bar, decide_irreducibility
 from gfrag.model import (
     Constant,
-    GridFunction,
     InverseEpsilon,
     Linear,
     ModelDefinition,
@@ -87,9 +86,9 @@ def test_criterion_01_eigenvalues_closed_form():
 def test_criterion_02_eigenvalue_general_machinery():
     pair = perron_eigenpair(reference_model(30.0), n_cells=2000, tol=1e-10)
     assert pair.s0 == pytest.approx(1.5, abs=1e-3)
-    v_exact = right_eigenfunction_cf(REFERENCE_PARAMS)(pair.v.nodes)
-    w = quad_weights(pair.v.nodes)
-    v_num = pair.v.values / float(np.sum(w * pair.v.values))
+    v_exact = right_eigenfunction_cf(REFERENCE_PARAMS)(pair.nodes)
+    w = quad_weights(pair.nodes)
+    v_num = pair.v / float(np.sum(w * pair.v))
     l1_gap = float(np.sum(w * np.abs(v_num - v_exact)))
     assert l1_gap < 1e-2
     report(2, f"|s0 - 1.5| = {abs(pair.s0 - 1.5):.2e}, eigenfunction L1 gap = {l1_gap:.2e}")
@@ -212,11 +211,10 @@ def test_criterion_08_solver_reproduces_closed_form():
     errs = []
     for n in (480, 960, 1920):
         nodes = midpoint_grid(15.0, n)
-        u0 = GridFunction(nodes, datum_affine(nodes))
-        final = solve(model, u0, (1.0,), cfl=0.3)[-1]
+        final = solve(model, datum_affine(nodes), (1.0,), cfl=0.3)[-1]
         exact = ClosedFormSolution(REFERENCE_PARAMS, datum_affine).evaluate(nodes, 1.0)
         w = quad_weights(nodes)
-        errs.append(float(np.sum(w * np.abs(final.u.values - exact))))
+        errs.append(float(np.sum(w * np.abs(final.u - exact))))
     order = np.polyfit(np.log([15.0 / 480, 15.0 / 960, 15.0 / 1920]), np.log(errs), 1)[0]
     assert errs[0] > errs[1] > errs[2]
     assert order >= 0.9
@@ -224,8 +222,7 @@ def test_criterion_08_solver_reproduces_closed_form():
     balance = []
     for n in (240, 480):
         nodes = midpoint_grid(15.0, n)
-        u0 = GridFunction(nodes, datum_affine(nodes))
-        states = solve(model, u0, tuple(np.linspace(0.1, 1.0, 10)), cfl=0.3)
+        states = solve(model, datum_affine(nodes), tuple(np.linspace(0.1, 1.0, 10)), cfl=0.3)
         balance.append(max(abs(r) for r in moment_balance_residual(model, states, 0)))
     assert balance[1] < balance[0]
     assert balance[1] < 2.0 * balance[0] * (240.0 / 480.0)  # O(dx + dt) shrink
@@ -259,9 +256,9 @@ def test_criterion_09_resolvent_suite():
         ctx_i = ResolventContext(growing, lam=lam, n_cells=800)
         c = 0.1 + rng.random(3)
         s = 0.3 + 1.7 * rng.random()
-        fi = GridFunction(nodes, (c[0] + c[1] * nodes + c[2] * nodes**2) * np.exp(-s * nodes))
-        u = GridFunction(nodes, apply_resolvent_Z0(ctx_i, fi.values))
-        assert xm_norm(u, growing.m) * (lam - ctx_i.omega_r) <= xm_norm(fi, growing.m) * (1 + 1e-6)
+        fi = (c[0] + c[1] * nodes + c[2] * nodes**2) * np.exp(-s * nodes)
+        u = apply_resolvent_Z0(ctx_i, fi)
+        assert xm_norm(growing, u) * (lam - ctx_i.omega_r) <= xm_norm(growing, fi) * (1 + 1e-6)
 
     # (iii) the renewal correction is rank one
     binary = ModelDefinition(

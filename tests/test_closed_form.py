@@ -31,7 +31,6 @@ from gfrag.errors import (
 )
 from gfrag.model import (
     Constant,
-    GridFunction,
     Linear,
     ModelDefinition,
     PowerLaw,
@@ -49,14 +48,18 @@ def reference_params():
     return BinaryModelParams(r=1.0, a=1.0, beta0=0.5, beta1=0.5)
 
 
-def asymptotic_profile(u0: GridFunction) -> GridFunction:
-    # what aeg runs: <w, u0> v from the analytic pair of the reference
-    # parameters, on u0's grid midpoint_grid(50.0, n)
-    model = ModelDefinition(
+def reference_model():
+    # the reference parameters on [0, 50]
+    return ModelDefinition(
         r=Constant(1.0), a=Linear(0.0, 1.0), kernel=UniformBinary(), beta=Linear(0.5, 0.5),
         m=2.0, bc_convention="value", x_max=50.0,
     )
-    return spectral_projection(closed_form_eigenpair(model, u0.nodes.size), u0)
+
+
+def asymptotic_profile(u0: np.ndarray) -> np.ndarray:
+    # what aeg runs: <w, u0> v from the analytic pair of the reference
+    # parameters, on u0's grid midpoint_grid(50.0, u0.size)
+    return spectral_projection(closed_form_eigenpair(reference_model(), u0.size), u0)
 
 
 def reference_datum(x):
@@ -461,9 +464,35 @@ class TestSolutionFormula:
 
     def test_grid_function_datum(self):
         nodes = midpoint_grid(50.0, 4000)
-        u0 = GridFunction(nodes, reference_datum(nodes))
-        sol = ClosedFormSolution(reference_params(), u0)
-        assert np.abs(sol.evaluate(nodes[:500], 0.0) - u0.values[:500]).max() < 1e-10
+        u0 = reference_datum(nodes)
+        sol = ClosedFormSolution(reference_params(), (nodes, u0))
+        assert np.abs(sol.evaluate(nodes[:500], 0.0) - u0[:500]).max() < 1e-10
+
+    def test_sampled_datum_is_constant_toward_zero_and_zero_past_its_last_node(self):
+        sol = ClosedFormSolution(reference_params(), ([0.5, 1.0], [2.0, 2.0]))
+        assert sol.x_max == 1.0
+        assert sol.evaluate(3.0, 0.0) == 0.0
+        assert sol.evaluate(0.1, 0.0) == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [[1.0, 0.5, 0.75], [0.5, 1.0, 0.75], [0.5, 0.5, 1.0], [-0.5, 0.5, 1.0],
+         [np.nan] * 3, [0.5, np.nan, 2.0], [0.5, 1.0, np.inf], [-np.inf, 0.5, 1.0]],
+        ids=["decreasing", "decreasing-last", "repeated", "negative",
+             "all-nan", "nan-inside", "inf-last", "minus-inf-first"],
+    )
+    def test_sampled_datum_nodes_validated(self, nodes):
+        with pytest.raises(InvalidInputError, match="datum nodes"):
+            ClosedFormSolution(reference_params(), (np.array(nodes), np.ones(3)))
+
+    @pytest.mark.parametrize(
+        "nodes, values",
+        [([0.5], [1.0]), ([0.5, 1.0], [1.0, 1.0, 1.0]), ([[0.5, 1.0]], [[1.0, 1.0]])],
+        ids=["one-node", "length-mismatch", "2-D"],
+    )
+    def test_sampled_datum_shape_validated(self, nodes, values):
+        with pytest.raises(InvalidInputError, match="sampled datum"):
+            ClosedFormSolution(reference_params(), (nodes, values))
 
     def test_wrapper_caches_and_delegates(self):
         p = reference_params()
@@ -477,6 +506,8 @@ class TestSolutionFormula:
         sol = ClosedFormSolution(reference_params(), reference_datum)
         with pytest.raises(InvalidInputError):
             sol.evaluate(1.0, -0.1)
+        with pytest.raises(InvalidInputError):
+            sol.evaluate(1.0, math.nan)
         # lambda_plus = 1.5: e^{lambda_plus t} overflows from t = 473.2 on
         with pytest.raises(ConvergenceError, match="moments overflow before t = 474"):
             sol.evaluate(1.0, 474.0)
@@ -569,10 +600,10 @@ class TestNotAKnotSplines:
     @pytest.mark.parametrize("nodes", [[0.5, 1.5], [0.0, 1.5]], ids=["3-knots", "2-knots"])
     def test_two_node_datum(self, nodes):
         # 0 is prepended to a datum whose first node is positive
-        u0 = GridFunction(np.array(nodes), np.array([2.0, 0.5]))
-        sol = ClosedFormSolution(reference_params(), u0)
-        x = np.unique(np.concatenate(([0.0], u0.nodes)))
-        y = u0(x)
+        values = np.array([2.0, 0.5])
+        sol = ClosedFormSolution(reference_params(), (np.array(nodes), values))
+        x = np.unique(np.concatenate(([0.0], nodes)))
+        y = np.interp(x, nodes, values)  # the first value extends to 0
         z = np.linspace(0.0, 1.5, 31)
         assert np.abs(sol._u0(z) - CubicSpline(x, y)(z)).max() <= 1e-13 * 2.0
         assert sol.initial.M0 == pytest.approx(CubicSpline(x, y).integrate(0.0, 1.5), rel=1e-13)
@@ -594,7 +625,7 @@ class TestNotAKnotSplines:
         values = np.exp(-nodes)
         values[7] = np.nan
         with pytest.raises(InvalidInputError):
-            ClosedFormSolution(reference_params(), GridFunction(nodes, values))
+            ClosedFormSolution(reference_params(), (nodes, values))
 
 
 class TestTailBound:
@@ -710,36 +741,34 @@ class TestEigenpairs:
 class TestAsymptoticProfile:
     def test_reference_coefficient(self):
         nodes = midpoint_grid(50.0, 4000)
-        u0 = GridFunction(nodes, reference_datum(nodes))
-        prof = asymptotic_profile(u0)
+        prof = asymptotic_profile(reference_datum(nodes))
         v = right_eigenfunction_cf(reference_params())(nodes)
-        coeff = prof.values[200] / v[200]
+        coeff = prof[200] / v[200]
         assert coeff == pytest.approx(1.2, rel=1e-4)
 
     def test_second_datum_same_coefficient(self):
         nodes = midpoint_grid(50.0, 4000)
-        u0 = GridFunction(nodes, (2 * nodes**2 + 1) * np.exp(-2 * nodes))
-        prof = asymptotic_profile(u0)
+        prof = asymptotic_profile((2 * nodes**2 + 1) * np.exp(-2 * nodes))
         v = right_eigenfunction_cf(reference_params())(nodes)
-        coeff = prof.values[200] / v[200]
+        coeff = prof[200] / v[200]
         assert coeff == pytest.approx(1.2, rel=1e-4)
 
     def test_moment_bracket_equals_quadrature_pairing(self):
         p = reference_params()
         nodes = midpoint_grid(50.0, 4000)
-        u0 = GridFunction(nodes, reference_datum(nodes))
-        m = moments_from_grid(u0)
+        u0 = reference_datum(nodes)
+        m = moments_from_grid(reference_model(), u0)
         bracket = (p.lambda_plus * m.M0 + p.alpha1 * m.M1) / (p.lambda_plus - p.lambda_minus)
         w = left_eigenfunction_cf(p)
-        paired = float(np.sum(quad_weights(nodes) * w(nodes) * u0.values))
+        paired = float(np.sum(quad_weights(nodes) * w(nodes) * u0))
         assert bracket == pytest.approx(paired, abs=1e-8)
 
     def test_eigenfunction_datum_reproduces_itself(self):
         p = reference_params()
         nodes = midpoint_grid(50.0, 8000)
-        v = GridFunction(nodes, right_eigenfunction_cf(p)(nodes))
+        v = right_eigenfunction_cf(p)(nodes)
         prof = asymptotic_profile(v)
-        assert np.abs(prof.values - v.values).max() < 1e-4 * np.abs(v.values).max()
+        assert np.abs(prof - v).max() < 1e-4 * np.abs(v).max()
 
 
 class TestModelBridge:

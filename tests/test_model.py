@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from gfrag import model as model_module
+from gfrag.closed_form import moments_from_grid
 from gfrag.errors import ConvergenceError, DivergentNormError, InvalidInputError, InvalidModelError
 from gfrag.model import (
     Constant,
-    GridFunction,
     InverseEpsilon,
     Linear,
     ModelDefinition,
@@ -34,7 +34,6 @@ from gfrag.model import (
     load_model,
     midpoint_grid,
     model_from_config,
-    pairing,
     quad_weights,
     shift_floor,
     validate_assumptions,
@@ -246,34 +245,15 @@ class TestGridsAndNorms:
         assert w.sum() == pytest.approx(nodes[-1], rel=1e-14)  # covers [0, last node]
 
     def test_xm_norm_exponential(self):
-        # int (1+x^2) e^{-x} dx = 3
+        # int (1+x^2) e^{-x} dx = 3 on the model's grid
         g = midpoint_grid(40.0, 4000)
-        f = GridFunction(g, np.exp(-g))
-        assert xm_norm(f, 2.0) == pytest.approx(3.0, rel=1e-4)
+        assert xm_norm(make_model(x_max=40.0), np.exp(-g)) == pytest.approx(3.0, rel=1e-4)
 
-    def test_pairing(self):
+    def test_grid_moments(self):
+        # int e^{-x} = int x e^{-x} = 1 on the model's grid
         g = midpoint_grid(40.0, 4000)
-        f = GridFunction(g, np.exp(-g))
-        # int x e^{-x} = 1
-        assert pairing(lambda x: x, f) == pytest.approx(1.0, rel=1e-4)
-
-    def test_grid_function_tail_is_zero(self):
-        f = GridFunction([0.5, 1.0], [2.0, 2.0])
-        assert f(3.0) == 0.0
-        assert f(0.1) == 2.0  # constant extension toward the origin
-
-    def test_grid_validation(self):
-        with pytest.raises(InvalidInputError):
-            GridFunction([1.0, 0.5], [1.0, 1.0])
-
-    @pytest.mark.parametrize(
-        "nodes",
-        [[np.nan] * 3, [0.5, np.nan, 2.0], [0.5, 1.0, np.inf], [-np.inf, 0.5, 1.0]],
-        ids=["all-nan", "nan-inside", "inf-last", "minus-inf-first"],
-    )
-    def test_non_finite_nodes_rejected(self, nodes):
-        with pytest.raises(InvalidInputError):
-            GridFunction(nodes, np.ones(3))
+        m = moments_from_grid(make_model(x_max=40.0), np.exp(-g))
+        assert (m.M0, m.M1) == pytest.approx((1.0, 1.0), rel=1e-4)
 
     @pytest.mark.parametrize("x_max", [np.inf, np.nan, -np.inf])
     def test_midpoint_grid_rejects_non_finite_x_max(self, x_max):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gfrag.model import (
     Constant,
-    GridFunction,
     InverseEpsilon,
     Linear,
     ModelDefinition,
@@ -98,7 +97,7 @@ def runs(draw):
                   _num(0.0, model.x_max)),
         st.lists(_nonnegative, min_size=n_cells, max_size=n_cells).map(np.array),
     ))
-    return model, GridFunction(nodes, datum), times, cfl
+    return model, datum, times, cfl
 
 
 @settings(max_examples=25, derandomize=True, deadline=None,
@@ -109,6 +108,6 @@ def test_solve_keeps_nonnegative_data_nonnegative(run):
     states = solve(model, u0, times, cfl=cfl)
     assert len(states) == len(times)
     for state in states:
-        values = state.u.values
+        values = state.u
         assert np.all(np.isfinite(values))
         assert values.min() >= -1e-12 * values.max()

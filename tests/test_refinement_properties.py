@@ -11,7 +11,6 @@ import pytest
 from gfrag.closed_form import moments_from_grid
 from gfrag.model import (
     Constant,
-    GridFunction,
     Linear,
     ModelDefinition,
     PowerLaw,
@@ -69,8 +68,8 @@ def test_moment_balance_residual_shrinks(family):
     worst = []
     for n in CELLS:
         nodes = midpoint_grid(model.x_max, n)
-        u0 = GridFunction(nodes, np.exp(-nodes))
-        start = SolverState(0.0, u0, moments_from_grid(u0))
+        u0 = np.exp(-nodes)
+        start = SolverState(0.0, u0, moments_from_grid(model, u0))
         states = solve(model, u0, tuple(0.05 * k for k in range(1, 11)))
         residuals = moment_balance_residual(model, [start] + states, model.m)
         worst.append(max(abs(r) for r in residuals))

@@ -5,7 +5,6 @@ from scipy import integrate
 from gfrag.errors import InvalidInputError, LambdaOutOfRangeError, SeriesDivergenceError
 from gfrag.model import (
     Constant,
-    GridFunction,
     InverseEpsilon,
     Linear,
     ModelDefinition,
@@ -84,8 +83,7 @@ class TestELambda:
         md = transport_model(a=Linear(0.0, 1.0))
         for lam in (4.5, 6.0, 10.0):
             ctx = ResolventContext(md, lam=lam, n_cells=2000)
-            e = GridFunction(ctx.nodes, ctx.e_lambda)
-            assert xm_norm(e, md.m) <= 1.0 / (lam - ctx.omega_r) * (1 + 1e-9)
+            assert xm_norm(md, ctx.e_lambda) <= 1.0 / (lam - ctx.omega_r) * (1 + 1e-9)
 
 
 class TestResolventZ0:
@@ -135,9 +133,9 @@ class TestResolventZ0:
             ctx = ResolventContext(md, lam=lam, n_cells=800)
             c = 0.1 + rng.random(3)
             s = 0.3 + 1.7 * rng.random()
-            f = GridFunction(nodes, (c[0] + c[1] * nodes + c[2] * nodes**2) * np.exp(-s * nodes))
-            u = GridFunction(nodes, apply_resolvent_Z0(ctx, f.values))
-            assert xm_norm(u, md.m) * (lam - ctx.omega_r) <= xm_norm(f, md.m) * (1 + 1e-6)
+            f = (c[0] + c[1] * nodes + c[2] * nodes**2) * np.exp(-s * nodes)
+            u = apply_resolvent_Z0(ctx, f)
+            assert xm_norm(md, u) * (lam - ctx.omega_r) <= xm_norm(md, f) * (1 + 1e-6)
 
     def test_positivity(self):
         ctx = ResolventContext(transport_model(), lam=6.0)
@@ -163,7 +161,7 @@ FORWARD_OPERATORS = [
 
 class TestGridCheck:
     # resolvent operators take samples on the context grid; the shape is
-    # all they check, GridFunction's constructor validates grids
+    # all they check
 
     @pytest.mark.parametrize("apply", FORWARD_OPERATORS, ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize(
@@ -174,13 +172,6 @@ class TestGridCheck:
         with pytest.raises(InvalidInputError, match="expected 100 samples"):
             apply(ctx, np.ones(shape))
 
-    @pytest.mark.parametrize(
-        "nodes", [[0.5, 1.0, 0.75], [-0.5, 0.5, 1.0]], ids=["decreasing", "negative"]
-    )
-    def test_public_constructor_still_validates(self, nodes):
-        with pytest.raises(InvalidInputError):
-            GridFunction(np.array(nodes), np.ones(3))
-
 
 class TestELambdaOperator:
     def test_zero_beta(self):
@@ -190,15 +181,15 @@ class TestELambdaOperator:
     def test_quadrature_oracle_and_bound(self):
         md = binary_model()
         ctx = ResolventContext(md, lam=5.0, n_cells=1600)
-        f = GridFunction(ctx.nodes, np.exp(-ctx.nodes))
-        out = GridFunction(ctx.nodes, apply_E_lambda(ctx, f.values))
+        f = np.exp(-ctx.nodes)
+        out = apply_E_lambda(ctx, f)
         # independent quadrature for <beta, f> (flux weight = value weight here, r(0)=1)
         num, _ = integrate.quad(lambda x: 0.5 * (1 + x) * np.exp(-x), 0, np.inf)
         c = num / (1.0 - ctx.beta_pairing)
-        np.testing.assert_allclose(out.values, c * ctx.e_lambda, rtol=2e-4)
+        np.testing.assert_allclose(out, c * ctx.e_lambda, rtol=2e-4)
         beta_m = (1 + np.sqrt(2)) / 4
-        bound = beta_m / (5.0 - ctx.omega_r - beta_m) * xm_norm(f, md.m)
-        assert xm_norm(out, md.m) <= bound * (1 + 1e-9)
+        bound = beta_m / (5.0 - ctx.omega_r - beta_m) * xm_norm(md, f)
+        assert xm_norm(md, out) <= bound * (1 + 1e-9)
 
     def test_positivity(self):
         ctx = ResolventContext(binary_model(), lam=7.0)
@@ -283,9 +274,9 @@ class TestFragmentationGain:
         nodes = midpoint_grid(50.0, 1500)
         w = quad_weights(nodes)
         u_vals = np.exp(-0.8 * nodes)
-        out = GridFunction(nodes, fragmentation_gain_matrix(md, nodes).matvec(u_vals))
+        out = fragmentation_gain_matrix(md, nodes).matvec(u_vals)
         rhs = 2.0 * 1.0 * float(np.sum(w * np.asarray(md.a(nodes)) * u_vals * (1 + nodes**2)))
-        assert xm_norm(out, md.m) <= rhs * (1 + 1e-9)
+        assert xm_norm(md, out) <= rhs * (1 + 1e-9)
 
     def test_atomic_deposition_conserves_count_and_mass(self):
         md = binary_model(kernel=ShrinkingBinary(0.25))
