@@ -36,6 +36,7 @@ from .model import (
     Linear,
     ModelDefinition,
     PowerLaw,
+    _grid_samples,
     midpoint_grid,
     quad_weights,
 )
@@ -152,8 +153,12 @@ def propagate_moments(params: BinaryModelParams, initial: MomentState, t: float)
 def moments_from_grid(model: ModelDefinition, values) -> MomentState:
     """Count and size of samples on ``midpoint_grid(model.x_max, values.size)``,
     via the grid quadrature."""
-    values = np.asarray(values, dtype=float)
-    nodes = midpoint_grid(model.x_max, values.size)
+    values = _grid_samples(values)
+    return _grid_moments(midpoint_grid(model.x_max, values.size), values)
+
+
+def _grid_moments(nodes: np.ndarray, values: np.ndarray) -> MomentState:
+    """:func:`moments_from_grid` of values already on ``nodes``, unchecked."""
     w = quad_weights(nodes)
     return MomentState(float(np.sum(w * values)), float(np.sum(w * nodes * values)))
 
@@ -453,6 +458,7 @@ class ClosedFormSolution:
     def evaluate(self, x, t: float):
         """Solution value u(x, t); vectorized over x.
 
+        A size that is negative, infinite or NaN raises InvalidInputError.
         A time at which the moments overflow (e^{lambda_plus t} beyond the
         float range) raises ConvergenceError before anything is computed;
         below it no exponent of the boundary extension exceeds
@@ -467,14 +473,16 @@ class ClosedFormSolution:
         """
         if not t >= 0:  # NaN fails this too
             raise InvalidInputError("time must be nonnegative")
+        x_arr = np.asarray(x, dtype=float)
+        xs = np.atleast_1d(x_arr)
+        if not np.all((xs >= 0.0) & (xs < math.inf)):  # NaN fails this too
+            raise InvalidInputError("sizes must be finite and nonnegative")
         p = self.params
         if p.lambda_plus * t > _LOG_FLOAT_MAX:
             raise ConvergenceError(
                 f"the closed form's moments overflow before t = {t:g}; use a shorter horizon"
             )
         a, r = p.a, p.r
-        x_arr = np.asarray(x, dtype=float)
-        xs = np.atleast_1d(x_arr)
         at = a * t
         xi0 = xs - r * t
 

@@ -433,10 +433,24 @@ def quad_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def _grid_samples(values, size: int | None = None) -> np.ndarray:
+    """``values`` as contiguous floats, after checking that they can be samples
+    on a model grid: 1-D, finite, and ``size`` of them when a size is given;
+    raises InvalidInputError otherwise.  Every public function that takes
+    grid samples calls this once."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or (size is not None and values.size != size):
+        want = f"{size} samples" if size is not None else "samples"
+        raise InvalidInputError(f"expected {want} in a 1-D array, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise InvalidInputError("grid samples must be finite")
+    return np.ascontiguousarray(values)
+
+
 def xm_norm(model: ModelDefinition, values) -> float:
     """Weighted norm int (1+x^m)|f(x)| dx of samples on the model's grid
     ``midpoint_grid(model.x_max, values.size)`` (zero tail), m = ``model.m``."""
-    values = np.asarray(values, dtype=float)
+    values = _grid_samples(values)
     nodes = midpoint_grid(model.x_max, values.size)
     w = quad_weights(nodes)
     return float(np.sum(w * (1.0 + np.power(nodes, model.m)) * np.abs(values)))
@@ -447,9 +461,11 @@ def grid_eval(fn: Callable, nodes: np.ndarray) -> np.ndarray:
 
 
 def midpoint_grid(x_max: float, n_cells: int) -> np.ndarray:
-    """Cell-midpoint nodes of a uniform mesh on (0, x_max]."""
-    if n_cells < 2 or not (math.isfinite(x_max) and x_max > 0):
-        raise InvalidInputError("need a finite x_max > 0 and at least two cells")
+    """Cell-midpoint nodes of a uniform mesh of ``n_cells`` cells on (0, x_max]."""
+    if not isinstance(n_cells, numbers.Integral) or n_cells < 2:
+        raise InvalidInputError(f"need a whole number of at least two cells, got {n_cells!r}")
+    if not (math.isfinite(x_max) and x_max > 0):
+        raise InvalidInputError("need a finite x_max > 0")
     dx = x_max / n_cells
     return dx * (np.arange(n_cells) + 0.5)
 

@@ -17,7 +17,8 @@ time-step bound dt * (max r / dx + max a) <= 1, which preserves
 nonnegativity of the iterates.  A run whose work, its steps times (cells
 + _STEP_OVERHEAD), exceeds _MAX_STEP_CELLS raises StepSizeError before the
 first step.  :func:`moment_balance_residual` computes the mass-size balance
-residual of a run from its states.
+residual of a run from its states; both refuse samples that are not 1-D,
+finite and of the length they need with InvalidInputError.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import advance_upwind
-from .closed_form import MomentState, moments_from_grid
+from .closed_form import MomentState, _grid_moments
 from .errors import InvalidInputError, StepSizeError
 from .model import (
     ModelDefinition,
+    _grid_samples,
     boundary_weight_flux,
     grid_eval,
     kernel_defect,
@@ -43,7 +45,6 @@ from .resolvent import fragmentation_gain_matrix
 __all__ = [
     "SolverState",
     "stable_step",
-    "step",
     "solve",
     "moment_balance_residual",
 ]
@@ -86,33 +87,9 @@ def _transport(model: ModelDefinition, n_cells: int):
     return nodes, dx, r_faces, a_mid, bound
 
 
-def _scheme(model: ModelDefinition, u):
-    """The datum as floats, the step bound and the operator arguments of
-    ``advance_upwind`` (dx, r_faces, a_mid, gain, beta_w); raises
-    InvalidInputError unless the datum is 1-D and finite, with at least 16
-    values."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or not np.all(np.isfinite(u)):
-        raise InvalidInputError("the datum must be a 1-D array of finite values")
-    nodes, dx, r_faces, a_mid, bound = _transport(model, u.size)
-    gain = fragmentation_gain_matrix(model, nodes)
-    return u, bound, (dx, r_faces, a_mid, gain, _renewal_weights(model, nodes))
-
-
 def stable_step(model: ModelDefinition, n_cells: int) -> float:
     """Largest dt keeping the explicit update monotone (cfl = 1)."""
     return _transport(model, n_cells)[-1]
-
-
-def step(model: ModelDefinition, state: SolverState, dt: float) -> SolverState:
-    """Advance one explicit step of size dt."""
-    if not dt > 0:  # NaN fails this too
-        raise InvalidInputError("dt must be positive")
-    u, limit, operators = _scheme(model, state.u)
-    if dt > limit * (1.0 + 1e-12):
-        raise StepSizeError(f"dt={dt:g} exceeds the monotone bound {limit:g}")
-    u = advance_upwind(u, 1, dt, *operators)
-    return SolverState(t=state.t + dt, u=u, moments=moments_from_grid(model, u))
 
 
 def solve(model: ModelDefinition, u0, output_times, cfl: float = 0.5) -> list[SolverState]:
@@ -120,11 +97,12 @@ def solve(model: ModelDefinition, u0, output_times, cfl: float = 0.5) -> list[So
     u0.size)``, to each output time; fused steps between outputs.
 
     Returns one state per output time, each interval split into the fewest
-    equal steps of at most ``cfl`` times :func:`stable_step`; the run ends
-    at the last output time.  A run of more than _MAX_STEP_CELLS = 2e8
-    steps times (cells + _STEP_OVERHEAD), _STEP_OVERHEAD = 1000, raises
-    StepSizeError before it starts.
-    :func:`moment_balance_residual` of the
+    equal steps of at most ``cfl`` times :func:`stable_step`, so one output
+    time at dt and a ``cfl`` of dt / :func:`stable_step` take one step of
+    exactly dt; the run ends at the last output time.  The datum must be 1-D
+    and finite, with at least 16 values.  A run of more than _MAX_STEP_CELLS
+    = 2e8 steps times (cells + _STEP_OVERHEAD), _STEP_OVERHEAD = 1000, raises
+    StepSizeError before it starts.  :func:`moment_balance_residual` of the
     initial state followed by these states gives the balance residual of
     each output interval (the states already start with it when the first
     output time is 0).
@@ -140,14 +118,16 @@ def solve(model: ModelDefinition, u0, output_times, cfl: float = 0.5) -> list[So
         raise InvalidInputError(
             "output times must be nonempty, finite, nonnegative and increasing"
         )
-    vals, bound, operators = _scheme(model, u0)
-    vals = vals.copy()
+    vals = _grid_samples(u0).copy()
+    nodes, dx, r_faces, a_mid, bound = _transport(model, vals.size)
+    gain = fragmentation_gain_matrix(model, vals.size)
+    operators = (dx, r_faces, a_mid, gain, _renewal_weights(model, nodes))
     dt_cap = cfl * bound
 
     states: list[SolverState] = []
     t = 0.0
     if targets[0] == 0.0:
-        states.append(SolverState(0.0, vals, moments_from_grid(model, vals)))
+        states.append(SolverState(0.0, vals, _grid_moments(nodes, vals)))
         targets = targets[1:]
     spans = np.diff((0.0,) + targets)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -164,29 +144,8 @@ def solve(model: ModelDefinition, u0, output_times, cfl: float = 0.5) -> list[So
         dt = span / n_steps
         vals = advance_upwind(vals, n_steps, dt, *operators)
         t = t_out
-        states.append(SolverState(t, vals, moments_from_grid(model, vals)))
+        states.append(SolverState(t, vals, _grid_moments(nodes, vals)))
     return states
-
-
-def _interval_residual(
-    model: ModelDefinition, first: SolverState, second: SolverState, m: float
-) -> float:
-    nodes = midpoint_grid(model.x_max, first.u.size)
-    w = quad_weights(nodes)
-    weight = 1.0 + nodes**m if m > 0 else 2.0 * np.ones_like(nodes)
-    dt = second.t - first.t
-    mid = 0.5 * (first.u + second.u)
-    rate = (np.sum(w * weight * second.u) - np.sum(w * weight * first.u)) / dt
-
-    beta_w = _renewal_weights(model, nodes)
-    r_vals = np.asarray(grid_eval(model.r, nodes), dtype=float)
-    a_vals = np.asarray(grid_eval(model.a, nodes), dtype=float)
-    defect = kernel_defect(model.kernel, 0.0, nodes) + kernel_defect(model.kernel, m, nodes)
-    influx = float(beta_w @ mid) * (2.0 if m == 0 else 1.0)
-    rhs = influx - float(np.sum(w * defect * a_vals * mid))
-    if m > 0:
-        rhs += m * float(np.sum(w * r_vals * nodes ** (m - 1.0) * mid))
-    return float(rate - rhs)
 
 
 def moment_balance_residual(
@@ -199,12 +158,32 @@ def moment_balance_residual(
 
     where N_m(y) = y^m - n_m(y) is the kernel moment defect (for m = 0 the
     weight doubles and the inflow appears twice).  The time derivative is a
-    forward difference against the interval-midpoint right-hand side.
+    forward difference against the interval-midpoint right-hand side.  The
+    states must lie on one grid, at finite and strictly increasing times.
     """
     if len(states) < 3:
         raise InvalidInputError("need at least three states to difference in time")
     if not (math.isfinite(m) and m >= 0):
         raise InvalidInputError("moment order must be finite and nonnegative")
-    return [
-        _interval_residual(model, s1, s2, m) for s1, s2 in zip(states, states[1:])
-    ]
+    times = [float(s.t) for s in states]
+    if not all(math.isfinite(t) for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+        raise InvalidInputError("state times must be finite and strictly increasing")
+    n = np.size(states[0].u)
+    us = [_grid_samples(s.u, n) for s in states]
+
+    nodes = midpoint_grid(model.x_max, n)
+    w = quad_weights(nodes)
+    weighted = w * (1.0 + nodes**m) if m > 0 else 2.0 * w
+    beta_w = _renewal_weights(model, nodes)
+    defect = kernel_defect(model.kernel, 0.0, nodes) + kernel_defect(model.kernel, m, nodes)
+    loss = w * defect * grid_eval(model.a, nodes)
+    growth = w * grid_eval(model.r, nodes) * nodes ** (m - 1.0) if m > 0 else None
+    residuals = []
+    for t1, t2, u1, u2 in zip(times, times[1:], us, us[1:]):
+        mid = 0.5 * (u1 + u2)
+        rate = (np.sum(weighted * u2) - np.sum(weighted * u1)) / (t2 - t1)
+        rhs = float(beta_w @ mid) * (2.0 if m == 0 else 1.0) - float(np.sum(loss * mid))
+        if growth is not None:
+            rhs += m * float(np.sum(growth * mid))
+        residuals.append(float(rate - rhs))
+    return residuals

@@ -32,7 +32,8 @@ one sparse LU factorisation of C (sigma - K) and a rank-one update for the
 renewal term; the series are its oracle.
 
 Every operator here takes and returns 1-D float samples on ``ctx.nodes``,
-the context grid; a wrong-length or 2-D input raises InvalidInputError.
+the context grid, and so do :class:`DirectResolvent`'s solves; an input
+that is not 1-D, not finite or of another length raises InvalidInputError.
 Both Neumann series, :func:`apply_resolvent_K` and its adjoint, return
 ``(values, n_terms, defect)``.
 """
@@ -51,6 +52,7 @@ from .errors import (
 from .model import (
     ModelDefinition,
     ShrinkingBinary,
+    _grid_samples,
     boundary_weight_flux,
     compute_RQ,
     density_pieces,
@@ -167,7 +169,7 @@ class ResolventContext:
                 f"<beta, e_lambda> = {self.beta_pairing} outside [0, 1); increase lambda"
             )
         self._renewal_gap = 1.0 - self.beta_pairing
-        self.gain = fragmentation_gain_matrix(model, nodes)
+        self.gain = fragmentation_gain_matrix(model, n_cells)
 
     # the pairings and norms run once or twice per series term, so they call
     # the reductions behind np.sum and np.max directly (same pairwise order)
@@ -185,36 +187,37 @@ class ResolventContext:
         return float(np.maximum.reduce(np.abs(values) / self._dual_w))
 
 
-def _samples(ctx: ResolventContext, values) -> np.ndarray:
-    """``values`` as contiguous floats, after checking they are samples on ``ctx.nodes``."""
-    values = np.ascontiguousarray(values, dtype=float)
-    if values.shape != ctx.nodes.shape:
-        raise InvalidInputError(
-            f"expected {ctx.nodes.size} samples on the context grid, got shape {values.shape}"
-        )
-    return values
-
-
 def apply_resolvent_Z0(ctx: ResolventContext, f: np.ndarray) -> np.ndarray:
     """Resolvent of the zero-flux transport generator.
 
     Evaluates x -> exp(-lam*R(x)-Q(x))/r(x) * int_0^x f(y) exp(lam*R(y)+Q(y)) dy
     on the context grid with one stable prefix scan.
     """
-    scan = _kernels.prefix_transport_scan(ctx._L, ctx._C, _samples(ctx, f))
-    return scan / ctx._r_vals
+    f = _grid_samples(f, ctx.nodes.size)
+    return _kernels.prefix_transport_scan(ctx._L, ctx._C, f) / ctx._r_vals
+
+
+def _E_lambda(ctx: ResolventContext, f: np.ndarray) -> np.ndarray:
+    """:func:`apply_E_lambda` of checked samples."""
+    c = ctx.pair_beta(f) / ctx._renewal_gap
+    return c * ctx.e_lambda
 
 
 def apply_E_lambda(ctx: ResolventContext, f: np.ndarray) -> np.ndarray:
     """Rank-one boundary correction e_lam * <beta, f> / (1 - <beta, e_lam>)."""
-    c = ctx.pair_beta(_samples(ctx, f)) / ctx._renewal_gap
-    return c * ctx.e_lambda
+    return _E_lambda(ctx, _grid_samples(f, ctx.nodes.size))
 
 
 def apply_resolvent_Zbeta(ctx: ResolventContext, f: np.ndarray) -> np.ndarray:
     """Resolvent of the renewal-boundary transport generator, (I+E) R(lam,Z0)."""
     g = apply_resolvent_Z0(ctx, f)
-    return g + apply_E_lambda(ctx, g)
+    return g + _E_lambda(ctx, g)
+
+
+def _shifted_Zbeta(ctx: ResolventContext, u: np.ndarray) -> np.ndarray:
+    """:func:`apply_shifted_generator_Zbeta` of checked samples."""
+    g = u - ctx.pair_beta(u) * ctx.e_lambda
+    return _kernels.inverse_transport_scan(ctx._L, ctx._C, g * ctx._r_vals)
 
 
 def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: np.ndarray) -> np.ndarray:
@@ -223,9 +226,7 @@ def apply_shifted_generator_Zbeta(ctx: ResolventContext, u: np.ndarray) -> np.nd
     Uses the factorization (lam - Zbeta) = (lam - Z0)(I - e_lam <beta, .>),
     where (lam - Z0) is inverted panel by panel from the prefix scan.
     """
-    u = _samples(ctx, u)
-    g = u - ctx.pair_beta(u) * ctx.e_lambda
-    return _kernels.inverse_transport_scan(ctx._L, ctx._C, g * ctx._r_vals)
+    return _shifted_Zbeta(ctx, _grid_samples(u, ctx.nodes.size))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +256,8 @@ class GainOperator:
     * atomic kernels: CSR with at most four entries per column.
     """
 
-    def __init__(self, model: ModelDefinition, nodes: np.ndarray):
-        nodes = np.asarray(nodes, dtype=float)
+    def __init__(self, model: ModelDefinition, n_cells: int):
+        nodes = midpoint_grid(model.x_max, n_cells)
         n = nodes.size
         kernel = model.kernel
         a_vals = grid_eval(model.a, nodes)
@@ -364,18 +365,17 @@ def _atomic_deposition(kernel, nodes: np.ndarray, a_vals: np.ndarray):
 _GAIN_CACHE: dict = {}
 
 
-def fragmentation_gain_matrix(model: ModelDefinition, nodes: np.ndarray) -> GainOperator:
-    """The :class:`GainOperator` of ``model`` on ``nodes``.
+def fragmentation_gain_matrix(model: ModelDefinition, n_cells: int) -> GainOperator:
+    """The :class:`GainOperator` of ``model`` on ``midpoint_grid(model.x_max, n_cells)``.
 
-    The last eight operators built are kept per (model, grid), so repeated
+    The last eight operators built are kept per (model, n_cells), so repeated
     calls on one grid return the same object.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    key = (id(model), nodes.tobytes())
+    key = (id(model), n_cells)
     hit = _GAIN_CACHE.get(key)
     if hit is not None and hit[0] is model:
         return hit[1]
-    gain = GainOperator(model, nodes)
+    gain = GainOperator(model, n_cells)
     if len(_GAIN_CACHE) >= 8:
         _GAIN_CACHE.pop(next(iter(_GAIN_CACHE)))
     _GAIN_CACHE[key] = (model, gain)
@@ -452,7 +452,7 @@ def apply_resolvent_K(ctx: ResolventContext, f: np.ndarray, tol: float = 1e-10):
     # the resolvents are looked up at call time, here and in the adjoint
     # series, so a wrapper installed on this module sees every term
     return _neumann_series(
-        _samples(ctx, f),
+        _grid_samples(f, ctx.nodes.size),
         lambda g: apply_resolvent_Zbeta(ctx, g),
         ctx.gain.matvec,
         ctx.norm_m,
@@ -462,8 +462,8 @@ def apply_resolvent_K(ctx: ResolventContext, f: np.ndarray, tol: float = 1e-10):
 
 def apply_shifted_generator_K(ctx: ResolventContext, u: np.ndarray) -> np.ndarray:
     """Apply (lam - K) discretely: (lam - Zbeta) u - B u."""
-    u = _samples(ctx, u)
-    return apply_shifted_generator_Zbeta(ctx, u) - ctx.gain.matvec(u)
+    u = _grid_samples(u, ctx.nodes.size)
+    return _shifted_Zbeta(ctx, u) - ctx.gain.matvec(u)
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +566,14 @@ class DirectResolvent:
     def solve(self, f: np.ndarray) -> np.ndarray:
         """(sigma - K)^{-1} f on grid samples."""
         ctx, n = self._ctx, self._l.size
+        f = _grid_samples(f, n)
         x = self._lu.solve(np.concatenate((_kernels._times(ctx._C, f), self._pad)))[:n]
         return x + self._l_image * (float(ctx._wq_beta @ x) / self._gap)
 
     def solve_transpose(self, g: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`solve` in the quadrature inner product."""
         ctx, n = self._ctx, self._l.size
+        g = _grid_samples(g, n)
         z = self._lu.solve(np.concatenate((ctx._wq * g, self._pad)), trans="T")[:n]
         z = z + self._b_image * (float(self._l @ z) / self._gap)
         return _kernels._times(ctx._C, z, trans=True) / ctx._wq
@@ -602,7 +604,7 @@ def _resolvent_K_transpose(ctx: ResolventContext, g_vals: np.ndarray, tol: float
     max norm can grow for a few terms on a series that converges.
     """
     return _neumann_series(
-        _samples(ctx, g_vals),
+        _grid_samples(g_vals, ctx.nodes.size),
         lambda z: _apply_resolvent_Zbeta_transpose(ctx, z),
         lambda z: ctx.gain.rmatvec(ctx._wq * z) / ctx._wq,
         ctx.dual_norm,

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .model import (
     ModelDefinition,
+    _grid_samples,
     boundary_weight_flux,
     coefficient_is_zero,
     grid_eval,
@@ -115,17 +116,6 @@ class AEGReport:
         return all(b < a for a, b in zip(self.deviations, self.deviations[1:]))
 
 
-def _values(u, size=None) -> np.ndarray:
-    """``u`` as floats, after checking it is 1-D and finite, of ``size`` values if given."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or (size is not None and u.size != size):
-        want = f"{size} values" if size is not None else "values"
-        raise InvalidInputError(f"expected a 1-D array of {want}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise InvalidInputError("the datum must be finite")
-    return u
-
-
 def apply_generator_direct(model: ModelDefinition, u) -> np.ndarray:
     """Apply the generator by central differences to the values ``u`` on
     the model's grid ``midpoint_grid(model.x_max, u.size)``.
@@ -138,7 +128,7 @@ def apply_generator_direct(model: ModelDefinition, u) -> np.ndarray:
     node falls back to a backward difference, where the eigenfunctions of
     interest are negligible.
     """
-    vals = _values(u)
+    vals = _grid_samples(u)
     nodes = midpoint_grid(model.x_max, vals.size)
     h = nodes[1] - nodes[0]
     flux = grid_eval(model.r, nodes) * vals
@@ -151,7 +141,7 @@ def apply_generator_direct(model: ModelDefinition, u) -> np.ndarray:
     div[0] = (flux[1] + flux[0] - 2.0 * inflow) / (2.0 * h)
     div[-1] = (flux[-1] - flux[-2]) / h
 
-    gain = fragmentation_gain_matrix(model, nodes)
+    gain = fragmentation_gain_matrix(model, vals.size)
     return -div - grid_eval(model.a, nodes) * vals + gain.matvec(vals)
 
 
@@ -271,7 +261,7 @@ def closed_form_eigenpair(model: ModelDefinition, n_cells: int = 2000) -> Eigenp
 def spectral_projection(pair: Eigenpair, f) -> np.ndarray:
     """Rank-one projection <w, f> v of the values ``f`` on ``pair.nodes``
     onto the Perron eigenfunction."""
-    f = _values(f, pair.nodes.size)
+    f = _grid_samples(f, pair.nodes.size)
     coeff = float(np.sum(quad_weights(pair.nodes) * pair.w * f))
     return coeff * pair.v
 
@@ -314,7 +304,7 @@ def aeg_diagnostics(model: ModelDefinition, pair: Eigenpair, u0, times) -> AEGRe
         )
     if not np.array_equal(pair.nodes, midpoint_grid(model.x_max, pair.nodes.size)):
         raise InvalidInputError("the eigenpair is not on the model's grid")
-    u0 = _values(u0, pair.nodes.size)
+    u0 = _grid_samples(u0, pair.nodes.size)
     projected = spectral_projection(pair, u0)
 
     deviations = []

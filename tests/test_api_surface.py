@@ -2,7 +2,8 @@
 
 Deleting or renaming a public function breaks its importers, and deleting a
 name that ``gfbench/tracing.py`` wraps breaks the benchmark; both show here.
-An exported name that nothing uses fails here too.
+An exported name that nothing uses fails here too, and so does a console
+command of pyproject.toml that does not resolve to a callable.
 """
 
 import ast
@@ -86,3 +87,24 @@ def test_every_export_is_used_by_the_library_the_benchmark_or_the_readme():
         and not _mentions(readme, attr)
     ]
     assert not unused, f"exported, but no library code, benchmark or README uses: {unused}"
+
+
+def _console_scripts() -> dict:
+    """The ``[project.scripts]`` table of pyproject.toml as {command: "module:attr"}.
+
+    Read with a regex: ``tomllib`` is new in Python 3.11, above the floor.
+    """
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    return dict(re.findall(r'^\s*"?([\w.-]+)"?\s*=\s*"([^"]+)"', table.group(1) if table else "", re.M))
+
+
+def test_every_console_script_resolves_to_a_callable():
+    scripts = _console_scripts()
+    assert "gfrag" in scripts, f"pyproject.toml declares no gfrag command: {scripts}"
+    for command, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module.strip())
+        for part in attr.strip().split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"{command} = {target!r} does not resolve to a callable"

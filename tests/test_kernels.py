@@ -24,7 +24,6 @@ from gfrag.model import (
     ShrinkingBinary,
     TabulatedKernel,
     UniformBinary,
-    midpoint_grid,
 )
 
 SEAM = 0.951229424500714  # exp(-0.05), where the weights switch branch
@@ -235,7 +234,7 @@ def grid_gain(kernel, n=48, dx=0.25):
         r=Constant(1.0), a=Linear(0.0, 1.0), kernel=kernel,
         beta=Linear(0.5, 0.5), m=2.0, bc_convention="value", x_max=n * dx,
     )
-    return resolvent.GainOperator(model, midpoint_grid(model.x_max, n))
+    return resolvent.GainOperator(model, n)
 
 
 @pytest.fixture(params=sorted(GAIN_KERNELS))

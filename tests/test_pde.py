@@ -7,12 +7,11 @@ import pytest
 
 from gfrag.closed_form import (
     BinaryModelParams,
-    MomentState,
     evaluate_solution,
     moments_from_grid,
     right_eigenfunction_cf,
 )
-from gfrag.errors import InvalidInputError, StepSizeError
+from gfrag.errors import InvalidInputError
 from gfrag.model import (
     Constant,
     Linear,
@@ -26,7 +25,6 @@ from gfrag.pde import (
     moment_balance_residual,
     solve,
     stable_step,
-    step,
 )
 
 
@@ -71,14 +69,12 @@ def l1_norm(nodes, values):
     return float(np.sum(quad_weights(nodes) * np.abs(values)))
 
 
-def single_step_states(model, n_cells, fn, n_steps=4, safety=0.3):
+def stepwise_states(model, n_cells, fn, n_steps=4, safety=0.3):
+    # one output time per step of dt = safety * stable_step: a cfl of
+    # safety makes each interval one step
     dt = safety * stable_step(model, n_cells)
-    state = SolverState(0.0, grid_datum(fn, model, n_cells), MomentState(0.0, 0.0))
-    states = [state]
-    for _ in range(n_steps):
-        state = step(model, state, dt)
-        states.append(state)
-    return states
+    times = [k * dt for k in range(n_steps + 1)]
+    return solve(model, grid_datum(fn, model, n_cells), times, cfl=safety)
 
 
 class TestSolveArguments:
@@ -116,34 +112,18 @@ class TestSolveArguments:
 
 
 class TestStep:
-    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan], ids=["zero", "negative", "nan"])
-    def test_nonpositive_or_nan_dt_rejected(self, dt):
-        model = advection_model()
-        state = SolverState(0.0, grid_datum(bump, model, 64), MomentState(0.0, 0.0))
-        with pytest.raises(InvalidInputError, match="dt must be positive"):
-            step(model, state, dt)
-
-    def test_step_beyond_stability_cap_rejected(self):
-        model = reference_model()
-        state = SolverState(
-            0.0, grid_datum(reference_datum, model, 480), MomentState(0.0, 0.0)
-        )
-        cap = stable_step(model, 480)
-        with pytest.raises(StepSizeError):
-            step(model, state, 1.5 * cap)
-
     def test_single_advection_step_matches_manual_update(self):
+        # one output time at dt and a cfl of dt / stable_step: one step of dt
         model = advection_model()
         nodes = midpoint_grid(20.0, 64)
         u0 = bump(nodes)
         dt = 0.5 * stable_step(model, 64)
-        state = SolverState(0.0, u0, MomentState(0.0, 0.0))
-        out = step(model, state, dt)
+        (out,) = solve(model, u0, (dt,), cfl=0.5)
         dx = 20.0 / 64
         flux = np.concatenate(([0.0], u0))  # inflow 0, face speed 1
         expected = u0 - (dt / dx) * (flux[1:] - flux[:-1])
         assert np.allclose(out.u, expected, rtol=0, atol=1e-14)
-        assert out.t == pytest.approx(dt)
+        assert out.t == dt
 
 
 class TestAdvection:
@@ -198,12 +178,9 @@ class TestClosedFormAgreement:
         dt = 2.0 / n_steps
 
         def run(model, n_cells):
-            state = SolverState(
-                0.0, grid_datum(reference_datum, model, n_cells), MomentState(0.0, 0.0)
-            )
-            for _ in range(n_steps):
-                state = step(model, state, dt)
-            return state
+            # a cfl of dt / stable_step splits [0, 2] into n_steps steps of dt
+            u0 = grid_datum(reference_datum, model, n_cells)
+            return solve(model, u0, (2.0,), cfl=dt / stable_step(model, n_cells))[-1]
 
         small = run(model_small, 960)
         large = run(model_large, 1920)
@@ -244,10 +221,10 @@ class TestEigenInvariance:
 class TestMomentBalance:
     def test_needs_three_states_and_valid_order(self):
         model = reference_model()
-        states = single_step_states(model, 480, reference_datum, n_steps=1)
+        states = stepwise_states(model, 480, reference_datum, n_steps=1)
         with pytest.raises(InvalidInputError):
             moment_balance_residual(model, states, 1)
-        states = single_step_states(model, 480, reference_datum, n_steps=2)
+        states = stepwise_states(model, 480, reference_datum, n_steps=2)
         with pytest.raises(InvalidInputError):
             moment_balance_residual(model, states, -1)
 
@@ -255,7 +232,7 @@ class TestMomentBalance:
         model = reference_model()
         maxima = []
         for n in (480, 960, 1920, 3840):
-            states = single_step_states(model, n, reference_datum)
+            states = stepwise_states(model, n, reference_datum)
             residuals = moment_balance_residual(model, states, 0)
             maxima.append(max(abs(r) for r in residuals))
         assert maxima[0] / maxima[1] > 1.6
@@ -267,7 +244,7 @@ class TestMomentBalance:
         # dM0/dt = alpha0 M0 + alpha1 M1 (doubled), so smallness here
         # certifies the recovered moment equation
         model = reference_model()
-        states = single_step_states(model, 480, reference_datum)
+        states = stepwise_states(model, 480, reference_datum)
         residuals = moment_balance_residual(model, states, 0)
         nodes = midpoint_grid(15.0, 480)
         w = quad_weights(nodes)
@@ -285,7 +262,7 @@ class TestMomentBalance:
         model = reference_model()
         maxima = {}
         for n in (480, 3840):
-            states = single_step_states(model, n, reference_datum)
+            states = stepwise_states(model, n, reference_datum)
             residuals = moment_balance_residual(model, states, 1)
             maxima[n] = max(abs(r) for r in residuals)
         assert maxima[480] < 2.5e-3
