@@ -110,14 +110,21 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+_VECTOR_MIN = 250  # values; below this numpy's fixed cost outweighs the % template
+
+
 def emit_csv(path, header, rows) -> None:
     """Write rows as RFC 4180 CSV with a header and 17-digit floats.
 
     ``rows`` is a 2-D float array or any iterable of equal-length rows.
     Every value is checked before the file is opened, so a NaN or an
-    infinity raises NonFiniteOutputError and leaves no file behind.
-    Formatted numbers never need quoting, so the whole body is one ``%``
-    against a repeated row template and one write.
+    infinity raises NonFiniteOutputError and leaves no file behind.  Each
+    number is written byte for byte as ``%.17g`` writes it, and none needs
+    quoting.  ``_g17`` formats a table of _VECTOR_MIN values or more in
+    numpy blocks: it forms each value's 17 digits as a double-double and
+    keeps them where their rounding is certain.  ``%`` against a repeated
+    row template, the one exact formatter, writes smaller tables and every
+    value that ``_g17`` cannot certify.
     """
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
     if table.size == 0:
@@ -125,11 +132,16 @@ def emit_csv(path, header, rows) -> None:
     bad = ~np.isfinite(table).all(axis=1)
     if bad.any():
         raise NonFiniteOutputError(f"non-finite value in row {np.argmax(bad) + 1} of {path}")
-    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    body = (line * table.shape[0]) % tuple(table.ravel().tolist())
+    if table.size < _VECTOR_MIN:
+        line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+        body = [(line * table.shape[0]) % tuple(table.ravel().tolist())]
+    else:
+        from . import _g17
+
+        body = _g17.lines(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\r\n").writerow(header)
-        fh.write(body)
+        fh.writelines(body)
 
 
 def _load(cfg: RunConfig) -> tuple[dict, ModelDefinition]:

@@ -460,10 +460,16 @@ def grid_eval(fn: Callable, nodes: np.ndarray) -> np.ndarray:
     return np.asarray(fn(np.asarray(nodes, dtype=float)), dtype=float)
 
 
-def midpoint_grid(x_max: float, n_cells: int) -> np.ndarray:
-    """Cell-midpoint nodes of a uniform mesh of ``n_cells`` cells on (0, x_max]."""
+def _cell_count(n_cells) -> int:
+    """``n_cells`` as an int, refused unless a whole number of at least two."""
     if not isinstance(n_cells, numbers.Integral) or n_cells < 2:
         raise InvalidInputError(f"need a whole number of at least two cells, got {n_cells!r}")
+    return int(n_cells)
+
+
+def midpoint_grid(x_max: float, n_cells: int) -> np.ndarray:
+    """Cell-midpoint nodes of a uniform mesh of ``n_cells`` cells on (0, x_max]."""
+    n_cells = _cell_count(n_cells)
     if not (math.isfinite(x_max) and x_max > 0):
         raise InvalidInputError("need a finite x_max > 0")
     dx = x_max / n_cells

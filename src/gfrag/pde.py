@@ -30,7 +30,7 @@ import numpy as np
 
 from ._kernels import advance_upwind
 from .closed_form import MomentState, _grid_moments
-from .errors import InvalidInputError, StepSizeError
+from .errors import InvalidInputError, NonFiniteOutputError, StepSizeError
 from .model import (
     ModelDefinition,
     _grid_samples,
@@ -102,7 +102,8 @@ def solve(model: ModelDefinition, u0, output_times, cfl: float = 0.5) -> list[So
     exactly dt; the run ends at the last output time.  The datum must be 1-D
     and finite, with at least 16 values.  A run of more than _MAX_STEP_CELLS
     = 2e8 steps times (cells + _STEP_OVERHEAD), _STEP_OVERHEAD = 1000, raises
-    StepSizeError before it starts.  :func:`moment_balance_residual` of the
+    StepSizeError before it starts, and a state that is not finite raises
+    NonFiniteOutputError.  :func:`moment_balance_residual` of the
     initial state followed by these states gives the balance residual of
     each output interval (the states already start with it when the first
     output time is 0).
@@ -143,6 +144,8 @@ def solve(model: ModelDefinition, u0, output_times, cfl: float = 0.5) -> list[So
         span = t_out - t
         dt = span / n_steps
         vals = advance_upwind(vals, n_steps, dt, *operators)
+        if not np.isfinite(vals).all():
+            raise NonFiniteOutputError(f"the march overflowed before t = {t_out:g}")
         t = t_out
         states.append(SolverState(t, vals, _grid_moments(nodes, vals)))
     return states

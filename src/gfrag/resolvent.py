@@ -52,6 +52,7 @@ from .errors import (
 from .model import (
     ModelDefinition,
     ShrinkingBinary,
+    _cell_count,
     _grid_samples,
     boundary_weight_flux,
     compute_RQ,
@@ -371,6 +372,7 @@ def fragmentation_gain_matrix(model: ModelDefinition, n_cells: int) -> GainOpera
     The last eight operators built are kept per (model, n_cells), so repeated
     calls on one grid return the same object.
     """
+    n_cells = _cell_count(n_cells)
     key = (id(model), n_cells)
     hit = _GAIN_CACHE.get(key)
     if hit is not None and hit[0] is model:

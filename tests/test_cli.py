@@ -106,9 +106,9 @@ class TestEmitCsv:
         assert not path.exists()
 
     @staticmethod
-    def wide_range_table():
+    def wide_range_table(points=61):
         # 1e-300 to 1e300 with both signs, -0.0, subnormals and 5e-324
-        mags = np.logspace(-300.0, 300.0, 61)
+        mags = np.logspace(-300.0, 300.0, points)
         specials = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
                     1.7976931348623157e308, math.pi, -1.0 / 3.0, 1.0]
         flat = np.concatenate((mags, -mags[::-1], specials))
@@ -116,25 +116,28 @@ class TestEmitCsv:
         return flat.reshape(-1, 3)
 
     def test_array_list_and_generator_write_the_same_bytes(self, tmp_path):
-        table = self.wide_range_table()
-        inputs = {
-            "array": table,
-            "tuples": [tuple(float(v) for v in row) for row in table],
-            "generator": (tuple(row) for row in table),
-        }
-        written = {}
-        for name, rows in inputs.items():
-            emit_csv(tmp_path / f"{name}.csv", ("a", "b", "c"), rows)
-            written[name] = (tmp_path / f"{name}.csv").read_bytes()
-        expected = "a,b,c\r\n" + "".join(
-            ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in table.tolist()
-        )
-        assert written["array"] == written["tuples"] == written["generator"]
-        assert written["array"] == expected.encode("utf-8")
-        fields = written["array"].decode("utf-8").replace("\r\n", ",").split(",")
-        assert "-0" in fields and "4.9406564584124654e-324" in fields
-        _, rows, _ = read_csv(tmp_path / "array.csv")
-        assert np.array_equal(np.array(rows), table)
+        # one table for the % template, one for the vectorised formatter
+        small, large = self.wide_range_table(), self.wide_range_table(601)
+        assert small.size < cli._VECTOR_MIN <= large.size
+        for table in (small, large):
+            inputs = {
+                "array": table,
+                "tuples": [tuple(float(v) for v in row) for row in table],
+                "generator": (tuple(row) for row in table),
+            }
+            written = {}
+            for name, rows in inputs.items():
+                emit_csv(tmp_path / f"{name}.csv", ("a", "b", "c"), rows)
+                written[name] = (tmp_path / f"{name}.csv").read_bytes()
+            expected = "a,b,c\r\n" + "".join(
+                ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in table.tolist()
+            )
+            assert written["array"] == written["tuples"] == written["generator"]
+            assert written["array"] == expected.encode("utf-8")
+            fields = written["array"].decode("utf-8").replace("\r\n", ",").split(",")
+            assert "-0" in fields and "4.9406564584124654e-324" in fields
+            _, rows, _ = read_csv(tmp_path / "array.csv")
+            assert np.array_equal(np.array(rows), table)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("k", [1, 7, 20])

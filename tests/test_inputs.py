@@ -211,10 +211,19 @@ def test_closed_form_evaluates_at_size_zero():
     assert math.isfinite(at_zero) and at_zero > 0.0
 
 
-@pytest.mark.parametrize("n_cells", [64.5, 64.0, 1], ids=["fraction", "float", "one"])
+@pytest.mark.parametrize(
+    "n_cells", [64.5, 64.0, 1, [3, 1, 2]], ids=["fraction", "float", "one", "list"]
+)
 def test_grid_needs_a_whole_number_of_cells(n_cells):
     with pytest.raises(InvalidInputError, match="whole number"):
         fragmentation_gain_matrix(binary_model(), n_cells)
+
+
+def test_cached_gain_is_not_returned_for_a_float_cell_count():
+    model = binary_model()
+    fragmentation_gain_matrix(model, 64)
+    with pytest.raises(InvalidInputError, match="whole number"):
+        fragmentation_gain_matrix(model, 64.0)
 
 
 def test_eigenpair_of_another_domain_refused():

@@ -11,7 +11,7 @@ from gfrag.closed_form import (
     moments_from_grid,
     right_eigenfunction_cf,
 )
-from gfrag.errors import InvalidInputError
+from gfrag.errors import InvalidInputError, NonFiniteOutputError
 from gfrag.model import (
     Constant,
     Linear,
@@ -307,3 +307,13 @@ class TestFluxConvention:
         a = solve(value_model, grid_datum(reference_datum, value_model, 480), (0.5,))[-1]
         b = solve(flux_model, grid_datum(reference_datum, flux_model, 480), (0.5,))[-1]
         assert np.allclose(a.u, b.u, rtol=0, atol=1e-14)
+
+
+def test_overflowing_march_raises_rather_than_returning_infinities():
+    model = ModelDefinition(
+        r=Constant(1.0), a=Linear(0.0, 1.0), kernel=UniformBinary(), beta=Constant(50.0),
+        m=2.0, bc_convention="value", x_max=10.0,
+    )
+    u0 = np.exp(-midpoint_grid(model.x_max, 100))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteOutputError, match="overflowed"):
+        solve(model, u0, (50.0, 100.0))
