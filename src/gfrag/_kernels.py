@@ -1,4 +1,4 @@
-"""Transport scans of the resolvent and the upwind time-step loop.
+"""Transport scans of the resolvent and the PDE's one upwind time-step loop.
 
 A scan accumulates T[0] = s*f[0], T[i] = d[i]*T[i-1] + w[i]*(A[i]*f[i-1] + B[i]*f[i])
 over panels of width w[i] and exponent drop -log d[i] >= 0, so it cannot overflow.
@@ -93,44 +93,20 @@ def advance_upwind(u, n_steps, dt, dx, r_faces, a_mid, gain, beta_w):
     row) + dt*G cur, plus k*<beta_w, cur> on row 0 (the lagged renewal
     inflow), where diag = 1 - k*r_faces[1:] - dt*a_mid and sub =
     k*r_faces[1:-1].  ``gain`` is the :class:`gfrag.resolvent.GainOperator`
-    G of the grid.  diag and sub are built once per call and every step
-    runs in preallocated buffers.  The power law's one full-window piece
-    folds dt*d into diag and runs on reversed copies, so its reverse
-    cumulative sum is a forward ``np.add.accumulate`` over contiguous
-    memory; any other gain costs one ``matvec`` per step.
+    G; diag takes in the diagonal of ``gain.split(dt)``, and every step runs
+    in buffers built once per call.
     """
     k = dt / dx
-    diag = 1.0 - k * r_faces[1:] - dt * a_mid
+    diagonal, apply = gain.split(dt)
+    diag = 1.0 - k * r_faces[1:] - dt * a_mid + diagonal
     sub = k * r_faces[1:-1]
     cur = np.array(u, dtype=np.float64)
-    if len(gain._pieces) == 1 and gain._pieces[0][2] is None:
-        # reversed order: row 0 is last, and the subdiagonal feeds row i
-        # from row i + 1
-        p, c, _ = gain._pieces[0]
-        diag, sub = (diag + dt * gain._d)[::-1].copy(), sub[::-1].copy()
-        c, p, beta = (v[::-1].copy() for v in (c, dt * p, beta_w))
-        cur, nxt, tmp = cur[::-1].copy(), np.empty_like(cur), np.empty_like(cur)
-        head = tmp[:-1]
-        for _ in range(n_steps):
-            np.multiply(c, cur, out=tmp)
-            np.add.accumulate(tmp, out=tmp)
-            np.multiply(p, tmp, out=nxt)
-            np.multiply(diag, cur, out=tmp)
-            nxt += tmp
-            np.multiply(sub, cur[1:], out=head)
-            nxt[:-1] += head
-            nxt[-1] += k * (beta @ cur)
-            cur, nxt = nxt, cur
-        return cur[::-1].copy()
-    tmp = np.empty_like(cur)
+    nxt, tmp = np.empty_like(cur), np.empty_like(cur)
     tail = tmp[1:]
     for _ in range(n_steps):
-        nxt = gain.matvec(cur)
-        nxt *= dt
-        np.multiply(diag, cur, out=tmp)
-        nxt += tmp
-        np.multiply(sub, cur[:-1], out=tail)
-        nxt[1:] += tail
+        nxt = apply(cur, nxt)
+        nxt += np.multiply(diag, cur, out=tmp)
+        nxt[1:] += np.multiply(sub, cur[:-1], out=tail)
         nxt[0] += k * (beta_w @ cur)
-        cur = nxt
+        cur, nxt = nxt, cur
     return cur

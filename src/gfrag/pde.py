@@ -10,15 +10,15 @@ in the flux convention, lagged one step to keep the update linear and
 explicit.  The fragmentation gain is the shared quadrature operator of
 :func:`gfrag.resolvent.fragmentation_gain_matrix`, applied once per step
 at O(n) cost for every kernel.  :func:`gfrag._kernels.advance_upwind`
-builds the step's diagonal and subdiagonal once per call and runs the
-steps between two outputs in preallocated buffers.  The outflow face at x_max
-extrapolates with zero gradient.  The scheme is monotone under the
-time-step bound dt * (max r / dx + max a) <= 1, which preserves
-nonnegativity of the iterates.  A run whose work, its steps times (cells
-+ _STEP_OVERHEAD), exceeds _MAX_STEP_CELLS raises StepSizeError before the
-first step.  :func:`moment_balance_residual` computes the mass-size balance
-residual of a run from its states; both refuse samples that are not 1-D,
-finite and of the length they need with InvalidInputError.
+runs the steps between two outputs in one loop over preallocated
+buffers.  The outflow face at x_max extrapolates with zero gradient.  The
+scheme is monotone under the time-step bound dt * (max r / dx + max a)
+<= 1, which preserves nonnegativity of the iterates.  A run whose work,
+its steps times (cells + _STEP_OVERHEAD), exceeds _MAX_STEP_CELLS raises
+StepSizeError before the first step.  :func:`moment_balance_residual`
+computes the mass-size balance residual of a run from its states; both
+refuse samples that are not 1-D, finite and of the length they need with
+InvalidInputError.
 """
 
 from __future__ import annotations

@@ -246,7 +246,7 @@ class GainOperator:
     that daughters falling below the first node are clamped onto it (keeping
     G nonnegative at the price of a grid-sized moment error there).
 
-    G is stored in one of two O(n) forms, and ``nbytes`` is the storage held:
+    G is stored in one of two O(n) forms, ``nbytes`` the storage held, applied by :meth:`split`:
 
     * continuous kernels: the pieces p(x) q(y) of :func:`~gfrag.model.density_pieces`,
       ``G u = d * u + sum p * (S[lo] - S[hi])`` with [lo_i, hi_i) the columns
@@ -285,22 +285,45 @@ class GainOperator:
                 self._pieces.append((p, c, window))
             held = [self._d] + [a for p, c, w in self._pieces for a in (p, c, *(w or ()))]
         self.nbytes = sum(arr.nbytes for arr in held)
+        self._unit = None  # split(), built on the first matvec
 
-    # np.add.accumulate is the cumulative sum behind np.cumsum, minus its
-    # wrapper; the gain is applied once per series term and per PDE step
+    def split(self, scale: float = 1.0):
+        """scale * G as ``(diagonal, apply)``, scale * G u = diagonal * u + apply(u, out).
+
+        ``apply`` returns its result, written into ``out`` (not u) unless the gain is atomic,
+        and reuses the split's buffers, so a split serves one caller at a time."""
+        if self._matrix is not None:
+            matrix = self._matrix if scale == 1.0 else scale * self._matrix
+            return 0.0, lambda u, out: matrix @ u
+        diagonal, pieces = self._d, self._pieces  # at scale 1, the stored arrays themselves
+        if scale != 1.0:
+            diagonal, pieces = scale * diagonal, [(scale * p, c, w) for p, c, w in pieces]
+        # np.add.accumulate is np.cumsum minus its wrapper; G runs per series term and PDE step
+        if [window for *_, window in pieces] == [None]:
+            ((p, c, _),) = pieces
+
+            def apply(u, out):
+                np.multiply(c, u, out=out)
+                np.add.accumulate(out[::-1], out=out[::-1])
+                return np.multiply(p, out, out=out)
+
+            return diagonal, apply
+        sums = np.zeros(diagonal.size + 1)  # S past the last node, sums[-1], stays 0
+
+        def apply(u, out):
+            out.fill(0.0)
+            for p, c, window in pieces:
+                np.multiply(c, u, out=sums[:-1])
+                np.add.accumulate(sums[-2::-1], out=sums[-2::-1])
+                out += p * (sums[:-1] if window is None else sums[window[0]] - sums[window[1]])
+            return out
+
+        return diagonal, apply
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """G u."""
-        if self._matrix is not None:
-            return self._matrix @ u
-        out = self._d * u
-        for p, c, window in self._pieces:
-            s = np.add.accumulate((c * u)[::-1])[::-1]
-            if window is not None:
-                s = np.append(s, 0.0)  # S past the last node is zero
-                s = s[window[0]] - s[window[1]]
-            out += p * s
-        return out
+        diagonal, apply = self._unit = self._unit or self.split()
+        return apply(u, np.empty(len(u))) + diagonal * u
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         """G^T z."""

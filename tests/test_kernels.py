@@ -9,6 +9,7 @@ quadrature, and the upwind kernel against an explicit per-cell loop.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,22 +251,21 @@ def upwind_args(request):
     return u0, 0.02, dx, r_faces, a_mid, gain, beta_w
 
 
-class TestAdvanceTwins:
-    """Both loops of the upwind step, over both gain storage forms (pieces
-    and CSR), against the cell-by-cell oracle on the gain's matrix."""
+class TestAdvanceUpwind:
+    """The one upwind loop, over the three gain storage forms (one
+    full-window piece, windowed pieces and CSR), against the cell-by-cell
+    oracle on the gain's matrix."""
 
     def test_storage_forms_covered(self):
-        # one piece whose window runs to the last node takes the fused loop;
-        # CSR and windowed pieces take the matvec loop
-        forms = {
-            "csr" if gain._matrix is not None
-            else "fused" if [window for *_, window in gain._pieces] == [None]
-            else "windowed"
-            for gain in map(grid_gain, GAIN_KERNELS.values())
-        }
-        assert forms == {"csr", "fused", "windowed"}
+        # the kernel type picks the form: the power law is one piece whose
+        # window runs to the last node, a tabulated h with an inner ratio
+        # has windowed pieces and an atomic kernel is stored as CSR
+        kernels = GAIN_KERNELS.values()
+        assert any(isinstance(k, PowerLaw) for k in kernels)
+        assert any(isinstance(k, TabulatedKernel) and 0 < k.ratios[1] < 1 for k in kernels)
+        assert any(isinstance(k, ShrinkingBinary) for k in kernels)
 
-    def test_twin_loops_agree(self, upwind_args):
+    def test_matches_cell_oracle(self, upwind_args):
         u0, dt, dx, r_faces, a_mid, gain, beta_w = upwind_args
         matrix = np.column_stack([gain.matvec(e) for e in np.eye(u0.size)])
         np.testing.assert_allclose(
@@ -274,6 +274,25 @@ class TestAdvanceTwins:
             rtol=1e-10,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("name", ["power_law", "tabulated", "shrinking_binary"])
+    def test_steps_allocate_nothing_that_lasts(self, name):
+        # the traced peak of 1000 steps exceeds that of 10 steps by less
+        # than one state vector of 3000 cells
+        n, dx = 3000, 0.01
+        gain = grid_gain(GAIN_KERNELS[name], n, dx)
+        nodes = dx * (np.arange(n) + 0.5)
+        args = (0.5 / (1.0 / dx + nodes[-1]), dx, np.ones(n + 1), nodes, gain, 1e-3 * nodes)
+
+        def traced_peak(n_steps):
+            tracemalloc.start()
+            try:
+                K.advance_upwind(np.exp(-nodes), n_steps, *args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(1000) - traced_peak(10) < 8 * n
 
     def test_input_not_mutated(self, upwind_args):
         u0 = upwind_args[0]

@@ -358,6 +358,7 @@ GAIN_KERNELS = [
     ShrinkingBinary(0.5),
     ShrinkingBinary(InverseEpsilon(2.0)),
     TabulatedKernel(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0, 1.0])),
+    TabulatedKernel(np.array([0.0, 1.0]), np.array([0.0, 0.0])),  # no pieces: G = 0
 ]
 
 
@@ -379,6 +380,38 @@ class TestGainOperator:
             np.testing.assert_allclose(
                 gain.rmatvec(u), expect_t, rtol=0, atol=1e-13 * np.max(np.abs(expect_t))
             )
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    @pytest.mark.parametrize("kernel", GAIN_KERNELS, ids=repr)
+    def test_split_matches_dense_oracle(self, kernel, scale):
+        md = binary_model(a=Linear(0.5, 1.0), kernel=kernel, x_max=20.0)
+        n = 400
+        dense = scale * dense_gain_oracle(md, midpoint_grid(20.0, n))
+        diagonal, apply = GainOperator(md, n).split(scale)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            u = rng.standard_normal(n)
+            expect = dense @ u
+            np.testing.assert_allclose(
+                diagonal * u + apply(u, np.empty(n)), expect,
+                rtol=0, atol=1e-13 * np.max(np.abs(expect)),
+            )
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [kernel for kernel in GAIN_KERNELS if not isinstance(kernel, ShrinkingBinary)],
+        ids=repr,
+    )
+    def test_density_apply_writes_into_out(self, kernel):
+        n = 300
+        gain = GainOperator(binary_model(kernel=kernel), n)
+        diagonal, apply = gain.split(0.37)
+        u, out = np.exp(-midpoint_grid(50.0, n)), np.full(n, np.nan)
+        assert apply(u, out) is out
+        expect = 0.37 * gain.matvec(u)
+        np.testing.assert_allclose(
+            diagonal * u + out, expect, rtol=0, atol=1e-14 * np.max(np.abs(expect))
+        )
 
     def test_random_tabulated_kernels_match_dense_oracle(self):
         # ratios on 1/3 and 2/3, where node quotients such as 0.5/1.5 land
