@@ -30,11 +30,13 @@ Model files are UTF-8 JSON documents.  Keys:
     "right": 4.0, "value_left": 1.0, "value_right": 2.0}], "beta_sup":
     0.5, "tail": {"kind": "envelope_extends"}}``.
 
-Every command needs only ``--model``; outputs are CSV files (RFC 4180,
-CRLF line ends, floats at 17 significant digits) plus a short stdout
-summary.  Exit codes: 0 success, 1 validation failure or bad input
-(a bad command line included), 2 numeric failure; a failure prints one
-stderr line.
+The file is read once, and the model and both blocks are parsed before
+any command runs, so a malformed block fails every command.  Every command
+needs only ``--model``; outputs are CSV files (RFC 4180, CRLF line ends,
+floats at 17 significant digits), written to ``--out`` (created with the
+first CSV), plus a short stdout summary.  Exit codes: 0 success, 1
+validation failure or bad input (a bad command line included), 2 numeric
+failure; a failure prints one stderr line.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .errors import (
     MissingTailError,
     NonFiniteOutputError,
 )
-from .irreducibility import compute_c_bar, decide_irreducibility
+from .irreducibility import compute_c_bar, decide_irreducibility, support_model_from_config
 from .model import (
     ModelDefinition,
     coefficient_from_config,
@@ -118,7 +120,8 @@ def emit_csv(path, header, rows) -> None:
 
     ``rows`` is a 2-D float array or any iterable of equal-length rows.
     Every value is checked before the file is opened, so a NaN or an
-    infinity raises NonFiniteOutputError and leaves no file behind.  Each
+    infinity raises NonFiniteOutputError and leaves no file behind; the
+    file's directory is then created if it is missing.  Each
     number is written byte for byte as ``%.17g`` writes it, and none needs
     quoting.  ``_g17`` formats a table of _VECTOR_MIN values or more in
     numpy blocks: it forms each value's 17 digits as a double-double and
@@ -139,23 +142,25 @@ def emit_csv(path, header, rows) -> None:
         from . import _g17
 
         body = _g17.lines(table)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\r\n").writerow(header)
         fh.writelines(body)
 
 
-def _load(cfg: RunConfig) -> tuple[dict, ModelDefinition]:
+def _load(cfg: RunConfig) -> tuple:
+    """Read the model file once: (model, initial datum, support geometry or None).
+
+    The datum is the file's ``initial`` coefficient, or exp(-x) if it gives none.
+    """
     doc = read_config(Path(cfg.model_path))
     model = model_from_config(doc)
     if cfg.x_max is not None:
         model = replace(model, x_max=float(cfg.x_max))
-    return doc, model
-
-
-def _initial_datum(doc: dict, nodes: np.ndarray) -> np.ndarray:
-    if doc.get("initial") is not None:
-        return grid_eval(coefficient_from_config(doc["initial"]), nodes)
-    return np.exp(-nodes)
+    initial, support = doc.get("initial"), doc.get("support")
+    initial = (lambda x: np.exp(-x)) if initial is None else coefficient_from_config(initial)
+    support = None if support is None else support_model_from_config(support)
+    return model, initial, support
 
 
 def _snapshot_rows(nodes: np.ndarray, values: np.ndarray):
@@ -164,7 +169,7 @@ def _snapshot_rows(nodes: np.ndarray, values: np.ndarray):
     return np.column_stack((nodes, values, values * scale))
 
 
-def _cmd_validate(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
+def _cmd_validate(cfg: RunConfig, model: ModelDefinition, initial, support, out: Path) -> int:
     report = validate_assumptions(model)
     for line in report.lines():
         print(line)
@@ -176,7 +181,7 @@ def _cmd_validate(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) 
     return 1
 
 
-def _cmd_solve_closed(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
+def _cmd_solve_closed(cfg: RunConfig, model: ModelDefinition, initial, support, out: Path) -> int:
     if not is_binary_model(model):
         raise InvalidModelError(
             "solve-closed needs constant growth, proportional splitting rate, "
@@ -184,7 +189,7 @@ def _cmd_solve_closed(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Pa
         )
     params = binary_params_from_model(model)
     nodes = midpoint_grid(model.x_max, cfg.n_cells)
-    u0 = _initial_datum(doc, nodes)
+    u0 = grid_eval(initial, nodes)
     u_end = np.asarray(evaluate_solution(params, (nodes, u0), nodes, cfg.t_end), dtype=float)
     m0 = moments_from_grid(model, u0)
     rows = []
@@ -197,9 +202,9 @@ def _cmd_solve_closed(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Pa
     return 0
 
 
-def _cmd_solve_pde(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
+def _cmd_solve_pde(cfg: RunConfig, model: ModelDefinition, initial, support, out: Path) -> int:
     nodes = midpoint_grid(model.x_max, cfg.n_cells)
-    u0 = _initial_datum(doc, nodes)
+    u0 = grid_eval(initial, nodes)
     times = tuple(float(t) for t in np.linspace(0.0, cfg.t_end, 11)[1:])
     states = solve(model, u0, times)
     final = states[-1]
@@ -212,7 +217,7 @@ def _cmd_solve_pde(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path)
     return 0
 
 
-def _cmd_eigen(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
+def _cmd_eigen(cfg: RunConfig, model: ModelDefinition, initial, support, out: Path) -> int:
     pair = perron_eigenpair(model, cfg.n_cells, cfg.tol)
     emit_csv(
         out / "eigen.csv",
@@ -225,20 +230,19 @@ def _cmd_eigen(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> 
     return 0
 
 
-def _cmd_irreducible(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
-    if model.support is None:
+def _cmd_irreducible(cfg: RunConfig, model: ModelDefinition, initial, support, out: Path) -> int:
+    if support is None:
         raise InvalidModelError("the model file declares no 'support' geometry")
-    s = model.support
-    result = compute_c_bar(s)
-    decision = decide_irreducibility(s, result)
+    result = compute_c_bar(support)
+    decision = decide_irreducibility(support, result)
     print(f"c_bar = {_fmt(result.c_bar)} ({result.case})")
     print(str(decision))
     return 0
 
 
-def _cmd_aeg(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> int:
+def _cmd_aeg(cfg: RunConfig, model: ModelDefinition, initial, support, out: Path) -> int:
     nodes = midpoint_grid(model.x_max, cfg.n_cells)
-    u0 = _initial_datum(doc, nodes)
+    u0 = grid_eval(initial, nodes)
     if is_binary_model(model):
         pair = closed_form_eigenpair(model, cfg.n_cells)
     else:
@@ -253,7 +257,8 @@ def _cmd_aeg(cfg: RunConfig, doc: dict, model: ModelDefinition, out: Path) -> in
     return 0
 
 
-# name -> (handler, help text), in the order the help lists them
+# name -> (handler, help text), in the order the help lists them; a handler takes
+# the config, _load's model, datum and support geometry, and the output directory
 COMMANDS = {
     "validate": (_cmd_validate, "check the standing kernel and coefficient assumptions"),
     "solve-closed": (_cmd_solve_closed, "closed-form solution of the binary family"),
@@ -273,11 +278,8 @@ def run(cfg: RunConfig) -> int:
     would otherwise print a warning and carry on with infinities or NaN.
     """
     try:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            doc, model = _load(cfg)
-            return COMMANDS[cfg.command][0](cfg, doc, model, out)
+            return COMMANDS[cfg.command][0](cfg, *_load(cfg), Path(cfg.output_dir))
     except (
         OSError,
         InvalidInputError,

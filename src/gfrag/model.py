@@ -335,20 +335,38 @@ class TabulatedKernel:
 KernelSpec = Union[PowerLaw, ShrinkingBinary, TabulatedKernel]
 
 
-def _ratio_moment(kernel: TabulatedKernel, m: float) -> float:
-    # int_0^1 rho^m h(rho) drho with h piecewise linear: per-panel Gauss rule
-    nodes, g = np.polynomial.legendre.leggauss(8)
-    lo = kernel.ratios[:-1]
-    hi = kernel.ratios[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.power(pts, m) * kernel.shape_fn(pts)
-    return float(np.sum(half[:, None] * g[None, :] * vals))
+def _kernel_panels(kernel: TabulatedKernel) -> tuple:
+    """A tabulated h's linear panels, arrays (lo, hi, alpha, beta): h = alpha + beta*(rho - lo)."""
+    rho, h = kernel.ratios, kernel.densities
+    return rho[:-1], rho[1:], h[:-1], np.diff(h) / np.diff(rho)
+
+
+def _power_integrals(lo: np.ndarray, hi: np.ndarray, m: float) -> tuple:
+    """(int rho^m, int rho^m (rho - lo)) over each panel [lo, hi] of [0, 1], to a few ulps.
+
+    The antiderivatives cancel where d = (hi - lo)/lo is below both 1/4 and
+    2/(m + 1).  There the first is lo^(m+1) expm1((m+1) log1p(d))/(m+1), and the
+    second lo^(m+2) times int_0^d t (1 + t)^m dt, summed as a binomial series.
+    """
+    # rho^m * rho, not rho^(m+1): a rounded m + 1 would cost |log rho| ulps
+    k1, k2, width = m + 1.0, m + 2.0, hi - lo
+    hm, lm = hi**m * hi, lo**m * lo
+    whole = (hm - lm) / k1
+    offset = (hm * (k1 * width - lo) + lm * lo) / k1 / k2
+    narrow = (width < 0.25 * lo) & (width * k1 < 2.0 * lo)
+    d = width[narrow] / lo[narrow]
+    term, series = d * d, np.zeros_like(d)
+    for k in range(32):  # term = C(m, k) d^(k+2)
+        series += term / (k + 2)
+        term = term * ((m - k) / (k + 1)) * d
+    whole[narrow] = lm[narrow] * np.expm1(k1 * np.log1p(d)) / k1
+    offset[narrow] = lm[narrow] * lo[narrow] * series
+    return whole, offset
 
 
 def kernel_moment(kernel: KernelSpec, m: float, y):
-    """m-th daughter moment n_m(y) = int_0^y x^m b(x,y) dx."""
+    """m-th daughter moment n_m(y) = int_0^y x^m b(x,y) dx, in closed form; a tabulated
+    kernel's is integrated over the linear panels that its density pieces also use."""
     if m < 0:
         raise InvalidInputError("moment order must be nonnegative")
     y_arr = np.asarray(y, dtype=float)
@@ -360,7 +378,9 @@ def kernel_moment(kernel: KernelSpec, m: float, y):
         eps = np.asarray(kernel.eps_at(y_arr), dtype=float)
         out = np.power(y_arr, m) * (np.power(eps, m) + np.power(1.0 - eps, m))
     elif isinstance(kernel, TabulatedKernel):
-        out = np.power(y_arr, m) * _ratio_moment(kernel, m)
+        lo, hi, alpha, beta = _kernel_panels(kernel)
+        whole, offset = _power_integrals(lo, hi, m)
+        out = np.power(y_arr, m) * float(np.sum(alpha * whole + beta * offset))
     else:
         raise InvalidModelError(f"unknown kernel {kernel!r}")
     return _match(y, out)
@@ -392,13 +412,12 @@ def density_pieces(kernel: KernelSpec, x) -> list[tuple]:
         return [(np.nextafter(0.0, -1.0), 1.0, p, inverse_power(kernel.nu + 1.0))]
     if not isinstance(kernel, TabulatedKernel):
         raise InvalidInputError("atomic kernel has no pointwise density")
-    rho, h = kernel.ratios, kernel.densities
-    slopes = np.diff(h) / np.diff(rho)
-    starts = np.concatenate(([np.nextafter(rho[0], -1.0)], rho[1:-1]))
+    lo, hi, value, slope = _kernel_panels(kernel)
+    starts = np.concatenate(([np.nextafter(lo[0], -1.0)], lo[1:]))
     pieces = []
-    for lo, hi, alpha, beta in zip(starts, rho[1:], h[:-1] - slopes * rho[:-1], slopes):
-        pieces += [(lo, hi, np.full(x.shape, alpha), inverse_power(1.0))] if alpha else []
-        pieces += [(lo, hi, beta * x, inverse_power(2.0))] if beta else []
+    for start, end, alpha, beta in zip(starts, hi, value - slope * lo, slope):
+        pieces += [(start, end, np.full(x.shape, alpha), inverse_power(1.0))] if alpha else []
+        pieces += [(start, end, beta * x, inverse_power(2.0))] if beta else []
     return pieces
 
 
@@ -485,7 +504,8 @@ _BC_CONVENTIONS = ("flux", "value")
 
 @dataclass(frozen=True)
 class ModelDefinition:
-    """Complete problem definition; immutable after construction."""
+    """The dynamics, immutable after construction; a model file's ``initial``
+    and ``support`` blocks are not part of it (the CLI reads them beside it)."""
 
     r: CoefficientSpec
     a: CoefficientSpec
@@ -494,7 +514,6 @@ class ModelDefinition:
     m: float = 2.0
     bc_convention: str = "flux"
     x_max: float = 50.0
-    support: object = None
 
     def __post_init__(self):
         if not (math.isfinite(self.m) and self.m > 1.0):
@@ -767,12 +786,13 @@ _LIMINF_THRESHOLD = 1e-3
 def validate_assumptions(model: ModelDefinition) -> AssumptionReport:
     """Sample the kernel functionals and report which assumptions hold.
 
-    Checks, all empirical over 400 log-spaced parent sizes y in
-    [1, _Y_HORIZON] = [1, 1e4]: conservation |n_1(y) - y| <= _MASS_TOL*y
-    (1e-9); the fitted daughter-count bound n_0(y) <= b0*(1+y^l); the lower
-    limit of N_m(y)/y^m over the top decade (must exceed _LIMINF_THRESHOLD
-    = 1e-3 to pass); and the fitted moment fraction c_m = sup n_m(y)/y^m
-    (must stay below 1).
+    The moments n_m(y) are exact for every kernel (:func:`kernel_moment`);
+    only the parent sizes are sampled, 400 of them log-spaced over
+    [1, _Y_HORIZON] = [1, 1e4].  Checks: conservation
+    |n_1(y) - y| <= _MASS_TOL*y (1e-9); the fitted daughter-count bound
+    n_0(y) <= b0*(1+y^l); the lower limit of N_m(y)/y^m over the top decade
+    (must exceed _LIMINF_THRESHOLD = 1e-3 to pass); and the fitted moment
+    fraction c_m = sup n_m(y)/y^m (must stay below 1).
     """
     kernel, m = model.kernel, model.m
     y_all = np.geomspace(_Y_HORIZON * 1e-4, _Y_HORIZON, 400)
@@ -868,7 +888,8 @@ def kernel_from_config(obj) -> KernelSpec:
 
 
 def model_from_config(cfg: dict) -> ModelDefinition:
-    """Assemble a ModelDefinition from a parsed configuration mapping."""
+    """Assemble a ModelDefinition from a parsed configuration mapping's model
+    keys; ``initial``, ``support`` and any other key are left to the caller."""
     try:
         r = coefficient_from_config(cfg["r"])
         a = coefficient_from_config(cfg["a"])
@@ -877,11 +898,6 @@ def model_from_config(cfg: dict) -> ModelDefinition:
         m = _as_float(cfg["m"])
     except KeyError as exc:
         raise InvalidModelError(f"model config missing key {exc}") from exc
-    support = None
-    if cfg.get("support") is not None:
-        from .irreducibility import support_model_from_config
-
-        support = support_model_from_config(cfg["support"])
     return ModelDefinition(
         r=r,
         a=a,
@@ -890,7 +906,6 @@ def model_from_config(cfg: dict) -> ModelDefinition:
         m=m,
         bc_convention=cfg.get("bc_convention", "flux"),
         x_max=_as_float(cfg.get("x_max", 50.0)),
-        support=support,
     )
 
 

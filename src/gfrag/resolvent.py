@@ -322,8 +322,12 @@ class GainOperator:
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """G u."""
+        if self._matrix is not None:
+            return self._matrix @ u
         diagonal, apply = self._unit = self._unit or self.split()
-        return apply(u, np.empty(len(u))) + diagonal * u
+        out = apply(u, np.empty(len(u)))
+        out += diagonal * u
+        return out
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         """G^T z."""

@@ -13,9 +13,9 @@ import pytest
 
 from gfrag import cli, resolvent
 from gfrag.cli import RunConfig, emit_csv, main, run
-from gfrag.errors import InvalidInputError, NonFiniteOutputError
+from gfrag.errors import InvalidInputError, InvalidModelError, NonFiniteOutputError
 from gfrag.irreducibility import support_model_from_config
-from gfrag.model import model_from_config, quad_weights
+from gfrag.model import coefficient_from_config, model_from_config, quad_weights
 from gfrag.spectral import perron_eigenpair
 from oracles import reachability_oracle
 from test_cli_properties import wall_clock_budget
@@ -182,6 +182,15 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err == "error: assumptions fail: moment_defect_liminf\n"
 
+    def test_tabulated_kernel_moments_are_exact(self, tmp_path, capsys):
+        # h = 2 on [0, 1] at m = 1.5: c_m = 2/2.5 and the defect 1 - c_m, exactly
+        kernel = {"type": "tabulated", "ratios": [0.0, 1.0], "densities": [2.0, 2.0]}
+        path = binary_model_file(tmp_path, kernel=kernel, m=1.5)
+        assert run(RunConfig("validate", path, output_dir=str(tmp_path))) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "moment_fraction_c_m=0.8" in lines
+        assert "moment_defect_liminf=2.000000e-01" in lines
+
 
 class TestSolveClosedCommand:
     def test_writes_snapshot_and_moments(self, tmp_path):
@@ -256,7 +265,7 @@ class TestSolveClosedCommand:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: the closed form")
         assert err.count("\n") == 1
-        assert list(out.glob("*.csv")) == []
+        assert not out.exists()
 
     # r = 100, a = x, beta = 2: lambda_plus = 200.5, so the moments overflow
     # from t = 3.54 on; every shorter horizon is answered
@@ -955,6 +964,76 @@ class TestVanishingTabulatedGrowth:
         assert "strictly positive" in err
         assert err.count("\n") == 1
         assert list(out.glob("*.csv")) == []
+
+
+# model files whose "initial" block the coefficient reader refuses
+MALFORMED_INITIAL = {
+    "unknown-type": {"type": "cubic"},
+    "string": "fast",
+    "missing-key": {"type": "power", "c0": 1.0},
+}
+
+WRITERS = {
+    "solve-closed": ["moments.csv", "snapshot.csv"],
+    "solve-pde": ["moments.csv", "snapshot.csv"],
+    "eigen": ["eigen.csv"],
+    "aeg": ["aeg.csv"],
+}
+
+
+class TestModelFile:
+    """The file is parsed whole, model and blocks, before any command runs,
+    and ``--out`` is created only when a CSV is written."""
+
+    @pytest.mark.parametrize("initial", MALFORMED_INITIAL.values(), ids=MALFORMED_INITIAL)
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_malformed_initial_fails_every_command(self, tmp_path, capsys, command, initial):
+        with pytest.raises(InvalidModelError) as refusal:
+            coefficient_from_config(initial)
+        path = write_model(tmp_path, {**README_DOC, "initial": initial})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--model", path, "--out", str(out), "--cells", "200"])
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {refusal.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "irreducible"])
+    def test_command_that_writes_nothing_creates_no_directory(self, tmp_path, command):
+        out = tmp_path / "missing"
+        assert run(RunConfig(command, write_model(tmp_path, README_DOC), output_dir=str(out))) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, files", WRITERS.items(), ids=WRITERS)
+    def test_nested_output_directory_is_created(self, tmp_path, command, files):
+        out = tmp_path / "a" / "b" / "c"
+        cfg = RunConfig(command, write_model(tmp_path, README_DOC), output_dir=str(out), n_cells=200)
+        assert run(cfg) == 0
+        assert sorted(f.name for f in out.iterdir()) == files
+
+    def test_x_max_flag_runs_as_the_file_value(self, tmp_path, capsys):
+        results = []
+        for name, x_max, flags in (("file", 15.0, []), ("flag", 30.0, ["--x-max", "15"])):
+            path = write_model(tmp_path, {**README_DOC, "x_max": x_max}, f"{name}.json")
+            out = tmp_path / name
+            with pytest.raises(SystemExit) as info:
+                main(["solve-closed", "--model", path, "--out", str(out), "--cells", "200", *flags])
+            assert info.value.code == 0
+            printed = capsys.readouterr().out.replace(str(out), "<out>")
+            results.append((printed, [(out / f).read_bytes() for f in WRITERS["solve-closed"]]))
+        assert results[0] == results[1]
+
+    def test_x_max_flag_is_checked_against_the_growth_rate(self, tmp_path, capsys):
+        # r is positive up to the file's x_max = 30 and vanishes at 40
+        r = {"type": "tabulated", "nodes": [0.0, 30.0, 40.0], "values": [1.0, 1.0, 0.0]}
+        path = binary_model_file(tmp_path, r=r)
+        with pytest.raises(SystemExit) as info:
+            main(["eigen", "--model", path, "--out", str(tmp_path / "out"), "--x-max", "40"])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err == "error: growth coefficient r must be strictly positive on [0, x_max]\n"
 
 
 class TestMain:

@@ -830,3 +830,21 @@ class TestModelBridge:
         )
         with pytest.raises(InvalidInputError):
             binary_params_from_model(off_family)
+
+
+# every input check of the module that no other test reaches: (call, error, message)
+CLOSED_FORM_REFUSALS = {
+    "negative-moment": (lambda: MomentState(-1.0, 0.0), InvalidInputError,
+                        "moments of nonnegative data must be nonnegative"),
+    "left-eigenfunction-a-zero": (
+        lambda: left_eigenfunction_cf(BinaryModelParams(r=1.0, a=0.0, beta0=0.5, beta1=0.5)),
+        InvalidModelError, "eigenpair requires a positive splitting rate"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", CLOSED_FORM_REFUSALS.values(),
+                         ids=CLOSED_FORM_REFUSALS)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -700,3 +700,40 @@ class TestSupportConfig:
     def test_non_mapping_rejected(self):
         with pytest.raises(InvalidInputError):
             support_model_from_config([1, 2, 3])
+
+
+def _unit_support(*segments, tail=None, supp_a=((0.0, 1.0),)):
+    return SupportModel(supp_a=IntervalUnion(supp_a), envelope=segments, beta_sup=0.0, tail=tail)
+
+
+# every input check of the module that no other test reaches: (call, error, message start)
+SUPPORT_REFUSALS = {
+    # the sorted-and-disjoint check refuses any interval after an unbounded
+    # one first, so "only the last interval may be unbounded" is never reached
+    "unbounded-interval-not-last": (lambda: IntervalUnion(((0.0, INF), (5.0, 6.0))),
+                                    "intervals must be sorted and disjoint"),
+    "segment-empty": (lambda: EnvelopeSegment(1.0, 1.0, 0.0, 0.0),
+                      "segment needs 0 <= left < right < inf"),
+    "floor-negative": (lambda: TailRule("constant_floor", -1.0),
+                       "constant floor must be nonnegative"),
+    "cutoff-zero": (lambda: TailRule("equals_y_beyond", 0.0), "identity cutoff must be positive"),
+    "envelope-empty": (lambda: _unit_support(), "envelope must describe at least one segment"),
+    "envelope-unsorted": (
+        lambda: _unit_support(EnvelopeSegment(0.5, 1.0, 0.0, 0.0), EnvelopeSegment(0.0, 0.5, 0.0, 0.0)),
+        "envelope segments must be sorted and disjoint"),
+    "envelope-outside-support": (
+        lambda: _unit_support(EnvelopeSegment(0.0, 1.0, 0.0, 0.0), EnvelopeSegment(2.0, 3.0, 0.0, 0.0)),
+        "envelope extends outside the support"),
+    # (1e17 - 0.5) / (1e17 - 1) rounds to slope 1, so the extension meets the identity
+    "extended-slope-one-reaches-parent": (
+        lambda: _unit_support(EnvelopeSegment(1.0, 1e17, 0.5, 1e17), supp_a=((1.0, INF),),
+                              tail=TailRule("envelope_extends")),
+        "extended envelope must stay below the parent"),
+}
+
+
+@pytest.mark.parametrize("call, message", SUPPORT_REFUSALS.values(), ids=SUPPORT_REFUSALS)
+def test_refusals(call, message):
+    with pytest.raises(InvalidModelError) as info:
+        call()
+    assert str(info.value) == message

@@ -1,10 +1,13 @@
+import ast
+import dataclasses
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -161,6 +164,13 @@ class TestKernelMoments:
         np.testing.assert_allclose(kernel_moment(tk, 1, y), y, rtol=1e-12)
         np.testing.assert_allclose(kernel_moment(tk, 2, y), 2.0 * y**2 / 3.0, rtol=1e-12)
 
+    def test_constant_tabulated_density_is_exact_at_fractional_order(self):
+        # h = 2 on [0, 1]: n_m(y) = 2 y^m / (m + 1), 0.8 y^1.5 at m = 1.5, where an
+        # 8-point Gauss rule per panel was 3.8e-6 off
+        y = np.array([1.0, 7.0, 1e4])
+        got = kernel_moment(TabulatedKernel([0.0, 1.0], [2.0, 2.0]), 1.5, y)
+        np.testing.assert_allclose(got, 0.8 * y**1.5, rtol=1e-15, atol=0.0)
+
     def test_defect(self):
         assert kernel_defect(UniformBinary(), 2, 3.0) == pytest.approx(3.0, rel=1e-14)
         assert kernel_defect(PowerLaw(1.0), 2, 2.0) == pytest.approx(1.0, rel=1e-14)
@@ -233,6 +243,59 @@ class TestKernelMoments:
         kern = ShrinkingBinary(eps)
         assert type(kern.eps) is float
         assert kern.eps_at(4.0) == float(eps)
+
+
+@st.composite
+def _tabulated_kernel(draw):
+    """2-6 ratios from 0 or from [0.01, 0.9]; each panel is 1e-9 to 1 times an even
+    share of the rest wide, and densities are 0 or up to 1e6, so panels can be
+    narrow and steep."""
+    n = draw(st.integers(2, 6))
+    first = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.9)))
+    widths = [(1.0 - first) / n * 10.0 ** draw(st.floats(-9.0, 0.0)) for _ in range(n - 1)]
+    ratios = first + np.cumsum([0.0] + widths)
+    assume(np.all(np.diff(ratios) > 0.0) and ratios[-1] <= 1.0)
+    scale = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    densities = [draw(scale) * 10.0 ** draw(st.integers(0, 6)) for _ in range(n)]
+    return TabulatedKernel(ratios, np.array(densities))
+
+
+def _panel_quad(kernel, m):
+    """int_0^1 rho^m h(rho) drho by adaptive quadrature per panel [lo, hi].
+
+    Each panel is integrated in its own variable t = rho - lo, against the
+    ``shape_fn`` of a kernel tabulated on [0, hi - lo]: abscissae lo + t would
+    round to lo's ulp, which moves a narrow steep panel's integral far more than
+    1e-12.  A panel at zero takes rho^m as QUADPACK's algebraic weight; on
+    another, (lo + t)^m bends within about lo of t = 0, so the panel is broken
+    at lo (2^k - 1) there.
+    """
+    total = 0.0
+    for lo, hi, h_lo, h_hi in zip(kernel.ratios[:-1], kernel.ratios[1:],
+                                  kernel.densities[:-1], kernel.densities[1:]):
+        width = hi - lo
+        local = TabulatedKernel([0.0, width], [h_lo, h_hi])
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=400)
+        if lo == 0.0:
+            part = integrate.quad(local.shape_fn, 0.0, width, weight="alg", wvar=(m, 0.0), **opts)
+        else:
+            points = [lo * (2.0**k - 1.0) for k in range(1, 64) if lo * (2.0**k - 1.0) < width]
+            part = integrate.quad(lambda t: (lo + t) ** m * local.shape_fn(t), 0.0, width,
+                                  points=points or None, **opts)
+        total += part[0]
+    return total
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kernel=_tabulated_kernel(),
+       m=st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0)))
+@example(kernel=TabulatedKernel([0.0, 1.0], [2.0, 2.0]), m=1.5)
+@example(kernel=TabulatedKernel([0.5, 0.5 + 2.0**-30], [0.0, 1e6]), m=2.5)
+def test_tabulated_moment_matches_panelwise_quadrature(kernel, m):
+    expect = _panel_quad(kernel, m)
+    for y in (1.0, 3.7):
+        got = kernel_moment(kernel, m, y) / y**m
+        assert abs(got - expect) <= 1e-12 * expect, (got, expect)
 
 
 class TestGridsAndNorms:
@@ -752,3 +815,60 @@ class TestConfig:
         assert str(info.value).startswith(f"{path}: {start}")
         assert run(RunConfig("validate", str(path), output_dir=str(tmp_path))) == 1
         assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+# every input check of the module that no other test reaches: (call, error, message start)
+MODEL_REFUSALS = {
+    "power-c0-inf": (lambda: Power(math.inf, 1.0), InvalidModelError,
+                     "power coefficient needs finite c0 >= 0 and p >= 0"),
+    "tabulated-one-node": (lambda: Tabulated([0.0], [1.0]), InvalidModelError,
+                           "tabulated coefficient needs matching 1-D nodes/values, >= 2 points"),
+    "tabulated-unsorted": (lambda: Tabulated([1.0, 0.0], [1.0, 1.0]), InvalidModelError,
+                           "tabulated nodes must be finite, strictly increasing and nonnegative"),
+    "scale-negative": (lambda: model_module.scale_coefficient(Linear(1.0, 1.0), -1.0),
+                       InvalidInputError, "scale factor must be nonnegative"),
+    "inverse-eps-zero": (lambda: InverseEpsilon(0.0), InvalidModelError,
+                         "inverse epsilon needs a finite scale > 0"),
+    "kernel-shape-mismatch": (lambda: TabulatedKernel([0.0, 1.0], [2.0]), InvalidModelError,
+                              "tabulated kernel needs matching 1-D ratios/densities, >= 2 points"),
+    "moment-negative-order": (lambda: kernel_moment(UniformBinary(), -1.0, 1.0),
+                              InvalidInputError, "moment order must be nonnegative"),
+    "moment-unknown-kernel": (lambda: kernel_moment(object(), 1.0, 1.0), InvalidModelError,
+                              "unknown kernel"),
+    "atoms-of-density": (lambda: kernel_atoms(UniformBinary(), 1.0), InvalidInputError,
+                         "kernel is not atomic"),
+    "dual-norm-m-zero": (lambda: dual_norm(Linear(1.0, 1.0), 0.0), InvalidInputError,
+                         "weight exponent must be positive"),
+    "config-nodes-not-a-list": (
+        lambda: coefficient_from_config({"type": "tabulated", "nodes": 1.0, "values": [1.0]}),
+        InvalidModelError, "expected a list of numbers, got 1.0"),
+    "config-no-type": (lambda: coefficient_from_config({"c0": 1.0}), InvalidModelError,
+                       "coefficient config must be a number or an object with 'type'"),
+    "config-missing-key": (lambda: coefficient_from_config({"type": "power", "c0": 1.0}),
+                           InvalidModelError, "coefficient config missing key 'p'"),
+    "config-unknown-eps-form": (
+        lambda: kernel_from_config({"type": "shrinking_binary", "eps": {"type": "linear"}}),
+        InvalidModelError, "unknown split-fraction form"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", MODEL_REFUSALS.values(), ids=MODEL_REFUSALS)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
+def test_model_holds_only_the_dynamics():
+    # the CLI parses a model file's command blocks; the model module needs no
+    # other part of the package than its errors
+    tree = ast.parse(Path(model_module.__file__).read_text(encoding="utf-8"))
+    imported = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gfrag"))
+    }
+    assert imported == {"errors"}
+    assert [f.name for f in dataclasses.fields(ModelDefinition)] == [
+        "r", "a", "kernel", "beta", "m", "bc_convention", "x_max"
+    ]
